@@ -1,11 +1,12 @@
 """Bergman kernel of the symmetrized polydisc.
 
-Evaluation via the closed determinant formula (including the smooth
-extension at coincident preimage coordinates), certified construction of
-kernel zeros in every dimension n >= 3, sampling experiments for the
-dimensions where no zeros are expected, and exact-arithmetic
-verification of the algebraic identities behind the dimension-3 closed
-form.
+Evaluation via the Cauchy permanent formula
+K = per C / (pi^n prod_{j,k} (1 - lambda_j conj(mu_k))), which is smooth
+at coincident preimage coordinates; certified construction of kernel
+zeros in every dimension n >= 3 (residuals from the exact determinant);
+sampling experiments for the dimensions where no zeros are expected;
+and exact-arithmetic verification of the algebraic identities behind
+the dimension-3 closed form.
 """
 
 from .errors import SymdiscError

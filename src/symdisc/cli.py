@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -31,18 +33,20 @@ class RunConfig:
     fmt: str = "text"
     tol_dim3: float = zerofind.DEFAULT_TOL_DIM3
     tol_lift: float = zerofind.DEFAULT_TOL_LIFT
-    workers: int = 1
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 're,im' into a complex number."""
+    """Parse 're,im' into a finite complex number."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite coordinate {text!r}")
+    return value
 
 
 def _write_output(cfg: RunConfig, text: str) -> None:
@@ -70,8 +74,8 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
     numeric = exactfield.VerificationReport("numeric cross-checks")
     closed = kernel.closed_form_comparison(samples=args.samples, seed=cfg.seed)
     numeric.add(
-        "closed-form-vs-determinant",
-        f"dimension-3 closed form matches the determinant route at {closed['samples']} points (1e-9 relative)",
+        "closed-form-vs-permanent",
+        f"dimension-3 closed form matches the permanent formula per C / (pi^n prod B) at {closed['samples']} points (1e-9 relative)",
         closed["max_rel_diff"] < 1e-9,
         detail=f"max relative difference {closed['max_rel_diff']:.3e}",
     )
@@ -206,19 +210,18 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.stable:
-        from .symcore import elem_sym
-
-        ev = kernel.kernel_gn_stable(elem_sym(lam), elem_sym(mu))
-    else:
-        ev = kernel.kernel_gn(lam, mu)
+    outside = [c for c in (*lam, *mu) if abs(c) >= 1.0]
+    if outside:
+        print(f"eval: coordinates not in the open unit disc: {outside}", file=sys.stderr)
+        return EXIT_USAGE
+    ev = kernel.kernel_gn(lam, mu)
     if cfg.fmt == "json":
         payload = {
             "value": [ev.value.real, ev.value.imag],
             "abs": abs(ev.value),
-            "delta": [ev.numerator.real, ev.numerator.imag],
+            "permanent": [ev.numerator.real, ev.numerator.imag],
             "scale": ev.scale,
-            "scaled_delta_abs": abs(ev.numerator) / ev.scale,
+            "permanent_rel": abs(ev.numerator) / ev.scale,
         }
         _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -227,9 +230,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "\n".join(
                 [
                     f"K        = {_fmt_complex(ev.value)}  (|K| = {abs(ev.value):.6e})",
-                    f"delta    = {_fmt_complex(ev.numerator)}",
-                    f"scale    = {ev.scale:.6e}",
-                    f"scaled |delta| = {abs(ev.numerator) / ev.scale:.6e}",
+                    f"per C    = {_fmt_complex(ev.numerator)}",
+                    f"per |C|  = {ev.scale:.6e}",
+                    f"|per C| / per |C| = {abs(ev.numerator) / ev.scale:.6e}",
                 ]
             ),
         )
@@ -240,9 +243,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
-    report = zerofind.sample_nonvanishing(
-        args.mode, args.count, seed=cfg.seed, n=args.n, workers=cfg.workers
-    )
+    report = zerofind.sample_nonvanishing(args.mode, args.count, seed=cfg.seed, n=args.n)
     if cfg.fmt == "json":
         _write_output(cfg, json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -300,10 +301,10 @@ def cmd_grid(args, cfg: RunConfig) -> int:
         mus[:, 1] = flat
     values = kernel.batch_kernel(lams, mus)
 
-    lines = ["re,im,abs_k,arg_k"]
-    for p, v in zip(flat, values):
-        lines.append(f"{p.real:.17g},{p.imag:.17g},{abs(v):.17g},{np.angle(v):.17g}")
-    _write_output(cfg, "\n".join(lines))
+    # one format string for the whole table: no per-row string objects
+    table = np.column_stack([flat.real, flat.imag, np.abs(values), np.angle(values)])
+    row = "\n%.17g,%.17g,%.17g,%.17g"
+    _write_output(cfg, "re,im,abs_k,arg_k" + row * len(table) % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 
@@ -314,12 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", dest="fmt"
-    )
+    common.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     common.add_argument("--tol-cert", type=float, default=zerofind.DEFAULT_TOL_DIM3)
     common.add_argument("--tol-lift", type=float, default=zerofind.DEFAULT_TOL_LIFT)
-    common.add_argument("--workers", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="symdisc",
@@ -355,10 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("eval", help="evaluate the kernel at explicit tuples", parents=[common])
+    # a single-dash token with a comma, such as -0.3,0 or -inf,0, is a
+    # coordinate; argparse by default takes only plain negative numbers
+    # for values and everything else starting with '-' for an option
+    p._negative_number_matcher = re.compile(r"^-[^-].*,")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_complex, nargs="+", required=True)
     p.add_argument("--mu", type=parse_complex, nargs="+", required=True)
-    p.add_argument("--stable", action="store_true", help="evaluate via the confluent route")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="sample families for small determinant values", parents=[common])
@@ -386,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         fmt=args.fmt,
         tol_dim3=args.tol_cert,
         tol_lift=args.tol_lift,
-        workers=args.workers,
     )
     try:
         return args.func(args, cfg)

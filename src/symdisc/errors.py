@@ -17,10 +17,6 @@ class SingularEntry(SymdiscError):
     """Some 1 - lambda_j * conj(mu_k) vanished; matrix entry undefined."""
 
 
-class RepeatedCoordinate(SymdiscError):
-    """A tuple has coinciding coordinates; use the stable evaluator."""
-
-
 class NotInDomain(SymdiscError):
     """Point failed the open-domain membership check."""
 

@@ -1,11 +1,17 @@
 """Bergman kernel of the symmetrized polydisc.
 
-In preimage coordinates the kernel is a ratio: the determinant of the
+In preimage coordinates the kernel is the determinant of the
 Cauchy-power matrix with entries (1 - lambda_j * conj(mu_k))^(-2) over
-pi^n times the paired Vandermonde product.  Both numerator and
-denominator vanish at coincident coordinates; the ratio extends
-smoothly and is evaluated there by replacing repeated rows/columns with
-derivative rows (confluent divided differences).
+pi^n times the paired Vandermonde product.  With B_jk = 1 - lambda_j *
+conj(mu_k) and C = 1/B, Borchardt's identity det(C o C) = det C * per C
+and Cauchy's determinant cancel the Vandermonde product:
+
+    K = per C / (pi^n * prod_{j,k} B_jk),
+
+which is smooth at coincident coordinates.  Every float evaluation goes
+through this formula, with the permanent computed by Glynn's formula in
+Gray-code order.  The exact rational determinant is kept for the
+residuals of certified zeros, where floats would report rounding noise.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -13,24 +19,22 @@ nu_j = lambda_j * conj(mu_1); those coefficient polynomials live here
 as generic expressions so the exact-arithmetic module can reuse them
 verbatim on its own field elements.
 
-Determinants are computed by complex LU with partial pivoting in the
-platform's extended precision (80-bit on x86), which keeps residuals of
-certified zeros meaningful for chained constructions; batch helpers for
-sampling work in ordinary complex128.
+det_pivoted, complex LU with partial pivoting in the platform's extended
+precision (80-bit on x86), serves the dimension-3 reduction checks and
+the lift's slice evaluations; batch helpers for sampling work in
+ordinary complex128.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MuOneZero, NotInDomain, RepeatedCoordinate, SingularEntry
+from .errors import MuOneZero, NotInDomain, SingularEntry
 from .symcore import (
-    PolyPoint,
     SymPoint,
     _coords,
     in_gn,
@@ -40,10 +44,8 @@ from .symcore import (
 
 PI = math.pi
 
-# Multiplicity clusters are detected from recovered roots; an m-fold root
-# reconstructed from rounded coefficients scatters like eps**(1/m), so the
-# threshold must sit well above eps**(1/3).
-CLUSTER_TOL = 1e-4
+# pairs per slab of batch_kernel: bounds the (n, n, chunk) work arrays
+_BATCH_CHUNK = 4096
 
 _LONGDOUBLE_COMPLEX = np.result_type(np.longdouble, np.complex64)
 
@@ -52,9 +54,9 @@ _LONGDOUBLE_COMPLEX = np.result_type(np.longdouble, np.complex64)
 class KernelEval:
     """A kernel value together with the pieces it was assembled from.
 
-    value * denominator == numerator whenever denominator != 0; scale is
-    the max row norm of the matrix whose determinant is the numerator and
-    is the reference for relative residuals of certified zeros.
+    value * denominator == numerator, with numerator = per C and
+    denominator = pi^n * prod B_jk; scale = per |C| bounds |numerator|,
+    so |numerator| / scale <= 1 is a scale-free measure of cancellation.
     """
 
     value: complex
@@ -74,8 +76,8 @@ class QuadraticData:
     c: complex
 
 
-def cauchy_power_matrix(lam, mu, dtype=complex) -> np.ndarray:
-    """Matrix with entries (1 - lambda_j * conj(mu_k))^(-2)."""
+def _base_matrix(lam, mu, dtype=complex) -> np.ndarray:
+    """Matrix B with entries 1 - lambda_j * conj(mu_k); none may vanish."""
     a = np.asarray(_coords(lam), dtype=dtype)
     b = np.asarray(_coords(mu), dtype=dtype)
     if a.shape != b.shape:
@@ -83,12 +85,42 @@ def cauchy_power_matrix(lam, mu, dtype=complex) -> np.ndarray:
     base = 1.0 - np.multiply.outer(a, np.conj(b))
     if np.any(base == 0):
         raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-    return base**-2
+    return base
+
+
+def cauchy_power_matrix(lam, mu, dtype=complex) -> np.ndarray:
+    """Matrix with entries (1 - lambda_j * conj(mu_k))^(-2)."""
+    return _base_matrix(lam, mu, dtype) ** -2
 
 
 def matrix_scale(m: np.ndarray) -> float:
     """Max row norm (infinity norm), the residual reference scale."""
     return float(np.max(np.sum(np.abs(m), axis=-1)))
+
+
+def permanent(c: np.ndarray) -> np.ndarray:
+    """Permanents of c over its first two axes, shape (n, n, *batch).
+
+    Glynn's formula per c = 2^(1-n) sum_d (prod_j d_j) prod_k sum_j d_j c_jk
+    over sign vectors d with d_0 = +1, visited in Gray-code order: each
+    step flips one sign, which updates the column sums in O(n) and
+    alternates the sign of prod_j d_j.
+    """
+    n = c.shape[0]
+    twice = 2.0 * c
+    sums = c.sum(axis=0)
+    prods = np.empty((2 ** (n - 1), *sums.shape[1:]), dtype=sums.dtype)
+    sums.prod(axis=0, out=prods[0, ...])
+    flipped = [False] * n
+    for step in range(1, 2 ** (n - 1)):
+        j = (step & -step).bit_length()  # the sign flipped at this step, 1..n-1
+        if flipped[j]:
+            sums += twice[j]
+        else:
+            sums -= twice[j]
+        flipped[j] = not flipped[j]
+        sums.prod(axis=0, out=prods[step, ...])
+    return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
 
 
 def det_pivoted(matrix: np.ndarray) -> complex:
@@ -210,128 +242,39 @@ def delta_with_scale(lam, mu) -> tuple[complex, float]:
     return delta_n(lam, mu), matrix_scale(m)
 
 
-def _has_repeat(coords: Sequence[complex]) -> bool:
-    return len(set(coords)) != len(coords)
-
-
 def kernel_gn(lam, mu) -> KernelEval:
-    """Kernel value at a pair of preimage tuples with distinct coordinates.
+    """Kernel value at a pair of preimage tuples, in floats.
 
-    value = delta_n / (pi^n * vandermonde_pair).  Swapping the arguments
-    conjugates the value; permuting one tuple alone leaves it unchanged.
+    value = per C / (pi^n * prod_{j,k} B_jk), valid at repeated
+    coordinates too.  Swapping the arguments conjugates the value;
+    permuting one tuple alone leaves it unchanged.
     """
-    a = _coords(lam)
-    b = _coords(mu)
-    if _has_repeat(a) or _has_repeat(b):
-        raise RepeatedCoordinate(
-            "coincident coordinates; evaluate via kernel_gn_stable"
-        )
-    m = cauchy_power_matrix(a, b)
-    num = delta_n(a, b)
-    den = (PI ** len(a)) * vandermonde_pair(a, b)
+    base = _base_matrix(lam, mu)
+    c = 1.0 / base
+    num, scale = permanent(np.stack([c, np.abs(c)], axis=-1))
+    den = PI ** len(base) * np.prod(base)
     return KernelEval(
-        value=num / den, numerator=num, denominator=den, scale=matrix_scale(m)
-    )
-
-
-# --- confluent evaluation ---------------------------------------------------
-
-
-def cluster_points(points: Sequence[complex], tol: float = CLUSTER_TOL):
-    """Group nearly coincident values; returns (nodes, multiplicities).
-
-    Each cluster is represented by its mean, which for a multiple root
-    recovered from polynomial coefficients is far more accurate than the
-    individual scattered roots.
-    """
-    remaining = list(points)
-    clusters: list[list[complex]] = []
-    while remaining:
-        seed_pt = remaining.pop(0)
-        group = [seed_pt]
-        changed = True
-        while changed:
-            changed = False
-            center = sum(group) / len(group)
-            for q in list(remaining):
-                if abs(q - center) <= tol * max(1.0, abs(center)):
-                    group.append(q)
-                    remaining.remove(q)
-                    changed = True
-        clusters.append(group)
-    nodes = [sum(g) / len(g) for g in clusters]
-    mults = [len(g) for g in clusters]
-    order = sorted(range(len(nodes)), key=lambda i: (nodes[i].real, nodes[i].imag))
-    return [nodes[i] for i in order], [mults[i] for i in order]
-
-
-def _confluent_entry(d: int, e: int, u: complex, w: complex) -> complex:
-    """d!e!-normalized mixed derivative of (1 - u*w)^(-2) in (u, w)."""
-    s = 0j
-    for j in range(min(d, e) + 1):
-        coef = factorial(d + e - j + 1) / (
-            factorial(j) * factorial(d - j) * factorial(e - j)
-        )
-        s += coef * u ** (e - j) * w ** (d - j) * (1.0 - u * w) ** (-(d + e - j + 2))
-    return s
-
-
-def confluent_kernel(lnodes, lmults, mnodes, mmults) -> KernelEval:
-    """Smooth-extension kernel value from explicit cluster data.
-
-    Rows for an m-fold lambda node are the derivative rows of orders
-    0..m-1 (factorial-normalized); likewise columns in the conjugated mu
-    variable.  The Vandermonde denominator keeps only inter-cluster
-    factors, raised to the product of multiplicities, with the matching
-    sign from the dropped intra-cluster factors.
-    """
-    n = sum(lmults)
-    if n != sum(mmults):
-        raise ValueError("cluster multiplicities must sum to equal dimensions")
-    rows = [(u, d) for u, m in zip(lnodes, lmults) for d in range(m)]
-    cols = [(complex(v).conjugate(), e) for v, m in zip(mnodes, mmults) for e in range(m)]
-    mat = np.array(
-        [[_confluent_entry(d, e, u, w) for (w, e) in cols] for (u, d) in rows]
-    )
-    num = det_pivoted(mat)
-    den = complex(PI**n)
-    for i in range(len(lnodes)):
-        for j in range(i + 1, len(lnodes)):
-            den *= (lnodes[i] - lnodes[j]) ** (lmults[i] * lmults[j])
-    for i in range(len(mnodes)):
-        for j in range(i + 1, len(mnodes)):
-            den *= ((mnodes[i] - mnodes[j]).conjugate()) ** (mmults[i] * mmults[j])
-    parity = sum(m * (m - 1) // 2 for m in lmults) + sum(
-        m * (m - 1) // 2 for m in mmults
-    )
-    if parity % 2:
-        den = -den
-    return KernelEval(
-        value=num / den, numerator=num, denominator=den, scale=matrix_scale(mat)
+        value=complex(num / den),
+        numerator=complex(num),
+        denominator=complex(den),
+        scale=float(scale.real),
     )
 
 
 def kernel_gn_stable(
     s: SymPoint | Sequence[complex],
     t: SymPoint | Sequence[complex],
-    cluster_tol: float = CLUSTER_TOL,
     seed: int = 0,
 ) -> KernelEval:
-    """Kernel on the symmetrized domain, valid at coincident preimages.
+    """Kernel on the symmetrized domain, at symmetric coordinates.
 
     Membership of both arguments is checked first; preimage tuples are
-    recovered by root finding, grouped into multiplicity clusters, and
-    evaluated through the confluent determinant.  At pairwise-distinct
-    preimages this reduces to kernel_gn.
+    then recovered by root finding and passed to kernel_gn.
     """
     for name, point in (("first", s), ("second", t)):
         if not in_gn(point, seed=seed):
             raise NotInDomain(f"{name} argument is not in the symmetrized polydisc")
-    lam = roots_from_sym(s, seed=seed)
-    mu = roots_from_sym(t, seed=seed)
-    lnodes, lmults = cluster_points(lam, tol=cluster_tol)
-    mnodes, mmults = cluster_points(mu, tol=cluster_tol)
-    return confluent_kernel(lnodes, lmults, mnodes, mmults)
+    return kernel_gn(roots_from_sym(s, seed=seed), roots_from_sym(t, seed=seed))
 
 
 # --- dimension-3 closed form -------------------------------------------------
@@ -452,24 +395,20 @@ def batch_cauchy_power(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
     return (1.0 - lams[:, :, None] * np.conj(mus[:, None, :])) ** -2
 
 
-def batch_delta_scaled(lams: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(determinants, max row norms) for stacked pairs, in complex128."""
-    mats = batch_cauchy_power(lams, mus)
-    dets = np.linalg.det(mats)
-    scales = np.abs(mats).sum(axis=2).max(axis=1)
-    return dets, scales
-
-
 def batch_kernel(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """Kernel values for stacked pairs; coordinates must be distinct
-    within each tuple for the result to be meaningful."""
-    dets, _ = batch_delta_scaled(lams, mus)
-    n = lams.shape[1]
-    vp = np.ones(lams.shape[0], dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            vp *= (lams[:, j] - lams[:, k]) * np.conj(mus[:, j] - mus[:, k])
-    return dets / (PI**n * vp)
+    """Kernel values for stacked (B, n) coordinate arrays, by the same
+    permanent formula as kernel_gn, in slabs of _BATCH_CHUNK pairs."""
+    count, n = lams.shape
+    out = np.empty(count, dtype=complex)
+    for lo in range(0, count, _BATCH_CHUNK):
+        hi = min(lo + _BATCH_CHUNK, count)
+        # entry [j, k, b] is 1 - lambda_bj * conj(mu_bk); a contiguous batch
+        # axis keeps the column products in permanent() about 3x faster
+        lt = np.ascontiguousarray(lams[lo:hi].T)
+        mt = np.ascontiguousarray(np.conj(mus[lo:hi].T))
+        base = 1.0 - lt[:, None, :] * mt[None, :, :]
+        out[lo:hi] = permanent(1.0 / base) / (PI**n * base.prod(axis=(0, 1)))
+    return out
 
 
 # --- numeric cross-check suites ----------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +36,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .kernel import (
+    PI,
     QuadraticData,
     abc_coeffs,
     batch_cauchy_power,
@@ -44,8 +44,8 @@ from .kernel import (
     delta_n,
     delta_with_scale,
     det_pivoted,
-    kernel_gn,
 )
+from .symcore import vandermonde_pair
 
 # unimodular base triple of the construction and the reference root of the
 # induced real quadratic p(x) = (3 sqrt3 - 5) x^2 + (3 sqrt6 - 6 sqrt2) x + (4 sqrt3 - 6)
@@ -200,11 +200,19 @@ class ZeroCertificate:
         )
 
 
+def _kernel_abs(det: complex, lam, mu) -> float:
+    """|K| from the exact determinant: |det| / (pi^n |vandermonde_pair|).
+
+    At a certified zero the float permanent is rounding noise, so the
+    modulus is taken from the determinant the residual already used.
+    """
+    return abs(det) / (PI ** len(lam) * abs(vandermonde_pair(lam, mu)))
+
+
 def recertify(cert: ZeroCertificate) -> dict:
     """Recompute the certificate's residual and kernel modulus from scratch."""
     det, scale = delta_with_scale(cert.lam, cert.mu)
-    value = kernel_gn(cert.lam, cert.mu).value
-    return {"residual_rel": abs(det) / scale, "kernel_abs": abs(value)}
+    return {"residual_rel": abs(det) / scale, "kernel_abs": _kernel_abs(det, cert.lam, cert.mu)}
 
 
 # --- quadratic ----------------------------------------------------------------
@@ -361,7 +369,7 @@ def construct_zero_dim3(
         raise CertificationFailure(
             f"dimension-3 residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    kernel_abs = abs(kernel_gn(lam, mu).value)
+    kernel_abs = _kernel_abs(det, lam, mu)
     cert = ZeroCertificate(
         n=3,
         lam=lam,
@@ -655,7 +663,7 @@ def _finish_lift(cert, t, radius, fmin, tol, config) -> ZeroCertificate:
         raise CertificationFailure(
             f"lift residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    kernel_abs = abs(kernel_gn(new_lam, new_mu).value)
+    kernel_abs = _kernel_abs(det, new_lam, new_mu)
     lifted = ZeroCertificate(
         n=n + 1,
         lam=new_lam,
@@ -744,15 +752,13 @@ def sample_nonvanishing(
     samples: int,
     seed: int = 0,
     n: int = 3,
-    workers: int = 1,
 ) -> SamplingReport:
     """Scan a family of pairs for small scaled determinant values.
 
     g2_full draws independent dimension-2 pairs; g3_equal_third draws
     dimension-3 pairs sharing the third coordinate; diagonal draws one
     tuple per sample and pairs it with itself (values should be real and
-    positive).  Sampling is reproducible for a fixed seed regardless of
-    the worker count.
+    positive).  Sampling is reproducible for a fixed seed.
     """
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {SAMPLING_MODES}")
@@ -770,23 +776,9 @@ def sample_nonvanishing(
         lams = _draw_disc(rng, (samples, n))
         mus = lams.copy()
 
-    def eval_chunk(bounds):
-        lo, hi = bounds
-        mats = batch_cauchy_power(lams[lo:hi], mus[lo:hi])
-        dets = np.linalg.det(mats)
-        scales = np.abs(mats).sum(axis=2).max(axis=1)
-        return dets, scales
-
-    if workers > 1:
-        edges = np.linspace(0, samples, workers + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(eval_chunk, chunks))
-        dets = np.concatenate([p[0] for p in parts])
-        scales = np.concatenate([p[1] for p in parts])
-    else:
-        dets, scales = eval_chunk((0, samples))
-
+    mats = batch_cauchy_power(lams, mus)
+    dets = np.linalg.det(mats)
+    scales = np.abs(mats).sum(axis=2).max(axis=1)
     scaled = np.abs(dets) / scales
     idx = int(np.argmin(scaled))
     diag_min_real = diag_ratio = None

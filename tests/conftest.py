@@ -19,6 +19,11 @@ def draw_disc_tuple(rng, n, radius=0.9, min_gap=0.02):
             return tuple(complex(c) for c in pts)
 
 
+def expand_clusters(nodes, mults):
+    """The tuple with each node repeated by its multiplicity."""
+    return tuple(u for u, m in zip(nodes, mults) for _ in range(m))
+
+
 def multiset_close(a, b, tol):
     """Greedy nearest matching of two same-length complex multisets."""
     remaining = list(b)

@@ -1,16 +1,18 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: elementary symmetric
-values come from explicit subset enumeration, and the confluent kernel
-limit comes from Richardson extrapolation of perturbed direct
-evaluations rather than from derivative rows.
+values come from explicit subset enumeration, the kernel at distinct
+coordinates comes from the exact determinant over the Vandermonde
+product rather than from the permanent formula, and the kernel at
+coincident coordinates from Richardson extrapolation of that route.
 """
 
 import itertools
 
 import numpy as np
 
-from symdisc.kernel import kernel_gn
+from symdisc.kernel import PI, delta_n
+from symdisc.symcore import vandermonde_pair
 
 
 def brute_elem_sym(points):
@@ -26,6 +28,12 @@ def brute_elem_sym(points):
             total += term
         out.append(total)
     return tuple(out)
+
+
+def exact_kernel(lam, mu):
+    """Kernel at distinct coordinates: the exact Cauchy-power determinant
+    over pi^n times the paired Vandermonde product."""
+    return delta_n(lam, mu) / (PI ** len(lam) * vandermonde_pair(lam, mu))
 
 
 def perturbed_cluster_tuple(nodes, mults, t, phases):
@@ -45,17 +53,17 @@ def perturbed_cluster_tuple(nodes, mults, t, phases):
 
 def extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults, t0=2e-3, levels=5):
     """Kernel value at a confluent configuration by Richardson
-    extrapolation (in the cluster-splitting parameter) of direct
+    extrapolation (in the cluster-splitting parameter) of exact
     distinct-coordinate evaluations."""
     rng = np.random.default_rng(987654321)
     lph = np.exp(2j * np.pi * rng.random(len(lnodes)))
     mph = np.exp(2j * np.pi * rng.random(len(mnodes)))
     ts = [t0 / 2**j for j in range(levels)]
     vals = [
-        kernel_gn(
+        exact_kernel(
             perturbed_cluster_tuple(lnodes, lmults, t, lph),
             perturbed_cluster_tuple(mnodes, mmults, t, mph),
-        ).value
+        )
         for t in ts
     ]
     # Neville tableau extrapolating the polynomial-in-t values to t = 0

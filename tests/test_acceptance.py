@@ -14,7 +14,7 @@ import pytest
 
 from symdisc import cli, exactfield, kernel, symcore, zerofind
 
-from .conftest import draw_disc_tuple, multiset_close
+from .conftest import draw_disc_tuple, expand_clusters, multiset_close
 from .oracles import extrapolated_confluent_kernel
 
 
@@ -141,7 +141,9 @@ def test_criterion_6_confluent_consistency():
             mmults = [1] * n
         lnodes = _separated_nodes(rng, len(lmults))
         mnodes = _separated_nodes(rng, len(mmults))
-        got = kernel.confluent_kernel(lnodes, lmults, mnodes, mmults).value
+        got = kernel.kernel_gn(
+            expand_clusters(lnodes, lmults), expand_clusters(mnodes, mmults)
+        ).value
         oracle = extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults)
         worst = max(worst, abs(got - oracle) / abs(oracle))
         cases += 1

@@ -1,10 +1,14 @@
+import cmath
 import json
 import math
 
 import pytest
 
 from symdisc.cli import main, parse_complex
+from symdisc.kernel import kernel_gn
 from symdisc.zerofind import ZeroCertificate, recertify
+
+from .oracles import extrapolated_confluent_kernel
 
 
 def run(args):
@@ -110,9 +114,39 @@ def test_eval_dimension_mismatch():
     assert run(["eval", "--n", "3", "--lambda", "0,0", "--mu", "0,0"]) == 2
 
 
-def test_eval_repeated_coordinate_is_numerical_failure():
-    code = run(["eval", "--n", "2", "--lambda", "0.3,0", "0.3,0", "--mu", "0,0", "0.5,0"])
-    assert code == 3
+def test_eval_negative_coordinates_parse(tmp_path):
+    out = tmp_path / "eval.json"
+    args = ["--n", "2", "--format", "json", "--out", str(out)]
+    assert run(["eval", "--lambda", "-0.3,0", "0.5,0", "--mu", "0,-0.2", "-.5,-0.1", *args]) == 0
+    payload = json.loads(out.read_text())
+    expected = kernel_gn((-0.3, 0.5), (-0.2j, -0.5 - 0.1j)).value
+    assert complex(*payload["value"]) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", ["nan,0", "0,inf", "-inf,0"])
+def test_eval_rejects_non_finite_coordinates(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--n", "2", "--lambda", bad, "0.5,0", "--mu", "0,0", "0.5,0"])
+    assert exc.value.code == 2
+    assert "non-finite coordinate" in capsys.readouterr().err
+
+
+def test_eval_rejects_coordinates_outside_disc(capsys):
+    assert run(["eval", "--n", "2", "--lambda", "1,0", "0.5,0", "--mu", "0,0", "0.5,0"]) == 2
+    assert run(["eval", "--n", "2", "--lambda", "0,0", "0.5,0", "--mu", "0,0", "0.6,-0.8"]) == 2
+    assert "not in the open unit disc" in capsys.readouterr().err
+
+
+def test_eval_repeated_coordinate_matches_oracle(tmp_path):
+    out = tmp_path / "eval.json"
+    code = run(
+        ["eval", "--n", "2", "--lambda", "0.3,0", "0.3,0", "--mu", "0,0", "0.5,0",
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    oracle = extrapolated_confluent_kernel([0.3], [2], [0, 0.5], [1, 1])
+    assert complex(*payload["value"]) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_sample_subcommand_reproducible(tmp_path):
@@ -148,20 +182,10 @@ def test_grid_lambda_axis(tmp_path):
     ) == 0
     lines = grid.read_text().strip().splitlines()
     assert len(lines) == 1 + 11 * 11
-
-
-def test_eval_stable_route(tmp_path):
-    out = tmp_path / "eval.json"
-    code = run(
-        ["eval", "--n", "2", "--lambda", "0.3,0", "0.7,0", "--mu", "0.3,0", "0.7,0",
-         "--stable", "--format", "json", "--out", str(out)]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text())
-    direct = run(
-        ["eval", "--n", "2", "--lambda", "0.3,0", "0.7,0", "--mu", "0.3,0", "0.7,0",
-         "--format", "json", "--out", str(tmp_path / "d.json")]
-    )
-    assert direct == 0
-    ref = json.loads((tmp_path / "d.json").read_text())
-    assert payload["abs"] == pytest.approx(ref["abs"], rel=1e-9)
+    # each row is (lambda_1, |K|, arg K) at that point, as kernel_gn gives it
+    cert = ZeroCertificate.from_dict(json.loads(c3.read_text()))
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    top = max(r[2] for r in rows)
+    for re_, im_, abs_k, arg_k in rows:
+        k = kernel_gn((complex(re_, im_), *cert.lam[1:]), cert.mu).value
+        assert abs(abs_k * cmath.exp(1j * arg_k) - k) <= 1e-9 * top

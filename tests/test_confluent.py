@@ -1,15 +1,15 @@
-"""Confluent (coincident-preimage) kernel evaluation against an
+"""Kernel evaluation at coincident preimage coordinates against an
 independent perturbation-extrapolation oracle."""
 
 import math
 
-import numpy as np
 import pytest
 
 from symdisc.errors import NotInDomain
-from symdisc.kernel import confluent_kernel, kernel_gn_stable
+from symdisc.kernel import kernel_gn, kernel_gn_stable
 from symdisc.symcore import elem_sym
 
+from .conftest import expand_clusters
 from .oracles import extrapolated_confluent_kernel
 
 
@@ -21,7 +21,7 @@ def test_double_zero_both_sides():
 
 
 def test_double_zero_matches_extrapolation():
-    got = confluent_kernel([0j], [2], [0j], [2]).value
+    got = kernel_gn([0j, 0j], [0j, 0j]).value
     oracle = extrapolated_confluent_kernel([0j], [2], [0j], [2])
     assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -29,7 +29,7 @@ def test_double_zero_matches_extrapolation():
 def test_repeated_lambda_distinct_mu():
     lnodes, lmults = [0.3 + 0.2j, -0.4j], [2, 1]
     mnodes, mmults = [0.5, -0.2 + 0.1j, 0.3j], [1, 1, 1]
-    got = confluent_kernel(lnodes, lmults, mnodes, mmults).value
+    got = kernel_gn(expand_clusters(lnodes, lmults), expand_clusters(mnodes, mmults)).value
     oracle = extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults)
     assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -37,13 +37,13 @@ def test_repeated_lambda_distinct_mu():
 def test_triple_cluster():
     lnodes, lmults = [0.25 - 0.3j], [3]
     mnodes, mmults = [0.1 + 0.1j, -0.5, 0.4j], [1, 1, 1]
-    got = confluent_kernel(lnodes, lmults, mnodes, mmults).value
+    got = kernel_gn(expand_clusters(lnodes, lmults), expand_clusters(mnodes, mmults)).value
     oracle = extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults)
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_stable_evaluation_recovers_clusters():
-    # full pipeline: symmetrize a confluent tuple, re-solve, cluster, evaluate
+    # full pipeline: symmetrize a confluent tuple, re-solve, evaluate
     lam = (0.2 + 0.1j, 0.2 + 0.1j, -0.35)
     mu = (0.45j, 0.45j, -0.3)
     got = kernel_gn_stable(elem_sym(lam), elem_sym(mu)).value
@@ -59,9 +59,8 @@ def test_stable_rejects_points_outside_domain():
 
 
 def test_double_zero_matches_shrinking_perturbation():
-    # direct epsilon-extrapolation consistency without cluster machinery
+    # direct epsilon-extrapolation consistency at split coordinates
     ev = kernel_gn_stable(elem_sym([0, 0]), elem_sym([0, 0]))
-    from symdisc.kernel import kernel_gn
 
     vals = []
     for eps in (1e-2, 5e-3, 2.5e-3):

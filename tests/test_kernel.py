@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc.errors import MuOneZero, RepeatedCoordinate, SingularEntry
+from symdisc.errors import MuOneZero, SingularEntry
 from symdisc.kernel import (
     PI,
     abc_coeffs,
@@ -23,6 +23,7 @@ from symdisc.kernel import (
 from symdisc.symcore import elem_sym
 
 from .conftest import draw_disc_tuple
+from .oracles import exact_kernel, extrapolated_confluent_kernel
 
 TORUS = (cmath.exp(1j * math.pi / 6), cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 6))
 
@@ -39,6 +40,8 @@ def test_delta_rank_one_matrix_vanishes():
 def test_delta_singular_entry():
     with pytest.raises(SingularEntry):
         delta_n([1.0], [1.0])
+    with pytest.raises(SingularEntry):
+        kernel_gn([1.0, 0.2], [1.0, 0.3])
 
 
 def test_delta_hermitian_symmetry(rng):
@@ -54,7 +57,8 @@ def test_delta_hermitian_symmetry(rng):
 def test_kernel_diagonal_value():
     ev = kernel_gn([0, 0.5], [0, 0.5])
     assert ev.value == pytest.approx(28 / (9 * PI**2), rel=1e-14)
-    assert ev.numerator == pytest.approx(7 / 9, rel=1e-14)
+    # per [[1, 1], [1, 4/3]] = 7/3, over pi^2 times prod B = 3/4
+    assert ev.numerator == pytest.approx(7 / 3, rel=1e-14)
     assert ev.value * ev.denominator == pytest.approx(ev.numerator, rel=1e-12)
     assert ev.scale > 0
 
@@ -77,9 +81,18 @@ def test_kernel_diagonal_positive(rng):
         assert abs(v.imag) <= 1e-10 * v.real
 
 
-def test_kernel_repeated_coordinate_redirects():
-    with pytest.raises(RepeatedCoordinate):
-        kernel_gn([0.3, 0.3], [0.1, 0.2])
+def test_kernel_matches_exact_determinant_route(rng):
+    for n in range(2, 8):
+        for _ in range(10):
+            lam = draw_disc_tuple(rng, n)
+            mu = draw_disc_tuple(rng, n)
+            assert kernel_gn(lam, mu).value == pytest.approx(exact_kernel(lam, mu), rel=1e-9)
+
+
+def test_kernel_repeated_coordinate_matches_oracle():
+    got = kernel_gn([0.3, 0.3], [0.1, 0.2]).value
+    oracle = extrapolated_confluent_kernel([0.3], [2], [0.1, 0.2], [1, 1])
+    assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_stable_agrees_with_direct_at_distinct_points():

@@ -314,12 +314,6 @@ def test_sampling_diagonal_real_positive():
     assert report.diag_max_imag_ratio < 1e-9
 
 
-def test_sampling_deterministic_across_workers():
-    a = sample_nonvanishing("g2_full", 5000, seed=9, workers=1)
-    b = sample_nonvanishing("g2_full", 5000, seed=9, workers=4)
-    assert a == b
-
-
 def test_sampling_rejects_unknown_mode():
     with pytest.raises(ValueError):
         sample_nonvanishing("bogus", 10)
