@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactfield, kernel, zerofind
-from .errors import SymdiscError
+from .errors import CertificationFailure, SymdiscError
 from .zerofind import LiftConfig, ZeroCertificate
 
 EXIT_OK = 0
@@ -190,9 +190,24 @@ def cmd_find_zero(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lift(args, cfg: RunConfig) -> int:
-    with open(args.cert) as fh:
+def _load_certificate(path: str, recheck: bool) -> ZeroCertificate:
+    """Read a certificate and validate() it; with recheck, also recompute
+    its residual and require it within the certificate's tolerance."""
+    with open(path) as fh:
         cert = ZeroCertificate.from_dict(json.load(fh))
+    cert.validate()
+    if recheck:
+        residual = zerofind.recertify(cert)["residual_rel"]
+        tol = cert.tolerances.get("residual_rel", zerofind.DEFAULT_TOL_LIFT)
+        if not residual <= tol:
+            raise CertificationFailure(
+                f"certificate residual recomputes to {residual:.3e}, above its tolerance {tol:.1e}"
+            )
+    return cert
+
+
+def cmd_lift(args, cfg: RunConfig) -> int:
+    cert = _load_certificate(args.cert, recheck=True)
     lifted = zerofind.lift_zero(cert, config=_lift_config(args), tol=cfg.tol_lift)
     _emit_certificate(lifted, cfg)
     return EXIT_OK
@@ -267,8 +282,7 @@ def cmd_sample(args, cfg: RunConfig) -> int:
 
 
 def cmd_grid(args, cfg: RunConfig) -> int:
-    with open(args.around) as fh:
-        cert = ZeroCertificate.from_dict(json.load(fh))
+    cert = _load_certificate(args.around, recheck=False)
     lam = np.asarray(cert.lam, dtype=complex)
     mu = np.asarray(cert.mu, dtype=complex)
     res = args.res

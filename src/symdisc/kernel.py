@@ -10,8 +10,10 @@ and Cauchy's determinant cancel the Vandermonde product:
 
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
-Gray-code order.  The exact rational determinant is kept for the
-residuals of certified zeros, where floats would report rounding noise.
+Gray-code order.  The exact determinant is kept for the residuals of
+certified zeros, where floats would report rounding noise; it works on
+dyadic Gaussian integers with Bareiss's fraction-free elimination and
+rounds once, at the end.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -20,9 +22,9 @@ as generic expressions so the exact-arithmetic module can reuse them
 verbatim on its own field elements.
 
 det_pivoted, complex LU with partial pivoting in the platform's extended
-precision (80-bit on x86), serves the dimension-3 reduction checks and
-the lift's slice evaluations; batch helpers for sampling work in
-ordinary complex128.
+precision (80-bit on x86), takes one matrix or a stack of them; it
+serves the dimension-3 reduction checks and the lift's batched slice
+evaluations.  Batch helpers for sampling work in ordinary complex128.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import MuOneZero, NotInDomain, SingularEntry
 from .symcore import (
     SymPoint,
     _coords,
-    in_gn,
+    classify_roots,
     roots_from_sym,
     vandermonde_pair,
 )
@@ -123,118 +125,176 @@ def permanent(c: np.ndarray) -> np.ndarray:
     return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
 
 
-def det_pivoted(matrix: np.ndarray) -> complex:
-    """Determinant by LU with partial pivoting in extended precision.
+def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
+    """Determinants by LU with partial pivoting in extended precision.
 
+    Takes one (n, n) matrix, which gives a complex, or a stack
+    (..., n, n), which gives a complex array of shape (...).  Each matrix
+    of a stack gets exactly the arithmetic it would get alone (its own
+    pivot row, swap, division and update), in slabs of _BATCH_CHUNK.
     Intended for the small (n <= 16) matrices of this package; the
     extended intermediate precision lowers the cancellation floor by
     roughly three orders of magnitude versus complex128.
     """
-    a = np.array(matrix, dtype=_LONGDOUBLE_COMPLEX)
-    n = a.shape[0]
-    sign = 1.0
+    a = np.asarray(matrix)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    out = np.empty(len(stack), dtype=complex)
+    for lo in range(0, len(stack), _BATCH_CHUNK):
+        out[lo : lo + _BATCH_CHUNK] = _lu_det(stack[lo : lo + _BATCH_CHUNK])
+    if a.ndim == 2:
+        return complex(out[0])
+    return out.reshape(a.shape[:-2])
+
+
+def _lu_det(slab: np.ndarray) -> np.ndarray:
+    """Extended-precision determinants of a (count, n, n) stack."""
+    a = np.array(slab, dtype=_LONGDOUBLE_COMPLEX)
+    count, n, _ = a.shape
+    sign = np.ones(count)
+    singular = None
     for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        if a[k, k] == 0:
-            return 0j
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    d = a[0, 0] * sign
+        p = k + np.abs(a[:, k:, k]).argmax(axis=1)
+        (swap,) = (p != k).nonzero()
+        if swap.size:
+            a[swap, k], a[swap, p[swap]] = a[swap, p[swap]], a[swap, k]
+            sign[swap] = -sign[swap]
+        zero = a[:, k, k] == 0
+        if zero.any():
+            # an all-zero pivot column: the determinant is 0; a unit pivot
+            # keeps the remaining steps of that matrix finite
+            singular = zero if singular is None else singular | zero
+            a[zero, k, k] = 1
+        a[:, k + 1 :, k] /= a[:, k, k, None]
+        a[:, k + 1 :, k + 1 :] -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+    d = a[:, 0, 0] * sign
     for k in range(1, n):
-        d = d * a[k, k]
-    return complex(d)
+        d = d * a[:, k, k]
+    if singular is not None:
+        d[singular] = 0
+    return d
 
 
-# --- exact-rational determinant ----------------------------------------------
+# --- exact determinant ---------------------------------------------------------
 #
-# The matrix entries at float coordinates are exact rationals, so the
-# determinant itself can be computed without any rounding: the certified
-# residual of a zero then measures only how well the stored float points
-# annihilate the determinant, not arithmetic noise.  Complex rationals
-# are (Fraction, Fraction) pairs; pivots are chosen by float magnitude
-# (the choice does not affect exactness).
+# A float coordinate is a dyadic rational: lambda_j = a_j / 2^e_j and
+# mu_k = b_k / 2^f_k with Gaussian integers a_j, b_k.  Then
+#
+#     1 - lambda_j conj(mu_k) = W_jk / 2^(e_j + f_k),
+#     W_jk = 2^(e_j + f_k) - a_j conj(b_k),
+#
+# so the Cauchy-power matrix has entries 2^(2 e_j + 2 f_k) / W_jk^2.  The
+# powers of two leave the rows and columns, and multiplying row j by
+# prod_l W_jl^2 turns it into E_jk = prod_{l != k} W_jl^2:
+#
+#     det = 2^(2 sum e + 2 sum f) det E / prod_{j,l} W_jl^2.
+#
+# det E comes from Bareiss's fraction-free elimination, whose only
+# divisions are exact divisions by the previous pivot, so no gcd is ever
+# taken.  Gaussian integers are (re, im) pairs of ints.
 
 
-def _rc_mul(a, b):
+def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _rc_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _dyadic(c: complex) -> tuple[tuple[int, int], int]:
+    """(g, e) with c = g / 2^e, g a Gaussian integer and e >= 0 least."""
+    pr, qr = c.real.as_integer_ratio()
+    pi, qi = c.imag.as_integer_ratio()
+    er, ei = qr.bit_length() - 1, qi.bit_length() - 1
+    e = max(er, ei)
+    return (pr << (e - er), pi << (e - ei)), e
 
 
-def _rc_inv(a):
-    nrm = a[0] * a[0] + a[1] * a[1]
-    if not nrm:
-        raise ZeroDivisionError
-    return (a[0] / nrm, -a[1] / nrm)
+def _bareiss_det(m: list) -> tuple[int, int]:
+    """Determinant of a square Gaussian-integer matrix (rows are
+    overwritten) by Bareiss elimination with row swaps past zero pivots.
 
-
-def _exact_cauchy_power(lam, mu):
-    from fractions import Fraction
-
-    a = [(Fraction(c.real), Fraction(c.imag)) for c in (complex(v) for v in lam)]
-    b = [(Fraction(c.real), Fraction(c.imag)) for c in (complex(v) for v in mu)]
-    rows = []
-    for lr, li in a:
-        row = []
-        for mr, mi in b:
-            # w = 1 - lam * conj(mu)
-            w = (1 - (lr * mr + li * mi), -(li * mr - lr * mi))
-            w2 = _rc_mul(w, w)
-            if not (w2[0] or w2[1]):
-                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-            row.append(_rc_inv(w2))
-        rows.append(row)
-    return rows
-
-
-def delta_exact(lam, mu):
-    """Determinant of the Cauchy-power matrix as an exact complex rational
-    (a Fraction pair), by pivoted elimination."""
-    a = _exact_cauchy_power(lam, mu)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("tuples must have the same dimension")
+    Complex products take three real multiplications (Gauss's trick),
+    which pays on integers of thousands of bits.
+    """
+    n = len(m)
     sign = 1
+    qr, qi, norm = 1, 0, 1  # the previous pivot and its squared modulus
     for k in range(n - 1):
-        piv, best = k, float(a[k][k][0]) ** 2 + float(a[k][k][1]) ** 2
-        for r in range(k + 1, n):
-            mag = float(a[r][k][0]) ** 2 + float(a[r][k][1]) ** 2
-            if mag > best:
-                piv, best = r, mag
+        piv = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
+        if piv is None:
+            return (0, 0)
         if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        akk = a[k][k]
-        if not (akk[0] or akk[1]):
-            return (akk[0], akk[1])  # exact zero column: determinant is 0
-        inv = _rc_inv(akk)
+        (pr, pi), row_k = m[k][k], m[k]
         for r in range(k + 1, n):
-            if a[r][k][0] or a[r][k][1]:
-                factor = _rc_mul(a[r][k], inv)
-                for c in range(k + 1, n):
-                    a[r][c] = _rc_sub(a[r][c], _rc_mul(factor, a[k][c]))
-    det = a[0][0]
-    for k in range(1, n):
-        det = _rc_mul(det, a[k][k])
-    if sign < 0:
-        det = (-det[0], -det[1])
-    return det
+            row = m[r]
+            ar, ai = row[k]
+            for c in range(k + 1, n):
+                xr, xi = row[c]
+                yr, yi = row_k[c]
+                # t = pivot * x - a * y
+                u = xr * (pr + pi)
+                v = yr * (ar + ai)
+                tr = u - pi * (xr + xi) - v + ai * (yr + yi)
+                ti = u + pr * (xi - xr) - v - ar * (yi - yr)
+                if norm == 1:
+                    row[c] = (tr, ti)
+                else:
+                    # t / previous pivot = t * conj(q) / |q|^2, exactly
+                    u = qr * (tr + ti)
+                    row[c] = ((u - ti * (qr - qi)) // norm, (u - tr * (qi + qr)) // norm)
+        qr, qi, norm = pr, pi, pr * pr + pi * pi
+    dr, di = m[n - 1][n - 1]
+    return (dr, di) if sign > 0 else (-dr, -di)
+
+
+def delta_exact(lam, mu) -> tuple[int, int, int]:
+    """Determinant of the Cauchy-power matrix as an exact complex rational:
+    ints (re, im, den) with det = (re + i im) / den and den > 0."""
+    a = [_dyadic(c) for c in _coords(lam)]
+    b = [_dyadic(c) for c in _coords(mu)]
+    n = len(a)
+    if len(b) != n:
+        raise ValueError("tuples must have the same dimension")
+    rows = []
+    den = (1, 0)
+    for (gr, gi), e in a:
+        squares = []
+        for (hr, hi), f in b:
+            wr = (1 << (e + f)) - gr * hr - gi * hi
+            wi = gr * hi - gi * hr
+            if not (wr or wi):
+                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+            squares.append((wr * wr - wi * wi, 2 * wr * wi))
+        # E_jk = prod_{l != k} W_jl^2 from prefix and suffix products
+        prefix = [(1, 0)]
+        for sq in squares[:-1]:
+            prefix.append(_gmul(prefix[-1], sq))
+        row = [None] * n
+        suffix = (1, 0)
+        for k in range(n - 1, -1, -1):
+            row[k] = _gmul(prefix[k], suffix)
+            suffix = _gmul(suffix, squares[k])
+        rows.append(row)
+        den = _gmul(den, suffix)  # suffix is now prod_l W_jl^2
+    nr, ni = _bareiss_det(rows)
+    shift = 2 * (sum(e for _, e in a) + sum(f for _, f in b))
+    # (nr + i ni) / den = (nr + i ni) conj(den) / |den|^2
+    dr, di = den
+    re = (nr * dr + ni * di) << shift
+    im = (ni * dr - nr * di) << shift
+    return re, im, dr * dr + di * di
 
 
 def delta_n(lam, mu) -> complex:
     """Determinant of the Cauchy-power matrix for the pair (lam, mu).
 
-    Exact rational elimination under the hood: the returned complex is
-    the correctly rounded value of the true determinant of the matrix
-    formed at the given (float) coordinates.
+    Computed exactly over dyadic Gaussian integers (delta_exact); the
+    returned complex is the correctly rounded value of the true
+    determinant of the matrix formed at the given (float) coordinates,
+    since int true division rounds correctly.
     """
-    det = delta_exact(_coords(lam), _coords(mu))
-    return complex(float(det[0]), float(det[1]))
+    re, im, den = delta_exact(lam, mu)
+    return complex(re / den, im / den)
 
 
 def delta_with_scale(lam, mu) -> tuple[complex, float]:
@@ -268,13 +328,17 @@ def kernel_gn_stable(
 ) -> KernelEval:
     """Kernel on the symmetrized domain, at symmetric coordinates.
 
-    Membership of both arguments is checked first; preimage tuples are
-    then recovered by root finding and passed to kernel_gn.
+    Preimage tuples are recovered by root finding, one solve per
+    argument; the same roots decide membership and are passed to
+    kernel_gn.
     """
+    preimages = []
     for name, point in (("first", s), ("second", t)):
-        if not in_gn(point, seed=seed):
+        roots = roots_from_sym(point, seed=seed)
+        if classify_roots(roots) != "inside":
             raise NotInDomain(f"{name} argument is not in the symmetrized polydisc")
-    return kernel_gn(roots_from_sym(s, seed=seed), roots_from_sym(t, seed=seed))
+        preimages.append(roots)
+    return kernel_gn(*preimages)
 
 
 # --- dimension-3 closed form -------------------------------------------------

@@ -183,19 +183,26 @@ def roots_from_sym(s: SymPoint | Sequence[complex], seed: int = 0) -> tuple[comp
     return tuple(ordered)
 
 
-def classify_gn(s: SymPoint | Sequence[complex], seed: int = 0) -> str:
-    """Membership of s in the symmetrized polydisc.
+def classify_roots(roots: Sequence[complex]) -> str:
+    """Membership in the symmetrized polydisc of the point whose preimage
+    roots are given.
 
-    Returns "inside" when every preimage root has modulus below
+    Returns "inside" when every root has modulus below
     1 - BOUNDARY_GUARD, "outside" when some root has modulus above
     1 + BOUNDARY_GUARD, and "boundary-indeterminate" in between.
     """
-    moduli = [abs(r) for r in roots_from_sym(s, seed=seed)]
+    moduli = [abs(r) for r in roots]
     if all(m < 1.0 - BOUNDARY_GUARD for m in moduli):
         return "inside"
     if any(m > 1.0 + BOUNDARY_GUARD for m in moduli):
         return "outside"
     return "boundary-indeterminate"
+
+
+def classify_gn(s: SymPoint | Sequence[complex], seed: int = 0) -> str:
+    """Membership of s in the symmetrized polydisc: classify_roots of
+    its preimage roots."""
+    return classify_roots(roots_from_sym(s, seed=seed))
 
 
 def in_gn(s: SymPoint | Sequence[complex], seed: int = 0) -> bool:

@@ -8,10 +8,13 @@ reached inductively: append a common coordinate close to 1 to both
 tuples (its size controlled by a numerically estimated ratio of the
 one-variable slice's boundary minimum to the remainder's maximum) and
 relocate the first lambda coordinate to a nearby zero, found by winding
-count plus Newton refinement.
+count plus Newton refinement.  Both evaluate the lifted slice in
+batches: a winding pass is one extended-precision call over every
+contour point and its two difference neighbours, a Newton step one call
+over three points.
 
 Certification is post hoc throughout: whatever the estimates did, an
-emitted certificate re-evaluates the determinant at its points and
+emitted certificate evaluates the exact determinant at its points and
 checks the residual against the stated tolerance.
 """
 
@@ -33,9 +36,11 @@ from .errors import (
     NoRootInUnitDisc,
     NoSolution,
     RoucheBoundViolated,
+    SingularEntry,
     WitnessNotFound,
 )
 from .kernel import (
+    _BATCH_CHUNK,
     PI,
     QuadraticData,
     abc_coeffs,
@@ -44,6 +49,7 @@ from .kernel import (
     delta_n,
     delta_with_scale,
     det_pivoted,
+    matrix_scale,
 )
 from .symcore import vandermonde_pair
 
@@ -390,7 +396,7 @@ def construct_zero_dim3(
 
 
 def count_zeros_disc(
-    g: Callable[[complex], complex],
+    g: Callable[[np.ndarray], np.ndarray],
     center: complex,
     radius: float,
     start_samples: int = 64,
@@ -398,28 +404,31 @@ def count_zeros_disc(
 ) -> tuple[int, float]:
     """Zero count of an analytic function inside a circle, by winding.
 
-    Integrates g'/g over the contour (trapezoid in the angle, derivative
-    by central differences) with sample doubling until stable; returns
+    g maps a complex array to the array of its values.  Integrates g'/g
+    over the contour (trapezoid in the angle, derivative by central
+    differences) with sample doubling until stable; each pass evaluates
+    g once, at every contour point x and at x + h and x - h.  Returns
     the rounded count and the distance of the raw winding value to it.
     """
     h = 1e-6 * radius
 
     def winding(n_samples: int) -> complex:
         thetas = 2 * np.pi * np.arange(n_samples) / n_samples
+        es = [cmath.exp(1j * th) for th in thetas]
+        xs = [center + radius * e for e in es]
+        gvs = np.asarray(g(np.array([*xs, *(x + h for x in xs), *(x - h for x in xs)]))).tolist()
+        plus, minus = gvs[n_samples : 2 * n_samples], gvs[2 * n_samples :]
         total = 0j
-        min_abs, argmin = math.inf, center
-        for th in thetas:
-            e = cmath.exp(1j * th)
-            x = center + radius * e
-            gv = g(x)
+        min_abs, argmin = math.inf, 0
+        for i, (e, x, gv) in enumerate(zip(es, xs, gvs)):
             if gv == 0:
                 raise ContourTooClose(f"g vanishes on the contour at {x}")
             if abs(gv) < min_abs:
-                min_abs, argmin = abs(gv), x
-            gp = (g(x + h) - g(x - h)) / (2 * h)
+                min_abs, argmin = abs(gv), i
+            gp = (plus[i] - minus[i]) / (2 * h)
             total += gp / gv * e
-        gv = g(argmin)
-        gp = (g(argmin + h) - g(argmin - h)) / (2 * h)
+        gv = gvs[argmin]
+        gp = (plus[argmin] - minus[argmin]) / (2 * h)
         if gp != 0 and abs(gv / gp) < 1e-8:
             raise ContourTooClose(
                 f"estimated zero distance {abs(gv / gp):.2e} from the contour"
@@ -489,52 +498,77 @@ def _grid_max_h(lam, mu, center, radius, grid) -> float:
     return _zero_corner_max(lam, mu, xs, ts)
 
 
-def _g_handle(lam, mu, t: complex) -> Callable[[complex], complex]:
-    """Lifted slice in extended precision (fast path for winding/Newton;
-    final residuals are certified with the exact determinant)."""
-    rest = tuple(lam[1:])
-    mu_t = (*tuple(mu), t)
+def _g_handle(lam, mu, t: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """Lifted slice x -> det of the Cauchy-power matrix at
+    ((x, lam_2, ..., lam_n, t), (mu, t)) in extended precision, for an
+    array of x at once (the winding counts and Newton steps; final
+    residuals are certified with the exact determinant)."""
+    mu_c = np.conj(np.asarray((*mu, t), dtype=complex))
+    lower = 1.0 - np.multiply.outer(np.asarray((*lam[1:], t), dtype=complex), mu_c)
+    if np.any(lower == 0):
+        raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+    lower = lower**-2
+    size = len(mu_c)
 
-    def g(x: complex) -> complex:
-        return det_pivoted(cauchy_power_matrix((x, *rest, t), mu_t))
+    def g(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=complex)
+        flat = xs.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, _BATCH_CHUNK):
+            first = 1.0 - np.multiply.outer(flat[lo : lo + _BATCH_CHUNK], mu_c)
+            if np.any(first == 0):
+                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+            mats = np.empty((len(first), size, size), dtype=complex)
+            mats[:, 0] = first**-2
+            mats[:, 1:] = lower
+            out[lo : lo + _BATCH_CHUNK] = det_pivoted(mats)
+        return out.reshape(xs.shape)
 
     return g
 
 
 def _polish_flat_direction(lam, mu, target_abs: float):
     """Drive the determinant to (essentially) zero by adjusting the
-    smallest-modulus mu coordinate.
+    smallest-modulus mu coordinate; returns the polished mu and the
+    exact determinant there.
 
     Near the origin float spacing is astronomically fine, so that
     coordinate can absorb the residual left after the located zero is
     rounded to floats; Newton runs on the conjugated coordinate, in
-    which the determinant is analytic, with exact evaluations.
+    which the determinant is analytic, with exact evaluations.  It stops
+    at a fixed point, where further steps would repeat the last one.
     """
-    mu = list(mu)
+    mu = tuple(mu)
     k = min(range(len(mu)), key=lambda i: abs(mu[i]))
+
+    def moved(w: complex) -> tuple:
+        return (*mu[:k], w.conjugate(), *mu[k + 1 :])
+
     w = mu[k].conjugate()
+    d0 = start = delta_n(lam, mu)
     for _ in range(8):
-        d0 = delta_n(lam, (*mu[:k], w.conjugate(), *mu[k + 1 :]))
         if abs(d0) <= target_abs:
             break
         h = max(abs(w) * 1e-3, 1e-18)
-        d1 = delta_n(lam, (*mu[:k], (w + h).conjugate(), *mu[k + 1 :]))
-        deriv = (d1 - d0) / h
+        deriv = (delta_n(lam, moved(w + h)) - d0) / h
         if deriv == 0:
             break
-        w = w - d0 / deriv
+        w_next = w - d0 / deriv
+        if w_next == w:
+            break
+        w = w_next
         if abs(w) > 0.5:  # direction turned out not to be flat; give up
-            return tuple(mu)
-    mu[k] = w.conjugate()
-    return tuple(mu)
+            return mu, start
+        d0 = delta_n(lam, moved(w))
+    return moved(w), d0
 
 
 def _newton_zero(g, start, radius, center) -> complex | None:
     h = _NEWTON_STEP_REL * radius
     x = start
     for _ in range(60):
-        gv = g(x)
-        gp = (g(x + h) - g(x - h)) / (2 * h)
+        gv, g_plus, g_minus = g(np.array([x, x + h, x - h])).tolist()
+        gp = (g_plus - g_minus) / (2 * h)
         if gp == 0:
             return None
         dx = gv / gp
@@ -543,7 +577,8 @@ def _newton_zero(g, start, radius, center) -> complex | None:
             return None
         if abs(dx) < _NEWTON_CONVERGED:
             return x
-    return x if abs(g(x)) < abs(g(start)) else None
+    g_end, g_start = g(np.array([x, start])).tolist()
+    return x if abs(g_end) < abs(g_start) else None
 
 
 def lift_zero(
@@ -653,11 +688,11 @@ def _finish_lift(cert, t, radius, fmin, tol, config) -> ZeroCertificate:
     if abs(new_lam1) >= 1.0:
         raise CertificationFailure("relocated coordinate left the unit disc")
 
-    _, scale = delta_with_scale(new_lam, new_mu)
-    new_mu = _polish_flat_direction(new_lam, new_mu, 1e-3 * tol * scale)
+    scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
+    new_mu, det = _polish_flat_direction(new_lam, new_mu, 1e-3 * tol * scale)
     if len(set(new_mu)) != n + 1:
         raise DegenerateLift("flat-direction polish collided coordinates")
-    det, scale = delta_with_scale(new_lam, new_mu)
+    scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
     residual = abs(det) / scale
     if not residual <= tol:
         raise CertificationFailure(
@@ -776,9 +811,14 @@ def sample_nonvanishing(
         lams = _draw_disc(rng, (samples, n))
         mus = lams.copy()
 
-    mats = batch_cauchy_power(lams, mus)
-    dets = np.linalg.det(mats)
-    scales = np.abs(mats).sum(axis=2).max(axis=1)
+    # slabs of about 2^18 matrix entries bound the work arrays
+    slab = max(1, (1 << 18) // lams.shape[1] ** 2)
+    dets = np.empty(samples, dtype=complex)
+    scales = np.empty(samples)
+    for lo in range(0, samples, slab):
+        mats = batch_cauchy_power(lams[lo : lo + slab], mus[lo : lo + slab])
+        dets[lo : lo + slab] = np.linalg.det(mats)
+        scales[lo : lo + slab] = np.abs(mats).sum(axis=2).max(axis=1)
     scaled = np.abs(dets) / scales
     idx = int(np.argmin(scaled))
     diag_min_real = diag_ratio = None

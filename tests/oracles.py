@@ -5,9 +5,13 @@ values come from explicit subset enumeration, the kernel at distinct
 coordinates comes from the exact determinant over the Vandermonde
 product rather than from the permanent formula, and the kernel at
 coincident coordinates from Richardson extrapolation of that route.
+The exact determinant itself is checked against pivoted elimination
+over Fractions, and the stacked extended-precision LU against its
+one-matrix loop.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +32,84 @@ def brute_elem_sym(points):
             total += term
         out.append(total)
     return tuple(out)
+
+
+def _rc_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _rc_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _rc_inv(a):
+    nrm = a[0] * a[0] + a[1] * a[1]
+    if not nrm:
+        raise ZeroDivisionError
+    return (a[0] / nrm, -a[1] / nrm)
+
+
+def fraction_delta(lam, mu):
+    """Determinant of the Cauchy-power matrix by pivoted elimination over
+    complex rationals, (Fraction, Fraction) pairs, correctly rounded to
+    a complex.  Pivots are chosen by float magnitude, which does not
+    affect exactness."""
+    a = []
+    for lv in (complex(v) for v in lam):
+        lr, li = Fraction(lv.real), Fraction(lv.imag)
+        row = []
+        for mv in (complex(v) for v in mu):
+            mr, mi = Fraction(mv.real), Fraction(mv.imag)
+            w = (1 - (lr * mr + li * mi), -(li * mr - lr * mi))  # 1 - lam conj(mu)
+            row.append(_rc_inv(_rc_mul(w, w)))
+        a.append(row)
+    n = len(a)
+    sign = 1
+    for k in range(n - 1):
+        piv, best = k, float(a[k][k][0]) ** 2 + float(a[k][k][1]) ** 2
+        for r in range(k + 1, n):
+            mag = float(a[r][k][0]) ** 2 + float(a[r][k][1]) ** 2
+            if mag > best:
+                piv, best = r, mag
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk = a[k][k]
+        if not (akk[0] or akk[1]):
+            return 0j  # exact zero column: determinant is 0
+        inv = _rc_inv(akk)
+        for r in range(k + 1, n):
+            if a[r][k][0] or a[r][k][1]:
+                factor = _rc_mul(a[r][k], inv)
+                for c in range(k + 1, n):
+                    a[r][c] = _rc_sub(a[r][c], _rc_mul(factor, a[k][c]))
+    det = a[0][0]
+    for k in range(1, n):
+        det = _rc_mul(det, a[k][k])
+    if sign < 0:
+        det = (-det[0], -det[1])
+    return complex(float(det[0]), float(det[1]))
+
+
+def loop_det_pivoted(matrix):
+    """One-matrix extended-precision LU with partial pivoting: the loop
+    that the stacked det_pivoted must reproduce bit for bit."""
+    a = np.array(matrix, dtype=np.result_type(np.longdouble, np.complex64))
+    n = a.shape[0]
+    sign = 1.0
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            sign = -sign
+        if a[k, k] == 0:
+            return 0j
+        a[k + 1 :, k] /= a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    d = a[0, 0] * sign
+    for k in range(1, n):
+        d = d * a[k, k]
+    return complex(d)
 
 
 def exact_kernel(lam, mu):

@@ -86,6 +86,50 @@ def test_lift_subcommand(tmp_path):
     assert again["residual_rel"] <= 2 * max(cert.residual_rel, 1e-300)
 
 
+def _tampered(tmp_path, name, change):
+    """A valid n = 3 certificate file with one field changed."""
+    good = tmp_path / "c3.json"
+    if not good.exists():
+        assert run(["find-zero", "3", "--out", str(good)]) == 0
+    data = json.loads(good.read_text())
+    change(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):
+    # a moved coordinate passes validate() but not recertify()
+    def move(data):
+        data["lambda"][0][0] += 1e-6
+
+    path = _tampered(tmp_path, "moved.json", move)
+    assert ZeroCertificate.from_dict(json.loads(path.read_text())).validate() is None
+    assert run(["lift", "--cert", str(path), "--out", str(tmp_path / "c4.json")]) == 3
+    assert "recomputes" in capsys.readouterr().err
+    assert not (tmp_path / "c4.json").exists()
+
+
+def test_lift_validates_the_loaded_certificate(tmp_path, capsys):
+    def outside(data):
+        data["mu"][0] = [1.0, 0.0]
+
+    path = _tampered(tmp_path, "outside.json", outside)
+    assert run(["lift", "--cert", str(path)]) == 3
+    assert "not in the unit disc" in capsys.readouterr().err
+
+
+def test_grid_validates_the_loaded_certificate(tmp_path, capsys):
+    def loose(data):
+        data["residual_rel"] = 1e-3
+
+    path = _tampered(tmp_path, "loose.json", loose)
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(path), "--res", "5", "--out", str(out)]) == 3
+    assert "exceeds tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_subcommand(tmp_path):
     out = tmp_path / "eval.json"
     code = run(

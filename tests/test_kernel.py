@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc.errors import MuOneZero, SingularEntry
+from symdisc import kernel
+from symdisc.errors import MuOneZero, NotInDomain, SingularEntry
 from symdisc.kernel import (
     PI,
     abc_coeffs,
@@ -16,14 +17,15 @@ from symdisc.kernel import (
     closed_form_comparison,
     delta_n,
     delta_with_scale,
+    det_pivoted,
     kernel_g3_mu3zero,
     kernel_gn,
     kernel_gn_stable,
 )
-from symdisc.symcore import elem_sym
+from symdisc.symcore import elem_sym, roots_from_sym
 
 from .conftest import draw_disc_tuple
-from .oracles import exact_kernel, extrapolated_confluent_kernel
+from .oracles import exact_kernel, extrapolated_confluent_kernel, fraction_delta, loop_det_pivoted
 
 TORUS = (cmath.exp(1j * math.pi / 6), cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 6))
 
@@ -42,6 +44,82 @@ def test_delta_singular_entry():
         delta_n([1.0], [1.0])
     with pytest.raises(SingularEntry):
         kernel_gn([1.0, 0.2], [1.0, 0.3])
+
+
+def _same(a: complex, b: complex) -> bool:
+    """Equal as floats, signs of zero included."""
+    return (a.real.hex(), a.imag.hex()) == (b.real.hex(), b.imag.hex())
+
+
+def test_delta_matches_fraction_elimination(rng):
+    # the dyadic Gaussian-integer route and pivoted elimination over
+    # Fractions both round the exact determinant once, so they agree exactly
+    for n in range(2, 9):
+        for _ in range(3):
+            lam = draw_disc_tuple(rng, n, radius=0.99)
+            mu = draw_disc_tuple(rng, n, radius=0.99)
+            assert _same(delta_n(lam, mu), fraction_delta(lam, mu))
+    # short dyadic coordinates with a zero, and a rank-one matrix whose
+    # elimination meets a zero pivot column
+    lam, mu = (0.5, -0.25j, 0.75 + 0.125j), (0j, 0.3, -0.6 + 0.1j)
+    assert _same(delta_n(lam, mu), fraction_delta(lam, mu))
+    lam, mu = (0.3, 0.4j, -0.5), (0j, 0j, 0j)
+    assert _same(delta_n(lam, mu), fraction_delta(lam, mu)) and delta_n(lam, mu) == 0
+
+
+def test_delta_matches_fraction_elimination_tiny_coordinate(rng):
+    for n in (2, 4):
+        lam = (1.3e-300 - 0.7e-300j, *draw_disc_tuple(rng, n - 1))
+        mu = draw_disc_tuple(rng, n)
+        assert _same(delta_n(lam, mu), fraction_delta(lam, mu))
+        assert _same(delta_n(mu, lam), fraction_delta(mu, lam))
+
+
+def test_delta_exact_is_a_reduced_form_of_the_value():
+    re, im, den = kernel.delta_exact([0, 0.5], [0, 0.5])
+    assert den > 0 and im == 0
+    assert re * 9 == 7 * den
+
+
+def test_det_pivoted_stack_matches_loop(rng):
+    mats = rng.standard_normal((300, 5, 5)) + 1j * rng.standard_normal((300, 5, 5))
+    mats[0] = np.diag([1e-3, 2, 3, 4, 5])  # the first pivot forces a row swap
+    mats[0, 4, 0] = 1.0
+    mats[1, :, 2] = 0  # zero pivot column after two steps
+    mats[2] = 0
+    mats[3, :, 4] = 0  # zero last column: no early exit, the product is zero
+    loop = [loop_det_pivoted(m) for m in mats]
+    stacked = det_pivoted(mats)
+    assert stacked.shape == (300,)
+    assert all(_same(a, b) for a, b in zip(stacked.tolist(), loop))
+    assert loop[1] == 0 and loop[2] == 0
+    single = det_pivoted(mats[0])
+    assert isinstance(single, complex) and _same(single, loop[0])
+    # any leading shape, and stacks longer than one slab
+    assert det_pivoted(mats[:12].reshape(3, 4, 5, 5)).tolist() == np.reshape(loop[:12], (3, 4)).tolist()
+    big = np.concatenate([mats] * 15)  # 4500 matrices: two slabs
+    assert all(_same(a, b) for a, b in zip(det_pivoted(big).tolist(), loop * 15))
+
+
+def test_kernel_stable_solves_each_argument_once(monkeypatch):
+    s = elem_sym((0.31 + 0.2j, -0.45, 0.18 - 0.37j))
+    t = elem_sym((0.53 - 0.11j, 0.2, 0.0))
+    expected = kernel_gn(roots_from_sym(s), roots_from_sym(t)).value
+    calls = []
+
+    def counted(point, seed=0):
+        calls.append(point)
+        return roots_from_sym(point, seed=seed)
+
+    monkeypatch.setattr(kernel, "roots_from_sym", counted)
+    assert kernel_gn_stable(s, t).value == expected
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(NotInDomain):
+        kernel_gn_stable(s, elem_sym((1.5, 0.2, 0.1)))
+    with pytest.raises(NotInDomain):
+        kernel_gn_stable([5, 6, 0], t)
+    assert len(calls) == 3
 
 
 def test_delta_hermitian_symmetry(rng):

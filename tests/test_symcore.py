@@ -10,6 +10,7 @@ from symdisc.errors import NotInDomain
 from symdisc.symcore import (
     PolyPoint,
     classify_gn,
+    classify_roots,
     elem_sym,
     in_gn,
     roots_from_sym,
@@ -99,6 +100,14 @@ def test_classify_boundary_indeterminate():
     r = 1 - 5e-13  # inside the guard band around the unit circle
     assert classify_gn(elem_sym([r, -0.2])) == "boundary-indeterminate"
     assert classify_gn(elem_sym([1.1, 0.2])) == "outside"
+
+
+def test_classify_roots_takes_the_roots_directly():
+    assert classify_roots([0.5, 0.3j, -0.2]) == "inside"
+    assert classify_roots([1 - 5e-13, -0.2]) == "boundary-indeterminate"
+    assert classify_roots([1.1, 0.2]) == "outside"
+    s = elem_sym([0.9j, -0.4, 0.1])
+    assert classify_roots(roots_from_sym(s)) == classify_gn(s)
 
 
 def test_vandermonde_pair_values():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdisc import zerofind
 from symdisc.errors import (
     CertificationFailure,
     ContourTooClose,
@@ -33,6 +34,8 @@ from symdisc.zerofind import (
     solve_abc_quadratic,
     TORUS_BASE,
 )
+
+from .oracles import fraction_delta
 
 component = st.floats(-5, 5).filter(lambda x: x == 0 or abs(x) > 1e-6)
 coeff = st.builds(complex, component, component)
@@ -159,7 +162,7 @@ def test_count_simple_zero():
 
 
 def test_count_no_zeros():
-    count, _ = count_zeros_disc(lambda x: 1 + 0j, 0j, 1.0)
+    count, _ = count_zeros_disc(lambda x: np.ones_like(x), 0j, 1.0)
     assert count == 0
 
 
@@ -170,7 +173,7 @@ def test_count_two_roots_inside_one_outside():
 
 def test_count_invariant_under_nonvanishing_factor():
     base = lambda x: (x - 0.2j) * (x + 0.5)
-    twisted = lambda x: base(x) * cmath.exp(1.3 * x + 0.7j)
+    twisted = lambda x: base(x) * np.exp(1.3 * x + 0.7j)
     c1, _ = count_zeros_disc(base, 0j, 0.9)
     c2, _ = count_zeros_disc(twisted, 0j, 0.9)
     assert c1 == c2 == 2
@@ -183,7 +186,7 @@ def test_count_rejects_zero_near_contour():
 
 def test_count_rejects_branch_cut():
     with pytest.raises((NonIntegerWinding, ContourTooClose)):
-        count_zeros_disc(cmath.sqrt, 0j, 1.0)
+        count_zeros_disc(np.sqrt, 0j, 1.0)
 
 
 def test_count_matches_refined_zeros_of_slice(dim3_cert):
@@ -191,10 +194,22 @@ def test_count_matches_refined_zeros_of_slice(dim3_cert):
     # exactly that zero
     from symdisc.zerofind import slice_determinant
 
-    f = slice_determinant(dim3_cert.lam, dim3_cert.mu)
+    f = np.vectorize(slice_determinant(dim3_cert.lam, dim3_cert.mu), otypes=[complex])
     lam1 = dim3_cert.lam[0]
     count, gap = count_zeros_disc(f, lam1, 2e-4)
     assert count == 1 and gap < 0.05
+
+
+def test_count_evaluates_g_once_per_pass():
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return x - 0.1
+
+    count, _ = count_zeros_disc(g, 0j, 0.5, start_samples=64)
+    assert count == 1
+    assert calls[:2] == [(3 * 64,), (3 * 128,)]
 
 
 # --- lifts -------------------------------------------------------------------------
@@ -203,6 +218,74 @@ def test_count_matches_refined_zeros_of_slice(dim3_cert):
 @pytest.fixture(scope="module")
 def chain6():
     return build_certificate_chain(6)
+
+
+@pytest.fixture(scope="module")
+def chain7():
+    return build_certificate_chain(7)
+
+
+def _hex_pairs(coords):
+    return [(c.real.hex(), c.imag.hex()) for c in coords]
+
+
+def test_default_chain7_is_pinned(chain7):
+    # the n = 7 certificate at the defaults, bit for bit
+    assert _hex_pairs(chain7.lam) == [
+        ("0x1.b9ae9b3d40109p-1", "0x1.fe2d8437eb207p-2"),
+        ("0x1.fdf2eca499518p-2", "0x1.b9a0f3f1900dap-1"),
+        ("0x1.b9a0f3f1900dbp-1", "-0x1.fdf2eca499515p-2"),
+        ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
+        ("0x1.ffefffbffdfffp-1", "0x0.0p+0"),
+        ("0x1.fffbfffbfff80p-1", "0x0.0p+0"),
+        ("0x1.fffeffffbfffep-1", "0x0.0p+0"),
+    ]
+    assert _hex_pairs(chain7.mu) == [
+        ("0x1.ff3b645a1cac1p-1", "0x0.0p+0"),
+        ("0x1.6685f47816635p-1", "0x1.6547478fa71b6p-1"),
+        ("-0x1.09a5e416d203bp-52", "-0x1.98059c727d737p-52"),
+        ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
+        ("0x1.ffefffbffdfffp-1", "0x0.0p+0"),
+        ("0x1.fffbfffbfff80p-1", "0x0.0p+0"),
+        ("0x1.fffeffffbfffep-1", "0x0.0p+0"),
+    ]
+    assert chain7.residual_rel.hex() == "0x1.8c97c35b526c0p-30"
+
+
+def test_delta_matches_fraction_elimination_along_chain7(chain7):
+    node = chain7
+    while node is not None:
+        assert delta_n(node.lam, node.mu) == fraction_delta(node.lam, node.mu)
+        node = node.parent
+
+
+def test_polish_stops_at_its_fixed_point(chain7, monkeypatch):
+    # the certificate's mu is where the polish ended: one Newton step
+    # leaves it unchanged, so only that step's two exact determinants run
+    calls = []
+
+    def counted(lam, mu):
+        calls.append(mu)
+        return delta_n(lam, mu)
+
+    monkeypatch.setattr(zerofind, "delta_n", counted)
+    _, scale = delta_with_scale(chain7.lam, chain7.mu)
+    target = 1e-3 * chain7.tolerances["residual_rel"] * scale
+    polished, det = zerofind._polish_flat_direction(chain7.lam, chain7.mu, target)
+    assert polished == chain7.mu
+    assert len(calls) == 2
+    assert abs(det) / scale == chain7.residual_rel
+
+
+def test_polish_returns_the_exact_determinant_at_its_mu(chain6):
+    lam, mu = chain6.lam, chain6.mu
+    _, scale = delta_with_scale(lam, mu)
+    # a coarser start: the smallest mu coordinate moved off its polished value
+    k = min(range(len(mu)), key=lambda i: abs(mu[i]))
+    start = (*mu[:k], 2 * mu[k] + 1e-14, *mu[k + 1 :])
+    polished, det = zerofind._polish_flat_direction(lam, start, 1e-3 * chain6.tolerances["residual_rel"] * scale)
+    assert det == delta_n(lam, polished)
+    assert abs(det) < abs(delta_n(lam, start))
 
 
 def test_lift_one_step(dim3_cert):
