@@ -2,10 +2,13 @@
 
 Every constant appearing in the dimension-3 zero construction lives in
 the real field Q(sqrt2, sqrt3), represented on the basis
-{1, sqrt2, sqrt3, sqrt6} with big-rational coordinates, plus an explicit
-complex pair on top.  Signs of nonzero elements are decided by interval
-arithmetic with escalating precision (exact-zero short circuit first),
-so every verification below is precision-independent.
+{1, sqrt2, sqrt3, sqrt6} with rational coordinates, plus an explicit
+complex pair on top.  An integral coordinate is kept as an int and only
+a true fraction as a Fraction, so identities with integer coefficients
+run on ints, without a gcd per product.  Signs of nonzero elements are
+decided by interval arithmetic with escalating precision (exact-zero
+short circuit first), so every verification below is
+precision-independent.
 
 The two verification entry points re-derive, with zero tolerance:
 
@@ -20,9 +23,9 @@ The two verification entry points re-derive, with zero tolerance:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -34,8 +37,13 @@ from .kernel import bracket_expr, bracket_raw_displays, elem_sym3, quadratic_sym
 _Rat = Union[int, Fraction]
 
 
-def _frac(x: _Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: _Rat) -> _Rat:
+    """A rational coordinate: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class AlgNum:
@@ -119,7 +127,7 @@ class AlgNum:
         norm = partial * partial._conj3()       # lands in Q
         assert norm.is_rational() and norm.q0 != 0
         mult = self._conj2() * partial._conj3()
-        r = 1 / norm.q0
+        r = Fraction(1, norm.q0)
         return AlgNum(mult.q0 * r, mult.q2 * r, mult.q3 * r, mult.q6 * r)
 
     def __truediv__(self, other):
@@ -173,19 +181,7 @@ def _scaled_interval(q: Fraction, lo: Fraction, hi: Fraction):
     return (q * lo, q * hi) if q >= 0 else (q * hi, q * lo)
 
 
-def default_sign_bits() -> int:
-    """Starting interval precision; SYMDISC_PRECISION can raise it."""
-    env = os.environ.get("SYMDISC_PRECISION")
-    base = 64
-    if env:
-        try:
-            base = max(base, int(env))
-        except ValueError:
-            pass
-    return base
-
-
-def alg_sign(x: AlgNum, start_bits: int | None = None) -> int:
+def alg_sign(x: AlgNum, start_bits: int = 64) -> int:
     """Exact sign (-1, 0, +1) of a field element.
 
     Exact zero is decided by coordinates; otherwise dyadic intervals for
@@ -196,8 +192,7 @@ def alg_sign(x: AlgNum, start_bits: int | None = None) -> int:
         return 0
     if x.is_rational():
         return -1 if x.q0 < 0 else 1
-    bits = start_bits if start_bits is not None else default_sign_bits()
-    bits = max(4, bits)
+    bits = max(4, start_bits)
     while True:
         lo = hi = x.q0
         for q, radicand in ((x.q2, 2), (x.q3, 3), (x.q6, 6)):
@@ -514,14 +509,17 @@ class VerificationReport:
 # --- the exact quadratic data at the base triple ------------------------------
 
 
+@functools.cache
 def exact_base_sym() -> tuple[AlgComplex, AlgComplex, AlgComplex]:
-    """Elementary symmetric values of the unimodular base triple."""
+    """Elementary symmetric values of the unimodular base triple (computed
+    once per process)."""
     return elem_sym3(*TORUS_BASE)
 
 
+@functools.cache
 def exact_base_quadratic() -> tuple[AlgComplex, AlgComplex, AlgComplex]:
     """Exact (a, b, c) at the base triple, via the generic coefficient
-    expressions shared with the float path."""
+    expressions shared with the float path (computed once per process)."""
     return quadratic_sym_coeffs(*exact_base_sym())
 
 

@@ -41,7 +41,6 @@ from .symcore import (
     _coords,
     classify_roots,
     roots_from_sym,
-    vandermonde_pair,
 )
 
 PI = math.pi
@@ -371,28 +370,31 @@ def abc_coeffs(nu: Sequence[complex]) -> QuadraticData:
     return QuadraticData(nu=(n1, n2, n3), a=a, b=b, c=c)
 
 
-def kernel_g3_mu3zero(lam: Sequence[complex], mu12: Sequence[complex]) -> complex:
+def kernel_g3_mu3zero(lam, mu12) -> complex | np.ndarray:
     """Closed form of the dimension-3 kernel at mu = (mu_1, mu_2, 0).
 
     (a z^2 - b z + 2 c) / (pi^3 * prod_{j<=3,k<=2} (1 - lambda_j conj(mu_k))^2)
     with z = conj(mu_2)/conj(mu_1) and nu_j = lambda_j * conj(mu_1).
     The expression is smooth in lambda, so coincident lambda coordinates
-    are harmless here even though the determinant route needs them
-    distinct.
+    are harmless.  The coordinates run along the last axis: lam (..., 3)
+    and mu12 (..., 2) give an array of shape (...), and one pair gives a
+    complex.
     """
-    l1, l2, l3 = (complex(v) for v in _coords(lam))
-    m1, m2 = (complex(v) for v in _coords(mu12))
-    if m1 == 0:
+    lam = np.asarray(lam, dtype=complex)
+    mu12 = np.asarray(mu12, dtype=complex)
+    if np.any(mu12[..., 0] == 0):
         raise MuOneZero("mu_1 = 0: permute (mu_1, mu_2) or use kernel_gn_stable")
-    m1c = m1.conjugate()
-    z = m2.conjugate() / m1c
-    q = abc_coeffs((l1 * m1c, l2 * m1c, l3 * m1c))
-    num = q.a * z * z - q.b * z + 2 * q.c
-    den = complex(PI**3)
-    for lv in (l1, l2, l3):
-        for mv in (m1, m2):
-            den *= (1.0 - lv * mv.conjugate()) ** 2
-    return num / den
+    mubar = np.conj(mu12)
+    z = mubar[..., 1] / mubar[..., 0]
+    nu = lam * mubar[..., :1]
+    a, b, c = quadratic_sym_coeffs(*elem_sym3(nu[..., 0], nu[..., 1], nu[..., 2]))
+    num = a * z * z - b * z + 2 * c
+    den = PI**3 * np.prod((1.0 - lam[..., :, None] * mubar[..., None, :]) ** 2, axis=(-2, -1))
+    return _complex_if_scalar(num / den)
+
+
+def _complex_if_scalar(x):
+    return complex(x) if np.ndim(x) == 0 else x
 
 
 # --- bracket of the two-column reduction -------------------------------------
@@ -430,14 +432,16 @@ def _conv(p, q):
     return out
 
 
-def bracket_coeffs_ABC(nu: Sequence[complex]) -> tuple[complex, complex, complex]:
+def bracket_coeffs_ABC(nu) -> tuple:
     """(A, B, C) from expanding the bracket as a cubic in z.
 
     A, B, C are the z^3 coefficient, (z^1 coefficient) - 2C, and
     -(z^0 coefficient)/2; each equals (nu_2 - nu_1) times the matching
-    closed-form quadratic coefficient.
+    closed-form quadratic coefficient.  nu runs along the last axis: a
+    (..., 3) array gives three arrays of shape (...), one triple gives
+    three complex numbers.
     """
-    n1, n2, n3 = (complex(v) for v in nu)
+    n1, n2, n3 = np.moveaxis(np.asarray(nu, dtype=complex), -1, 0)
     # ascending z-coefficient lists of each factor
     term1 = _conv([-2, n2 + n3], [1, -2 * n1, n1 * n1])
     term1 = [c * (n1 + n3 - 2) * (1 - n2) ** 2 for c in term1]
@@ -448,7 +452,7 @@ def bracket_coeffs_ABC(nu: Sequence[complex]) -> tuple[complex, complex, complex
     big_a = c3
     big_c = -c0 / 2
     big_b = c1 + c0  # c1 = B + 2C and c0 = -2C
-    return big_a, big_b, big_c
+    return tuple(_complex_if_scalar(v) for v in (big_a, big_b, big_c))
 
 
 # --- batch evaluation (complex128, for sampling and grids) -------------------
@@ -479,113 +483,98 @@ def batch_kernel(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
 
 
 def _disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
-    """count tuples of `width` disc points with pairwise separation."""
+    """count tuples of `width` disc points with pairwise separation.
+
+    Each draw is count rows; rows with two points closer than min_gap
+    are dropped, the rest fill the output in order until it is full.
+    """
     out = np.empty((count, width), dtype=complex)
+    j, k = np.triu_indices(width, 1)
     filled = 0
     while filled < count:
         draw = radius * np.sqrt(rng.random((count, width))) * np.exp(
             2j * np.pi * rng.random((count, width))
         )
-        for row in draw:
-            if width > 1:
-                gaps = [
-                    abs(row[i] - row[j])
-                    for i in range(width)
-                    for j in range(i + 1, width)
-                ]
-                if min(gaps) < min_gap:
-                    continue
-            out[filled] = row
-            filled += 1
-            if filled == count:
-                break
+        gaps = np.abs(draw[:, j] - draw[:, k]).min(axis=1, initial=np.inf)
+        kept = draw[gaps >= min_gap][: count - filled]
+        out[filled : filled + len(kept)] = kept
+        filled += len(kept)
     return out
 
 
-def closed_form_comparison(samples: int = 1000, seed: int = 0) -> dict:
-    """Compare the dimension-3 closed form against the determinant route
-    at seeded random in-domain points; returns the worst relative gap."""
+def _dim3_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (samples, 3) lambda and (samples, 2) mu arrays, with mu_1
+    kept away from 0 so that z = conj(mu_2)/conj(mu_1) stays well defined."""
     rng = np.random.default_rng(seed)
     lams = _disc_samples(rng, samples, width=3)
     mus = _disc_samples(rng, samples, width=2)
-    # keep mu_1 away from 0 so z stays well defined
     small = np.abs(mus[:, 0]) < 0.05
     mus[small, 0] += 0.3
-    worst = 0.0
+    return lams, mus
+
+
+def _with_mu3_zero(mus: np.ndarray) -> np.ndarray:
+    return np.concatenate([mus, np.zeros((len(mus), 1))], axis=1)
+
+
+def closed_form_comparison(samples: int = 1000, seed: int = 0) -> dict:
+    """Compare the dimension-3 closed form against the permanent formula
+    (batch_kernel) at seeded random in-domain points; returns the worst
+    relative gap and the pair where it occurs."""
+    lams, mus = _dim3_samples(samples, seed)
+    direct = batch_kernel(lams, _with_mu3_zero(mus))
+    closed = kernel_g3_mu3zero(lams, mus)
+    rel = np.abs(direct - closed) / np.maximum(np.abs(direct), np.abs(closed))
+    worst = float(rel.max(initial=0.0))
     argworst = None
-    for lam, m12 in zip(lams, mus):
-        direct = kernel_gn(lam, (m12[0], m12[1], 0.0)).value
-        closed = kernel_g3_mu3zero(lam, m12)
-        rel = abs(direct - closed) / max(abs(direct), abs(closed))
-        if rel > worst:
-            worst = rel
-            argworst = (lam.tolist(), m12.tolist())
+    if worst:
+        k = int(np.argmax(rel))
+        argworst = (lams[k].tolist(), mus[k].tolist())
     return {"samples": samples, "max_rel_diff": worst, "argmax": argworst}
+
+
+def _reduction_stages(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The six values of the two-column reduction at (S, 3) lambda and
+    (S, 2) mu arrays, shape (6, S): pi^3 times the Vandermonde product
+    times the kernel, the 3x3 determinant, the 2x2 determinant after
+    subtracting the last row, the 2x2 determinant with its common factors
+    pulled out, the bracket, and the factored cubic."""
+    mus3 = _with_mu3_zero(mus)
+    m1c = np.conj(mus[:, 0])
+    z = np.conj(mus[:, 1]) / m1c
+    nu = lams * m1c[:, None]
+    zc = z[:, None]
+    u = (1 - nu) ** -2.0
+    v = (1 - zc * nu) ** -2.0
+    stage_det3 = det_pivoted(np.stack([u, v, np.ones_like(u)], axis=-1))
+    stage_det2 = det_pivoted(np.stack([u[:, :2] - u[:, 2:], v[:, :2] - v[:, 2:]], axis=-1))
+    head, last = nu[:, :2], nu[:, 2:]
+    pulled = np.stack(
+        [
+            (head + last - 2) / (1 - head) ** 2,
+            (zc * head + zc * last - 2) / (1 - zc * head) ** 2,
+        ],
+        axis=-1,
+    )
+    pref = (nu[:, 0] - nu[:, 2]) * (nu[:, 1] - nu[:, 2]) * z
+    stage_mid = pref / ((1 - nu[:, 2]) ** 2 * (1 - z * nu[:, 2]) ** 2) * det_pivoted(pulled)
+    prod_all = np.prod((1 - lams[:, :, None] * np.conj(mus)[:, None, :]) ** 2, axis=(1, 2))
+    stage_bracket = pref * bracket_expr(nu[:, 0], nu[:, 1], nu[:, 2], z) / prod_all
+    big_a, big_b, big_c = bracket_coeffs_ABC(nu)
+    stage_factored = pref * (z - 1) * (big_a * z * z - big_b * z + 2 * big_c) / prod_all
+    vandermonde = np.ones(len(lams), dtype=complex)
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        vandermonde *= (lams[:, j] - lams[:, k]) * np.conj(mus3[:, j] - mus3[:, k])
+    lhs = PI**3 * vandermonde * batch_kernel(lams, mus3)
+    return np.stack([lhs, stage_det3, stage_det2, stage_mid, stage_bracket, stage_factored])
 
 
 def reduction_chain_check(samples: int = 200, seed: int = 1) -> dict:
     """Numeric agreement of every stage of the two-column reduction of
     the dimension-3 determinant, from the raw 3x3 determinant down to the
-    factored cubic; returns the worst relative gap across stages."""
-    rng = np.random.default_rng(seed)
-    lams = _disc_samples(rng, samples, width=3)
-    mus = _disc_samples(rng, samples, width=2)
-    small = np.abs(mus[:, 0]) < 0.05
-    mus[small, 0] += 0.3
-    worst = 0.0
-    for lam, m12 in zip(lams, mus):
-        m1c = m12[0].conjugate()
-        z = m12[1].conjugate() / m1c
-        nu = [lv * m1c for lv in lam]
-        stage_det3 = det_pivoted(
-            np.array(
-                [[(1 - v) ** -2.0, (1 - z * v) ** -2.0, 1.0] for v in nu],
-                dtype=complex,
-            )
-        )
-        stage_det2 = det_pivoted(
-            np.array(
-                [
-                    [
-                        (1 - nu[r]) ** -2.0 - (1 - nu[2]) ** -2.0,
-                        (1 - z * nu[r]) ** -2.0 - (1 - z * nu[2]) ** -2.0,
-                    ]
-                    for r in (0, 1)
-                ],
-                dtype=complex,
-            )
-        )
-        pref = (nu[0] - nu[2]) * (nu[1] - nu[2]) * z
-        stage_mid = (
-            pref
-            / ((1 - nu[2]) ** 2 * (1 - z * nu[2]) ** 2)
-            * det_pivoted(
-                np.array(
-                    [
-                        [
-                            (nu[r] + nu[2] - 2) / (1 - nu[r]) ** 2,
-                            (z * nu[r] + z * nu[2] - 2) / (1 - z * nu[r]) ** 2,
-                        ]
-                        for r in (0, 1)
-                    ],
-                    dtype=complex,
-                )
-            )
-        )
-        prod_all = complex(1.0)
-        for lv in lam:
-            for mv in m12:
-                prod_all *= (1 - lv * mv.conjugate()) ** 2
-        stage_bracket = pref * bracket_expr(nu[0], nu[1], nu[2], z) / prod_all
-        big_a, big_b, big_c = bracket_coeffs_ABC(nu)
-        stage_factored = (
-            pref * (z - 1) * (big_a * z * z - big_b * z + 2 * big_c) / prod_all
-        )
-        lhs = (PI**3) * vandermonde_pair(lam, (m12[0], m12[1], 0.0)) * kernel_gn(
-            lam, (m12[0], m12[1], 0.0)
-        ).value
-        vals = [lhs, stage_det3, stage_det2, stage_mid, stage_bracket, stage_factored]
-        ref = max(abs(v) for v in vals)
-        for v in vals[1:]:
-            worst = max(worst, abs(v - vals[0]) / ref)
-    return {"samples": samples, "max_rel_diff": worst}
+    factored cubic, each stage evaluated over all samples at once;
+    returns the worst relative gap across stages."""
+    vals = _reduction_stages(*_dim3_samples(samples, seed))
+    ref = np.abs(vals).max(axis=0)
+    worst = (np.abs(vals[1:] - vals[0]) / ref).max(initial=0.0)
+    return {"samples": samples, "max_rel_diff": float(worst)}

@@ -256,8 +256,7 @@ def slice_determinant(lam: Sequence[complex], mu: Sequence[complex]) -> Callable
     mu_t = tuple(mu)
 
     def f(x: complex) -> complex:
-        det, _ = delta_with_scale((x, *rest), mu_t)
-        return det
+        return delta_n((x, *rest), mu_t)
 
     return f
 

@@ -6,8 +6,9 @@ coordinates comes from the exact determinant over the Vandermonde
 product rather than from the permanent formula, and the kernel at
 coincident coordinates from Richardson extrapolation of that route.
 The exact determinant itself is checked against pivoted elimination
-over Fractions, and the stacked extended-precision LU against its
-one-matrix loop.
+over Fractions, the stacked extended-precision LU against its
+one-matrix loop, and the stacked dimension-3 cross-checks against their
+per-sample loops.
 """
 
 import itertools
@@ -15,7 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from symdisc.kernel import PI, delta_n
+from symdisc.kernel import (
+    PI,
+    bracket_coeffs_ABC,
+    bracket_expr,
+    delta_n,
+    kernel_g3_mu3zero,
+    kernel_gn,
+)
 from symdisc.symcore import vandermonde_pair
 
 
@@ -154,3 +162,102 @@ def extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults, t0=2e-3, level
         for i in range(levels - j):
             v[i] = (ts[i] * v[i + 1] - ts[i + j] * v[i]) / (ts[i] - ts[i + j])
     return complex(v[0])
+
+
+def loop_disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
+    """Seeded disc tuples with pairwise separation, accepted row by row:
+    the loop that the vectorised sampler must reproduce bit for bit."""
+    out = np.empty((count, width), dtype=complex)
+    filled = 0
+    while filled < count:
+        draw = radius * np.sqrt(rng.random((count, width))) * np.exp(
+            2j * np.pi * rng.random((count, width))
+        )
+        for row in draw:
+            if width > 1:
+                gaps = [
+                    abs(row[i] - row[j])
+                    for i in range(width)
+                    for j in range(i + 1, width)
+                ]
+                if min(gaps) < min_gap:
+                    continue
+            out[filled] = row
+            filled += 1
+            if filled == count:
+                break
+    return out
+
+
+def loop_dim3_samples(samples, seed):
+    rng = np.random.default_rng(seed)
+    lams = loop_disc_samples(rng, samples, width=3)
+    mus = loop_disc_samples(rng, samples, width=2)
+    small = np.abs(mus[:, 0]) < 0.05
+    mus[small, 0] += 0.3
+    return lams, mus
+
+
+def loop_closed_form_comparison(samples=1000, seed=0):
+    """The closed form against one-pair kernel_gn, one sample at a time;
+    also returns both value arrays."""
+    lams, mus = loop_dim3_samples(samples, seed)
+    direct = np.array([kernel_gn(lam, (m12[0], m12[1], 0.0)).value for lam, m12 in zip(lams, mus)])
+    closed = np.array([kernel_g3_mu3zero(lam, m12) for lam, m12 in zip(lams, mus)])
+    worst = 0.0
+    for d, c in zip(direct, closed):
+        worst = max(worst, abs(d - c) / max(abs(d), abs(c)))
+    return {"samples": samples, "max_rel_diff": worst, "direct": direct, "closed": closed}
+
+
+def loop_reduction_chain_check(samples=200, seed=1):
+    """Every stage of the two-column reduction, one sample and one small
+    matrix at a time; also returns the (6, samples) stage values."""
+    lams, mus = loop_dim3_samples(samples, seed)
+    worst = 0.0
+    stages = []
+    for lam, m12 in zip(lams, mus):
+        m1c = m12[0].conjugate()
+        z = m12[1].conjugate() / m1c
+        nu = [lv * m1c for lv in lam]
+        stage_det3 = loop_det_pivoted(
+            [[(1 - v) ** -2.0, (1 - z * v) ** -2.0, 1.0] for v in nu]
+        )
+        stage_det2 = loop_det_pivoted(
+            [
+                [
+                    (1 - nu[r]) ** -2.0 - (1 - nu[2]) ** -2.0,
+                    (1 - z * nu[r]) ** -2.0 - (1 - z * nu[2]) ** -2.0,
+                ]
+                for r in (0, 1)
+            ]
+        )
+        pref = (nu[0] - nu[2]) * (nu[1] - nu[2]) * z
+        stage_mid = (
+            pref
+            / ((1 - nu[2]) ** 2 * (1 - z * nu[2]) ** 2)
+            * loop_det_pivoted(
+                [
+                    [
+                        (nu[r] + nu[2] - 2) / (1 - nu[r]) ** 2,
+                        (z * nu[r] + z * nu[2] - 2) / (1 - z * nu[r]) ** 2,
+                    ]
+                    for r in (0, 1)
+                ]
+            )
+        )
+        prod_all = complex(1.0)
+        for lv in lam:
+            for mv in m12:
+                prod_all *= (1 - lv * mv.conjugate()) ** 2
+        stage_bracket = pref * bracket_expr(nu[0], nu[1], nu[2], z) / prod_all
+        big_a, big_b, big_c = bracket_coeffs_ABC(nu)
+        stage_factored = pref * (z - 1) * (big_a * z * z - big_b * z + 2 * big_c) / prod_all
+        mu3 = (m12[0], m12[1], 0.0)
+        lhs = PI**3 * vandermonde_pair(lam, mu3) * kernel_gn(lam, mu3).value
+        vals = [lhs, stage_det3, stage_det2, stage_mid, stage_bracket, stage_factored]
+        ref = max(abs(v) for v in vals)
+        for v in vals[1:]:
+            worst = max(worst, abs(v - vals[0]) / ref)
+        stages.append(vals)
+    return {"samples": samples, "max_rel_diff": worst, "stages": np.array(stages).T}

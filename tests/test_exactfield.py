@@ -105,6 +105,7 @@ def test_sign_escalates_from_low_precision():
     # a 4-bit starting interval cannot decide a 1e-2 margin; the doubling
     # loop must still land on the right sign
     assert alg_sign(p_at_1, start_bits=4) == -1
+    assert alg_sign(p_at_1, start_bits=512) == -1
 
 
 def test_division_by_zero():
@@ -200,17 +201,36 @@ def test_report_serialization():
     assert text.count("[PASS]") == len(rep.checks)
 
 
-def test_precision_env_var(monkeypatch):
-    from symdisc.exactfield import default_sign_bits
+def test_integral_coordinates_are_ints():
+    x = AlgNum(Fraction(6, 3), 4, Fraction(1, 2))
+    assert type(x.q0) is int and x.q0 == 2
+    assert type(x.q2) is int and isinstance(x.q3, Fraction)
+    assert type((x * 2).q3) is int  # 2 * 1/2 normalises back to an int
+    assert x == AlgNum(2, 4, Fraction(1, 2)) and hash(x) == hash(AlgNum(Fraction(2), 4, Fraction(1, 2)))
 
-    monkeypatch.delenv("SYMDISC_PRECISION", raising=False)
-    assert default_sign_bits() == 64
-    monkeypatch.setenv("SYMDISC_PRECISION", "256")
-    assert default_sign_bits() == 256
-    monkeypatch.setenv("SYMDISC_PRECISION", "16")  # never lowers the floor
-    assert default_sign_bits() == 64
-    monkeypatch.setenv("SYMDISC_PRECISION", "garbage")
-    assert default_sign_bits() == 64
-    p_at_1 = SQRT3 * 7 + SQRT6 * 3 - SQRT2 * 6 - 11
-    monkeypatch.setenv("SYMDISC_PRECISION", "512")
-    assert alg_sign(p_at_1) == -1
+
+def test_inverses_of_integral_elements_are_exact():
+    third = AlgNum(3).inv()
+    assert third.q0 == Fraction(1, 3) and isinstance(third.q0, Fraction)
+    assert AlgNum(3).inv() * 3 == 1
+    w = AlgComplex(3, 1)
+    assert w * w.inv() == 1
+    assert (SQRT3 * 2 + 7).inv() * (SQRT3 * 2 + 7) == 1
+
+
+def test_base_quadratic_is_computed_once():
+    assert exact_base_quadratic() is exact_base_quadratic()
+
+
+def test_tampered_bracket_display_fails_extraction(monkeypatch):
+    from symdisc import exactfield
+
+    displays = exactfield.bracket_raw_displays
+
+    def tampered(nu1, nu2, nu3):
+        a_coef, minus_two_c, b_plus_two_c = displays(nu1, nu2, nu3)
+        return a_coef + 1, minus_two_c, b_plus_two_c
+
+    monkeypatch.setattr(exactfield, "bracket_raw_displays", tampered)
+    rep = verify_bracket_identities()
+    assert [c.name for c in rep.failures()] == ["extract-z3"]

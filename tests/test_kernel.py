@@ -25,7 +25,16 @@ from symdisc.kernel import (
 from symdisc.symcore import elem_sym, roots_from_sym
 
 from .conftest import draw_disc_tuple
-from .oracles import exact_kernel, extrapolated_confluent_kernel, fraction_delta, loop_det_pivoted
+from .oracles import (
+    exact_kernel,
+    extrapolated_confluent_kernel,
+    fraction_delta,
+    loop_closed_form_comparison,
+    loop_det_pivoted,
+    loop_disc_samples,
+    loop_dim3_samples,
+    loop_reduction_chain_check,
+)
 
 TORUS = (cmath.exp(1j * math.pi / 6), cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 6))
 
@@ -267,11 +276,90 @@ def test_bracket_value_matches_extracted_cubic(rng):
 def test_closed_form_comparison_suite():
     out = closed_form_comparison(samples=200, seed=0)
     assert out["max_rel_diff"] < 1e-9
+    assert closed_form_comparison(samples=0) == {"samples": 0, "max_rel_diff": 0.0, "argmax": None}
 
 
 def test_reduction_chain_suite():
     out = reduction_chain_check(samples=60, seed=1)
     assert out["max_rel_diff"] < 1e-9
+
+
+@pytest.mark.parametrize("width, min_gap", [(1, 0.02), (2, 0.02), (3, 0.02), (4, 0.6)])
+def test_disc_samples_match_row_by_row_loop(width, min_gap):
+    # min_gap 0.6 rejects most 4-point rows, so the sampler draws many times
+    for seed in range(3):
+        stacked = kernel._disc_samples(np.random.default_rng(seed), 200, min_gap=min_gap, width=width)
+        loop = loop_disc_samples(np.random.default_rng(seed), 200, min_gap=min_gap, width=width)
+        assert np.array_equal(stacked, loop)
+
+
+def test_closed_form_comparison_matches_per_sample_loop():
+    lams, mus = kernel._dim3_samples(300, 7)
+    loop_lams, loop_mus = loop_dim3_samples(300, 7)
+    assert np.array_equal(lams, loop_lams) and np.array_equal(mus, loop_mus)
+    loop = loop_closed_form_comparison(300, 7)
+    direct = kernel.batch_kernel(lams, kernel._with_mu3_zero(mus))
+    closed = kernel_g3_mu3zero(lams, mus)
+    assert closed.shape == (300,)
+    assert (np.abs(direct - loop["direct"]) / np.abs(loop["direct"])).max() < 1e-13
+    assert (np.abs(closed - loop["closed"]) / np.abs(loop["closed"])).max() < 1e-13
+    out = closed_form_comparison(300, 7)
+    assert out["max_rel_diff"] == pytest.approx(loop["max_rel_diff"], abs=1e-14)
+
+
+def test_reduction_stages_match_per_sample_loop():
+    loop = loop_reduction_chain_check(120, 5)
+    stages = kernel._reduction_stages(*kernel._dim3_samples(120, 5))
+    assert stages.shape == loop["stages"].shape == (6, 120)
+    ref = np.abs(loop["stages"]).max(axis=0)
+    assert (np.abs(stages - loop["stages"]) / ref).max() < 1e-12
+    assert reduction_chain_check(120, 5)["max_rel_diff"] < 1e-9
+
+
+def test_reduction_chain_stacks_each_determinant_stage(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return det_pivoted(matrix)
+
+    monkeypatch.setattr(kernel, "det_pivoted", counted)
+    reduction_chain_check(50, 1)
+    assert calls == [(50, 3, 3), (50, 2, 2), (50, 2, 2)]
+
+
+def test_reduction_chain_detects_a_wrong_bracket_coefficient(monkeypatch):
+    def doubled_a(nu):
+        big_a, big_b, big_c = bracket_coeffs_ABC(nu)
+        return 2 * big_a, big_b, big_c
+
+    monkeypatch.setattr(kernel, "bracket_coeffs_ABC", doubled_a)
+    assert reduction_chain_check(50, 1)["max_rel_diff"] > 1e-3
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_batch_kernel_matches_one_pair_kernel(rng, n):
+    lams = np.array([draw_disc_tuple(rng, n) for _ in range(40)])
+    mus = np.array([draw_disc_tuple(rng, n) for _ in range(40)])
+    batch = kernel.batch_kernel(lams, mus)
+    for lam, mu, value in zip(lams, mus, batch):
+        assert value == pytest.approx(kernel_gn(lam, mu).value, rel=1e-13)
+
+
+def test_closed_form_and_bracket_coefficients_on_stacks():
+    lam = [0.31 + 0.2j, -0.45, 0.18 - 0.37j]
+    mu12 = [0.53 - 0.11j, 0.2 + 0.4j]
+    one = kernel_g3_mu3zero(lam, mu12)
+    assert type(one) is complex
+    stacked = kernel_g3_mu3zero([[lam, lam]] * 3, [[mu12, mu12]] * 3)
+    assert stacked.shape == (3, 2) and np.allclose(stacked, one, rtol=1e-14, atol=0)
+    coeffs = bracket_coeffs_ABC(lam)
+    assert all(type(v) is complex for v in coeffs)
+    for v, w in zip(bracket_coeffs_ABC(np.array([lam] * 4)), coeffs):
+        # numpy rounds scalar and array powers differently in the last bit
+        assert v.shape == (4,) and np.allclose(v, w, rtol=1e-14, atol=0)
+    with pytest.raises(MuOneZero):
+        kernel_g3_mu3zero([lam, lam], [mu12, [0.0, 0.5]])
 
 
 def test_delta_with_scale_consistent():

@@ -415,6 +415,17 @@ def test_moment_identity_at_certificate(dim3_cert):
     assert out["max_rel_diff"] < 1e-9
 
 
+def test_slice_is_the_exact_determinant_without_its_scale(dim3_cert, monkeypatch):
+    from symdisc.zerofind import slice_determinant
+
+    f = slice_determinant(dim3_cert.lam, dim3_cert.mu)
+    for x in (0.3, -0.2 + 0.1j, 0.25j):
+        det, _ = delta_with_scale((x, *dim3_cert.lam[1:]), dim3_cert.mu)
+        assert f(x) == det
+    monkeypatch.setattr("symdisc.kernel.cauchy_power_matrix", None)  # no scale is built
+    assert f(0.3) == delta_n((0.3, *dim3_cert.lam[1:]), dim3_cert.mu)
+
+
 def test_moment_identity_random_data(rng):
     from symdisc.zerofind import moment_identity_check
 
