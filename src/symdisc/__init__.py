@@ -29,7 +29,6 @@ from .symcore import (
     vandermonde_pair,
 )
 from .zerofind import (
-    LiftConfig,
     SamplingReport,
     ZeroCertificate,
     build_certificate_chain,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KernelEval",
-    "LiftConfig",
     "PolyPoint",
     "QuadraticData",
     "SamplingReport",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exactfield, kernel, zerofind
 from .errors import CertificationFailure, SymdiscError
-from .zerofind import LiftConfig, ZeroCertificate
+from .zerofind import ZeroCertificate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,17 +130,6 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
 # --- find-zero / lift ----------------------------------------------------------
 
 
-def _lift_config(args) -> LiftConfig:
-    kwargs = {}
-    if getattr(args, "disc_radius", None) is not None:
-        kwargs["disc_radius"] = args.disc_radius
-    if getattr(args, "append_step", None) is not None:
-        kwargs["append_modulus_step"] = args.append_step
-    if getattr(args, "max_retries", None) is not None:
-        kwargs["max_retries"] = args.max_retries
-    return LiftConfig(**kwargs)
-
-
 def _emit_certificate(cert: ZeroCertificate, cfg: RunConfig) -> None:
     text = json.dumps(cert.to_dict(), indent=2, sort_keys=True)
     if cfg.out:
@@ -180,7 +169,6 @@ def cmd_find_zero(args, cfg: RunConfig) -> int:
             kwargs["mu1_modulus"] = args.mu1
         cert = zerofind.build_certificate_chain(
             args.n,
-            config=_lift_config(args),
             tol_dim3=cfg.tol_dim3,
             tol_lift=cfg.tol_lift,
             seed=cfg.seed,
@@ -208,7 +196,7 @@ def _load_certificate(path: str, recheck: bool) -> ZeroCertificate:
 
 def cmd_lift(args, cfg: RunConfig) -> int:
     cert = _load_certificate(args.cert, recheck=True)
-    lifted = zerofind.lift_zero(cert, config=_lift_config(args), tol=cfg.tol_lift)
+    lifted = zerofind.lift_zero(cert, tol=cfg.tol_lift)
     _emit_certificate(lifted, cfg)
     return EXIT_OK
 
@@ -354,16 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--mu1", type=float, default=None)
-    p.add_argument("--disc-radius", type=float, default=None)
-    p.add_argument("--append-step", type=float, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
     p.set_defaults(func=cmd_find_zero)
 
     p = sub.add_parser("lift", help="lift a certificate one dimension up", parents=[common])
     p.add_argument("--cert", required=True)
-    p.add_argument("--disc-radius", type=float, default=None)
-    p.add_argument("--append-step", type=float, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("eval", help="evaluate the kernel at explicit tuples", parents=[common])

@@ -49,14 +49,6 @@ class NonIntegerWinding(SymdiscError):
     """Winding integral did not settle near an integer."""
 
 
-class RoucheBoundViolated(SymdiscError):
-    """No admissible appended coordinate below 1 at the configured step."""
-
-
-class DegenerateLift(SymdiscError):
-    """Lift produced colliding coordinates and retries were exhausted."""
-
-
 class CertificationFailure(SymdiscError):
     """Residual of a constructed zero exceeded the certification tolerance."""
 

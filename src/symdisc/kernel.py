@@ -21,10 +21,15 @@ nu_j = lambda_j * conj(mu_1); those coefficient polynomials live here
 as generic expressions so the exact-arithmetic module can reuse them
 verbatim on its own field elements.
 
+per C is linear in the first row, so on a fiber (lambda_2..lambda_n, mu)
+it is a rational function of lambda_1 whose numerator, the fiber
+polynomial, is built from the permanents of the first-row minors; its
+roots are the first coordinates at which the kernel vanishes.
+
 det_pivoted, complex LU with partial pivoting in the platform's extended
 precision (80-bit on x86), takes one matrix or a stack of them; it
-serves the dimension-3 reduction checks and the lift's batched slice
-evaluations.  Batch helpers for sampling work in ordinary complex128.
+serves the dimension-3 reduction checks and the slice moment identity.
+Batch helpers for sampling work in ordinary complex128.
 """
 
 from __future__ import annotations
@@ -122,6 +127,43 @@ def permanent(c: np.ndarray) -> np.ndarray:
         flipped[j] = not flipped[j]
         sums.prod(axis=0, out=prods[step, ...])
     return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
+
+
+def fiber_polynomial(rest, mu) -> np.ndarray:
+    """Coefficients, highest degree first (as np.roots takes them), of
+
+        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
+
+    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
+    lambda_m.  per C is linear in the first row, so q(x) is
+    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
+    degree at most m - 1 whose roots in the unit disc are the first
+    coordinates that make the kernel vanish on this fiber.  The m minors
+    go through one permanent call, stacked on its batch axis.
+    """
+    rest = np.asarray(rest, dtype=complex)
+    mubar = np.conj(np.asarray(mu, dtype=complex))
+    m = len(mubar)
+    if m < 2 or len(rest) != m - 1:
+        raise ValueError("need m >= 2 mu coordinates and m - 1 rest coordinates")
+    base = 1.0 - np.multiply.outer(rest, mubar)
+    if np.any(base == 0):
+        raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+    c = 1.0 / base
+    keep = ~np.eye(m, dtype=bool)  # row k: every column but k
+    minors = np.stack([c[:, keep[k]] for k in range(m)], axis=-1)
+    pers = permanent(minors)
+    # prod_{l != k} (1 - x conj(mu_l)) from prefix and suffix products
+    factors = [np.array([-b, 1.0]) for b in mubar]
+    prefix = [np.ones(1, dtype=complex)]
+    for f in factors[:-1]:
+        prefix.append(np.convolve(prefix[-1], f))
+    q = np.zeros(m, dtype=complex)
+    suffix = np.ones(1, dtype=complex)
+    for k in range(m - 1, -1, -1):
+        q += pers[k] * np.convolve(prefix[k], suffix)
+        suffix = np.convolve(suffix, factors[k])
+    return q
 
 
 def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:

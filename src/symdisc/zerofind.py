@@ -4,18 +4,18 @@ The dimension-3 construction scales a fixed unimodular triple slightly
 into the polydisc, solves the closed-form quadratic for the ratio of the
 two nonzero mu coordinates, and certifies that the Cauchy-power
 determinant vanishes at the resulting pair.  Higher dimensions are
-reached inductively: append a common coordinate close to 1 to both
-tuples (its size controlled by a numerically estimated ratio of the
-one-variable slice's boundary minimum to the remainder's maximum) and
-relocate the first lambda coordinate to a nearby zero, found by winding
-count plus Newton refinement.  Both evaluate the lifted slice in
-batches: a winding pass is one extended-precision call over every
-contour point and its two difference neighbours, a Newton step one call
-over three points.
+reached inductively: append a common coordinate t = sqrt(1 - s) to both
+tuples, on the fixed ladder s = 2^-1, 2^-2, ..., and move the first
+lambda coordinate to the nearest root of the fiber polynomial
+(kernel.fiber_polynomial), whose roots are exactly the first
+coordinates at which the lifted kernel vanishes.  An exact Newton step
+along the flattest mu direction then absorbs the float rounding of the
+root.
 
-Certification is post hoc throughout: whatever the estimates did, an
-emitted certificate evaluates the exact determinant at its points and
-checks the residual against the stated tolerance.
+Certification is post hoc throughout: an emitted certificate evaluates
+the exact determinant at its points and checks the residual against the
+stated tolerance.  count_zeros_disc, a winding-number zero count, is a
+standalone tool; the lift does not use it.
 """
 
 from __future__ import annotations
@@ -23,24 +23,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
     CertificationFailure,
     ContourTooClose,
-    DegenerateLift,
     InvalidScaling,
     NonIntegerWinding,
     NoRootInUnitDisc,
     NoSolution,
-    RoucheBoundViolated,
-    SingularEntry,
     WitnessNotFound,
 )
 from .kernel import (
-    _BATCH_CHUNK,
     PI,
     QuadraticData,
     abc_coeffs,
@@ -49,6 +45,7 @@ from .kernel import (
     delta_n,
     delta_with_scale,
     det_pivoted,
+    fiber_polynomial,
     matrix_scale,
 )
 from .symcore import vandermonde_pair
@@ -78,12 +75,8 @@ DEFAULT_TOL_DIM3 = 1e-10
 DEFAULT_TOL_LIFT = 1e-8
 WITNESS_FACTOR = 1e3
 
-# safety factor applied to the estimated boundary-minimum ratio before
-# sizing the appended coordinate
-M_SAFETY = 0.5
-
-_NEWTON_STEP_REL = 1e-7
-_NEWTON_CONVERGED = 1e-13
+# rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
+_LIFT_CANDIDATES = 24
 
 
 @dataclass(frozen=True)
@@ -97,37 +90,6 @@ class FnWitness:
     point: complex
     value_abs: float
     samples: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class LiftConfig:
-    """Tuning knobs for one induction step.
-
-    disc_radius None sizes the search disc automatically as a fraction
-    of the distance from the moving coordinate to the unit circle; an
-    explicit value is still clamped so the disc stays inside.  The
-    appended modulus ladder starts at append_modulus_step and deepens
-    geometrically, consuming max_retries.
-    """
-
-    disc_radius: float | None = None
-    boundary_samples: int = 256
-    grid_samples: int = 64
-    append_modulus_step: float = 0.5
-    max_retries: int = 24
-    real_positive_append: bool = True
-
-    def __post_init__(self):
-        if self.disc_radius is not None and not (0 < self.disc_radius < 1):
-            raise ValueError("disc_radius must lie in (0, 1)")
-        if self.boundary_samples < 64:
-            raise ValueError("boundary_samples must be at least 64")
-        if self.grid_samples < 8:
-            raise ValueError("grid_samples must be at least 8")
-        if not (0 < self.append_modulus_step < 1):
-            raise ValueError("append_modulus_step must lie in (0, 1)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -249,18 +211,6 @@ def solve_abc_quadratic(q: QuadraticData) -> list[complex]:
 # --- dimension 3 ---------------------------------------------------------------
 
 
-def slice_determinant(lam: Sequence[complex], mu: Sequence[complex]) -> Callable[[complex], complex]:
-    """x -> determinant of the pair ((x, lam_2, ..., lam_n), mu): the
-    one-variable slice whose nontriviality the witnesses certify."""
-    rest = tuple(lam[1:])
-    mu_t = tuple(mu)
-
-    def f(x: complex) -> complex:
-        return delta_n((x, *rest), mu_t)
-
-    return f
-
-
 def _van_der_corput(k: int, base: int) -> float:
     v, denom = 0.0, 1.0
     while k:
@@ -290,29 +240,20 @@ def moment_identity_check(lam, mu, radius: float = 0.3, samples: int = 64) -> di
     """
     if len(lam) != 3 or len(mu) != 3:
         raise ValueError("moment identity is specific to dimension 3")
-    f = slice_determinant(lam, mu)
     thetas = 2 * np.pi * np.arange(samples) / samples
-    ring = [f(radius * cmath.exp(1j * th)) for th in thetas]
-    worst = 0.0
-    mubar = [m.conjugate() for m in mu]
-    for j in range(3):
-        coeff = sum(
-            v * cmath.exp(-1j * j * th) for v, th in zip(ring, thetas)
-        ) / (samples * radius**j)
-        moment = det_pivoted(
-            np.array(
-                [
-                    [mubar[0] ** j, mubar[1] ** j, mubar[2] ** j],
-                    [(1 - lam[1] * mb) ** -2.0 for mb in mubar],
-                    [(1 - lam[2] * mb) ** -2.0 for mb in mubar],
-                ],
-                dtype=complex,
-            )
-        )
-        target = (j + 1) * moment
-        ref = max(abs(coeff), abs(target))
-        worst = max(worst, abs(coeff - target) / ref if ref else 0.0)
-    return {"max_rel_diff": worst}
+    lams = np.tile(np.asarray(lam, dtype=complex), (samples, 1))
+    lams[:, 0] = radius * np.exp(1j * thetas)
+    mus = np.tile(np.asarray(mu, dtype=complex), (samples, 1))
+    ring = det_pivoted(batch_cauchy_power(lams, mus))
+    js = np.arange(3)
+    coeffs = (ring * np.exp(-1j * np.multiply.outer(js, thetas))).sum(axis=1) / (samples * radius**js)
+    mubar = np.conj(np.asarray(mu, dtype=complex))
+    lower = (1 - np.multiply.outer(np.asarray(lam[1:], dtype=complex), mubar)) ** -2.0
+    moments = det_pivoted(np.stack([np.concatenate([[mubar**j], lower]) for j in js]))
+    targets = (js + 1) * moments
+    ref = np.maximum(np.abs(coeffs), np.abs(targets))
+    gaps = np.abs(coeffs - targets) / np.where(ref > 0, ref, 1.0)
+    return {"max_rel_diff": float(gaps.max())}
 
 
 def fn_nontrivial(cert: ZeroCertificate, cap: int = 4096) -> FnWitness:
@@ -453,79 +394,6 @@ def count_zeros_disc(
 # --- the induction step ---------------------------------------------------------
 
 
-def _boundary_min_f(lam, mu, center, radius, samples) -> float:
-    thetas = 2 * np.pi * np.arange(samples) / samples
-    xs = center + radius * np.exp(1j * thetas)
-    lams = np.tile(np.asarray(lam, dtype=complex), (samples, 1))
-    lams[:, 0] = xs
-    mus = np.tile(np.asarray(mu, dtype=complex), (samples, 1))
-    dets = np.linalg.det(batch_cauchy_power(lams, mus))
-    return float(np.abs(dets).min())
-
-
-def _zero_corner_max(lam, mu, xs, ts) -> float:
-    """Max of |h| over all (x, t) pairs, where h is the lifted
-    determinant with its corner entry zeroed (the part of the lifted
-    slice that stays bounded as the appended coordinate nears 1)."""
-    n = len(lam)
-    X, T = np.meshgrid(np.asarray(xs), np.asarray(ts), indexing="ij")
-    X, T = X.ravel(), T.ravel()
-    count = X.size
-    lams = np.tile(np.concatenate([np.asarray(lam, complex), [0j]]), (count, 1))
-    lams[:, 0] = X
-    lams[:, n] = T
-    mus = np.tile(np.concatenate([np.asarray(mu, complex), [0j]]), (count, 1))
-    mus[:, n] = T
-    mats = batch_cauchy_power(lams, mus)
-    mats[:, n, n] = 0.0
-    return float(np.abs(np.linalg.det(mats)).max())
-
-
-def _grid_max_h(lam, mu, center, radius, grid) -> float:
-    """Grid estimate of sup |h| over contour x closed unit disc.
-
-    A golden-angle spiral deliberately undersamples the sharp ridges of
-    |h| near unit-modulus points aligned with existing coordinates; the
-    resulting optimistic ratio only seeds the appended-modulus ladder,
-    whose candidates are each re-checked by the pointwise dominance test
-    before being accepted.
-    """
-    xs = center + radius * np.exp(2j * np.pi * np.arange(grid) / grid)
-    radii = np.sqrt((np.arange(grid) + 1.0) / grid)  # outermost ring hits 1
-    angles = 2 * np.pi * ((np.arange(grid) * 0.618033988749895) % 1.0)
-    ts = radii * np.exp(1j * angles)
-    return _zero_corner_max(lam, mu, xs, ts)
-
-
-def _g_handle(lam, mu, t: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """Lifted slice x -> det of the Cauchy-power matrix at
-    ((x, lam_2, ..., lam_n, t), (mu, t)) in extended precision, for an
-    array of x at once (the winding counts and Newton steps; final
-    residuals are certified with the exact determinant)."""
-    mu_c = np.conj(np.asarray((*mu, t), dtype=complex))
-    lower = 1.0 - np.multiply.outer(np.asarray((*lam[1:], t), dtype=complex), mu_c)
-    if np.any(lower == 0):
-        raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-    lower = lower**-2
-    size = len(mu_c)
-
-    def g(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=complex)
-        flat = xs.ravel()
-        out = np.empty(flat.size, dtype=complex)
-        for lo in range(0, flat.size, _BATCH_CHUNK):
-            first = 1.0 - np.multiply.outer(flat[lo : lo + _BATCH_CHUNK], mu_c)
-            if np.any(first == 0):
-                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-            mats = np.empty((len(first), size, size), dtype=complex)
-            mats[:, 0] = first**-2
-            mats[:, 1:] = lower
-            out[lo : lo + _BATCH_CHUNK] = det_pivoted(mats)
-        return out.reshape(xs.shape)
-
-    return g
-
-
 def _polish_flat_direction(lam, mu, target_abs: float):
     """Drive the determinant to (essentially) zero by adjusting the
     smallest-modulus mu coordinate; returns the polished mu and the
@@ -562,164 +430,82 @@ def _polish_flat_direction(lam, mu, target_abs: float):
     return moved(w), d0
 
 
-def _newton_zero(g, start, radius, center) -> complex | None:
-    h = _NEWTON_STEP_REL * radius
-    x = start
-    for _ in range(60):
-        gv, g_plus, g_minus = g(np.array([x, x + h, x - h])).tolist()
-        gp = (g_plus - g_minus) / (2 * h)
-        if gp == 0:
-            return None
-        dx = gv / gp
-        x = x - dx
-        if abs(x - center) > 3 * radius:
-            return None
-        if abs(dx) < _NEWTON_CONVERGED:
-            return x
-    g_end, g_start = g(np.array([x, start])).tolist()
-    return x if abs(g_end) < abs(g_start) else None
-
-
-def lift_zero(
-    cert: ZeroCertificate,
-    config: LiftConfig | None = None,
-    tol: float = DEFAULT_TOL_LIFT,
-) -> ZeroCertificate:
+def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCertificate:
     """One induction step: an (n+1)-dimensional certificate from an
-    n-dimensional one, appending a common coordinate near 1 and moving
+    n-dimensional one, appending a common coordinate t near 1 and moving
     the first lambda coordinate to a nearby zero of the lifted slice.
+
+    The rungs s = 2^-1, 2^-2, ... give t = sqrt(1 - s).  At each, the
+    zero is the root of the fiber polynomial q((lam_2..lam_n, t); (mu, t))
+    nearest lam_1; the first rung whose root lies in the search disc,
+    keeps every coordinate distinct and certifies after the flat-direction
+    polish is accepted.
     """
-    config = config or LiftConfig()
     if cert.fn_witness.value_abs <= 0:
         raise CertificationFailure("lift requires a certificate with a slice witness")
-    lam, mu = cert.lam, cert.mu
+    lam, mu, n = cert.lam, cert.mu, cert.n
     lam1 = lam[0]
 
     # keep the search disc inside the unit disc and clear of the other points
     gap = min(abs(lam1 - c) for c in lam[1:])
     radius = min(0.4 * (1 - abs(lam1)), 0.45 * gap)
-    if config.disc_radius is not None:
-        radius = min(config.disc_radius, radius)
 
-    fmin = _boundary_min_f(lam, mu, lam1, radius, config.boundary_samples)
-    hmax = _grid_max_h(lam, mu, lam1, radius, config.grid_samples)
-    if not (fmin > 0 and hmax > 0 and math.isfinite(hmax)):
-        raise DegenerateLift("degenerate boundary/grid estimates for the lift")
-    m_est = fmin / hmax
-
-    coords = (*lam, *mu)
-    s = config.append_modulus_step
-    retries = 0
-    last_error: Exception = RoucheBoundViolated(
-        f"no admissible appended coordinate: bound {m_est:.3e}, step {config.append_modulus_step}"
+    rejected = dict.fromkeys(
+        ("outside the search disc", "repeated coordinates", "residual above tolerance"), 0
     )
-    while retries <= config.max_retries:
-        if s * s < m_est * M_SAFETY:
-            # dodge collisions with existing coordinates by mild deepening;
-            # the bound stays satisfied because s only shrinks
-            s_try = s
-            t = None
-            for _ in range(12):
-                modulus = math.sqrt(1.0 - s_try)
-                cand = complex(modulus)
-                if not config.real_positive_append:
-                    cand = modulus * cmath.exp(0.9j)
-                if modulus < 1.0 and min(abs(cand - c) for c in coords) > 0.05 * s_try:
-                    t = cand
-                    break
-                s_try *= 0.9
-            if t is None:
-                last_error = DegenerateLift(
-                    "appended coordinate collides with existing coordinates"
-                )
-            else:
-                try:
-                    return _finish_lift(cert, t, radius, fmin, tol, config)
-                except (CertificationFailure, NonIntegerWinding, ContourTooClose, DegenerateLift) as exc:
-                    last_error = exc
-        s *= config.append_modulus_step
-        retries += 1
-    if isinstance(last_error, DegenerateLift):
-        raise last_error
-    raise RoucheBoundViolated(
-        f"no admissible appended coordinate after {config.max_retries} retries "
-        f"(bound {m_est:.3e}); last failure: {last_error}"
-    ) from last_error
-
-
-def _finish_lift(cert, t, radius, fmin, tol, config) -> ZeroCertificate:
-    lam, mu, n = cert.lam, cert.mu, cert.n
-    lam1 = lam[0]
-
-    # verified dominance at the chosen coordinate: the perturbing part of
-    # the lifted slice must stay below the parent slice on the contour,
-    # otherwise the relocated zero may escape the disc
-    xs = lam1 + radius * np.exp(2j * np.pi * np.arange(config.boundary_samples) / config.boundary_samples)
-    h_at_t = _zero_corner_max(lam, mu, xs, np.array([t]))
-    drop = (1.0 - abs(t) ** 2) ** 2
-    if not drop * h_at_t < M_SAFETY * fmin:
-        raise CertificationFailure(
-            f"dominance check failed at appended coordinate: "
-            f"{drop * h_at_t:.3e} vs boundary minimum {fmin:.3e}"
+    best = math.inf
+    s = 1.0
+    for _ in range(_LIFT_CANDIDATES):
+        s /= 2
+        t = complex(math.sqrt(1.0 - s))
+        new_mu = (*mu, t)
+        roots = np.roots(fiber_polynomial((*lam[1:], t), new_mu))
+        x = complex(min(roots, key=lambda r: abs(r - lam1), default=math.inf))
+        if not abs(x - lam1) <= radius:
+            rejected["outside the search disc"] += 1
+            continue
+        new_lam = (x, *lam[1:], t)
+        # a rung can repeat an earlier appended coordinate: two equal rows
+        # make the determinant exactly 0 at any first coordinate
+        if len(set(new_lam)) != n + 1 or len(set(new_mu)) != n + 1:
+            rejected["repeated coordinates"] += 1
+            continue
+        scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
+        new_mu, det = _polish_flat_direction(new_lam, new_mu, 1e-3 * tol * scale)
+        if len(set(new_mu)) != n + 1:
+            rejected["repeated coordinates"] += 1
+            continue
+        residual = abs(det) / matrix_scale(cauchy_power_matrix(new_lam, new_mu))
+        if not residual <= tol:
+            rejected["residual above tolerance"] += 1
+            best = min(best, residual)
+            continue
+        lifted = ZeroCertificate(
+            n=n + 1,
+            lam=new_lam,
+            mu=new_mu,
+            residual_rel=residual,
+            kernel_abs=_kernel_abs(det, new_lam, new_mu),
+            construction="lift",
+            fn_witness=FnWitness(0j, 0.0),
+            tolerances={"residual_rel": tol},
+            parent=cert,
+            seed=cert.seed,
         )
-
-    g = _g_handle(lam, mu, t)
-    count, _gap = count_zeros_disc(g, lam1, radius, start_samples=config.boundary_samples)
-    if count < 1:
-        raise CertificationFailure("no zero of the lifted slice inside the disc")
-
-    starts = [lam1]
-    if count > 1:
-        starts += [lam1 + 0.5 * radius * cmath.exp(2j * math.pi * k / 6) for k in range(6)]
-    zeros = []
-    for s0 in starts:
-        z = _newton_zero(g, s0, radius, lam1)
-        if z is not None and abs(z - lam1) <= radius and all(abs(z - w) > 1e-9 for w in zeros):
-            zeros.append(z)
-    if not zeros:
-        raise CertificationFailure("Newton refinement found no zero inside the disc")
-    new_lam1 = min(zeros, key=lambda z: abs(z - lam1))
-
-    new_lam = (new_lam1, *lam[1:], t)
-    new_mu = (*mu, t)
-    if len(set(new_lam)) != n + 1 or len(set(new_mu)) != n + 1:
-        raise DegenerateLift("lifted coordinates collide")
-    if abs(new_lam1) >= 1.0:
-        raise CertificationFailure("relocated coordinate left the unit disc")
-
-    scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
-    new_mu, det = _polish_flat_direction(new_lam, new_mu, 1e-3 * tol * scale)
-    if len(set(new_mu)) != n + 1:
-        raise DegenerateLift("flat-direction polish collided coordinates")
-    scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
-    residual = abs(det) / scale
-    if not residual <= tol:
-        raise CertificationFailure(
-            f"lift residual {residual:.3e} exceeds tolerance {tol:.1e}"
-        )
-    kernel_abs = _kernel_abs(det, new_lam, new_mu)
-    lifted = ZeroCertificate(
-        n=n + 1,
-        lam=new_lam,
-        mu=new_mu,
-        residual_rel=residual,
-        kernel_abs=kernel_abs,
-        construction="lift",
-        fn_witness=FnWitness(0j, 0.0),
-        tolerances={"residual_rel": tol},
-        parent=cert,
-        seed=cert.seed,
+        lifted = replace(lifted, fn_witness=fn_nontrivial(lifted))
+        lifted.validate()
+        return lifted
+    reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
+    raise CertificationFailure(
+        f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "
+        f"smallest residual {best:.3e} against tolerance {tol:.1e})"
     )
-    lifted = replace(lifted, fn_witness=fn_nontrivial(lifted))
-    lifted.validate()
-    return lifted
 
 
 def build_certificate_chain(
     n: int,
     rho: float = 0.9945,
     mu1_modulus: float = 0.9985,
-    config: LiftConfig | None = None,
     tol_dim3: float = DEFAULT_TOL_DIM3,
     tol_lift: float = DEFAULT_TOL_LIFT,
     seed: int = 0,
@@ -732,7 +518,7 @@ def build_certificate_chain(
         raise ValueError("kernel zeros are constructed for n >= 3 only")
     cert = construct_zero_dim3(rho=rho, mu1_modulus=mu1_modulus, tol=tol_dim3, seed=seed)
     for _ in range(n - 3):
-        cert = lift_zero(cert, config=config, tol=tol_lift)
+        cert = lift_zero(cert, tol=tol_lift)
     return cert
 
 

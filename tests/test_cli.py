@@ -98,6 +98,15 @@ def _tampered(tmp_path, name, change):
     return path
 
 
+@pytest.mark.parametrize("flag", ["--disc-radius", "--append-step", "--max-retries"])
+def test_lift_tuning_flags_are_gone(flag, tmp_path, capsys):
+    for argv in (["find-zero", "4"], ["lift", "--cert", str(tmp_path / "c3.json")]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, flag, "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):
     # a moved coordinate passes validate() but not recertify()
     def move(data):

@@ -176,6 +176,40 @@ def test_kernel_matches_exact_determinant_route(rng):
             assert kernel_gn(lam, mu).value == pytest.approx(exact_kernel(lam, mu), rel=1e-9)
 
 
+def test_fiber_polynomial_is_the_numerator_times_the_row_product(rng):
+    # q(x) = per C((x, *rest); mu) * prod_k (1 - x conj(mu_k))
+    for n in range(2, 8):
+        for _ in range(10):
+            rest = draw_disc_tuple(rng, n - 1)
+            mu = draw_disc_tuple(rng, n)
+            x = draw_disc_tuple(rng, 1)[0]
+            q = kernel.fiber_polynomial(rest, mu)
+            assert q.shape == (n,)
+            expected = kernel_gn((x, *rest), mu).numerator * np.prod(1 - x * np.conj(mu))
+            assert np.polyval(q, x) == pytest.approx(expected, rel=1e-12)
+
+
+def test_fiber_polynomial_roots_are_zeros_of_the_permanent(rng):
+    for n in range(2, 8):
+        for _ in range(10):
+            rest = draw_disc_tuple(rng, n - 1)
+            mu = draw_disc_tuple(rng, n)
+            roots = np.roots(kernel.fiber_polynomial(rest, mu))
+            assert len(roots) == n - 1
+            for r in roots:
+                ev = kernel_gn((r, *rest), mu)
+                assert abs(ev.numerator) / ev.scale < 1e-10
+
+
+def test_fiber_polynomial_rejects_bad_input():
+    with pytest.raises(ValueError):
+        kernel.fiber_polynomial([0.1, 0.2], [0.3, 0.4])
+    with pytest.raises(ValueError):
+        kernel.fiber_polynomial([], [0.3])
+    with pytest.raises(SingularEntry):
+        kernel.fiber_polynomial([0.5], [0.3, 2.0])
+
+
 def test_kernel_repeated_coordinate_matches_oracle():
     got = kernel_gn([0.3, 0.3], [0.1, 0.2]).value
     oracle = extrapolated_confluent_kernel([0.3], [2], [0.1, 0.2], [1, 1])

@@ -14,13 +14,11 @@ from symdisc.errors import (
     NonIntegerWinding,
     NoRootInUnitDisc,
     NoSolution,
-    RoucheBoundViolated,
     WitnessNotFound,
 )
 from symdisc.kernel import abc_coeffs, delta_n, delta_with_scale, kernel_gn
 from symdisc.zerofind import (
     FnWitness,
-    LiftConfig,
     ZeroCertificate,
     base_root_x,
     build_certificate_chain,
@@ -192,9 +190,8 @@ def test_count_rejects_branch_cut():
 def test_count_matches_refined_zeros_of_slice(dim3_cert):
     # the first-slot slice vanishes at lambda_1; a small disc contains
     # exactly that zero
-    from symdisc.zerofind import slice_determinant
-
-    f = np.vectorize(slice_determinant(dim3_cert.lam, dim3_cert.mu), otypes=[complex])
+    rest = dim3_cert.lam[1:]
+    f = np.vectorize(lambda x: delta_n((x, *rest), dim3_cert.mu), otypes=[complex])
     lam1 = dim3_cert.lam[0]
     count, gap = count_zeros_disc(f, lam1, 2e-4)
     assert count == 1 and gap < 0.05
@@ -225,6 +222,11 @@ def chain7():
     return build_certificate_chain(7)
 
 
+@pytest.fixture(scope="module")
+def chain8(chain7):
+    return lift_zero(chain7)
+
+
 def _hex_pairs(coords):
     return [(c.real.hex(), c.imag.hex()) for c in coords]
 
@@ -232,24 +234,24 @@ def _hex_pairs(coords):
 def test_default_chain7_is_pinned(chain7):
     # the n = 7 certificate at the defaults, bit for bit
     assert _hex_pairs(chain7.lam) == [
-        ("0x1.b9ae9b3d40109p-1", "0x1.fe2d8437eb207p-2"),
+        ("0x1.ba1684140beffp-1", "0x1.fff43665e9759p-2"),
         ("0x1.fdf2eca499518p-2", "0x1.b9a0f3f1900dap-1"),
         ("0x1.b9a0f3f1900dbp-1", "-0x1.fdf2eca499515p-2"),
+        ("0x1.feffbfdfebf1fp-1", "0x0.0p+0"),
+        ("0x1.ff7feffbfebf9p-1", "0x0.0p+0"),
         ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
-        ("0x1.ffefffbffdfffp-1", "0x0.0p+0"),
-        ("0x1.fffbfffbfff80p-1", "0x0.0p+0"),
-        ("0x1.fffeffffbfffep-1", "0x0.0p+0"),
+        ("0x1.ffdffeffeffecp-1", "0x0.0p+0"),
     ]
     assert _hex_pairs(chain7.mu) == [
         ("0x1.ff3b645a1cac1p-1", "0x0.0p+0"),
         ("0x1.6685f47816635p-1", "0x1.6547478fa71b6p-1"),
-        ("-0x1.09a5e416d203bp-52", "-0x1.98059c727d737p-52"),
+        ("-0x1.ed4d08543ac35p-40", "0x1.2fbaff7815546p-42"),
+        ("0x1.feffbfdfebf1fp-1", "0x0.0p+0"),
+        ("0x1.ff7feffbfebf9p-1", "0x0.0p+0"),
         ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
-        ("0x1.ffefffbffdfffp-1", "0x0.0p+0"),
-        ("0x1.fffbfffbfff80p-1", "0x0.0p+0"),
-        ("0x1.fffeffffbfffep-1", "0x0.0p+0"),
+        ("0x1.ffdffeffeffecp-1", "0x0.0p+0"),
     ]
-    assert chain7.residual_rel.hex() == "0x1.8c97c35b526c0p-30"
+    assert chain7.residual_rel.hex() == "0x1.0ab628fa5cb4ep-47"
 
 
 def test_delta_matches_fraction_elimination_along_chain7(chain7):
@@ -259,9 +261,11 @@ def test_delta_matches_fraction_elimination_along_chain7(chain7):
         node = node.parent
 
 
-def test_polish_stops_at_its_fixed_point(chain7, monkeypatch):
-    # the certificate's mu is where the polish ended: one Newton step
-    # leaves it unchanged, so only that step's two exact determinants run
+def test_polish_stops_at_its_fixed_point(chain8, monkeypatch):
+    # the n = 8 residual stays above the polish target, so the
+    # certificate's mu is where the polish reached its fixed point: one
+    # Newton step leaves it unchanged, so only that step's two exact
+    # determinants run
     calls = []
 
     def counted(lam, mu):
@@ -269,12 +273,12 @@ def test_polish_stops_at_its_fixed_point(chain7, monkeypatch):
         return delta_n(lam, mu)
 
     monkeypatch.setattr(zerofind, "delta_n", counted)
-    _, scale = delta_with_scale(chain7.lam, chain7.mu)
-    target = 1e-3 * chain7.tolerances["residual_rel"] * scale
-    polished, det = zerofind._polish_flat_direction(chain7.lam, chain7.mu, target)
-    assert polished == chain7.mu
+    _, scale = delta_with_scale(chain8.lam, chain8.mu)
+    target = 1e-3 * chain8.tolerances["residual_rel"] * scale
+    polished, det = zerofind._polish_flat_direction(chain8.lam, chain8.mu, target)
+    assert polished == chain8.mu
     assert len(calls) == 2
-    assert abs(det) / scale == chain7.residual_rel
+    assert abs(det) / scale == chain8.residual_rel
 
 
 def test_polish_returns_the_exact_determinant_at_its_mu(chain6):
@@ -334,13 +338,71 @@ def test_lift_certificates_recertify(chain6):
         node = node.parent
 
 
-def test_rouche_bound_violated_on_coarse_step(dim3_cert):
-    config = LiftConfig(append_modulus_step=0.5, max_retries=0)
-    with pytest.raises(RoucheBoundViolated):
-        lift_zero(dim3_cert, config=config)
-    # allowing retries turns the same configuration into a success
-    lifted = lift_zero(dim3_cert, config=LiftConfig(append_modulus_step=0.5, max_retries=24))
-    assert lifted.residual_rel < 1e-8
+def _assert_every_node_checks(cert):
+    node = cert
+    while node is not None:
+        node.validate()
+        assert recertify(node)["residual_rel"] <= node.tolerances["residual_rel"]
+        node = node.parent
+
+
+def test_lift_reaches_n8(chain7, chain8):
+    assert chain8.n == 8 and chain8.parent == chain7
+    _assert_every_node_checks(chain8)
+
+
+@pytest.mark.parametrize("rho, mu1", [(0.995, 0.9995), (0.9955, 0.99925)])
+def test_chain7_certifies_at_the_band_edge(rho, mu1):
+    _assert_every_node_checks(build_certificate_chain(7, rho=rho, mu1_modulus=mu1))
+
+
+def _appended_rungs(monkeypatch):
+    """Record the appended coordinate of every rung lift_zero tries."""
+    rungs = []
+    fiber = zerofind.fiber_polynomial
+
+    def spy(rest, mu):
+        rungs.append(mu[-1])
+        return fiber(rest, mu)
+
+    monkeypatch.setattr(zerofind, "fiber_polynomial", spy)
+    return rungs
+
+
+def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
+    rungs = _appended_rungs(monkeypatch)
+    with pytest.raises(CertificationFailure, match="24 rungs"):
+        lift_zero(dim3_cert, tol=1e-300)
+    assert len(rungs) == zerofind._LIFT_CANDIDATES == 24
+    # the ladder s = 2^-1, 2^-2, ... with t = sqrt(1 - s), real and positive
+    assert rungs == [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
+
+
+def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
+    # the n = 8 lift passes the rungs of the earlier lifts; at those, two
+    # rows agree and the exact determinant is 0 at any first coordinate
+    rungs = _appended_rungs(monkeypatch)
+    polished = []
+    polish = zerofind._polish_flat_direction
+
+    def spy(lam, mu, target):
+        polished.append(lam)
+        return polish(lam, mu, target)
+
+    monkeypatch.setattr(zerofind, "_polish_flat_direction", spy)
+    lifted = lift_zero(chain7)
+    repeats = [t for t in rungs if t in chain7.lam]
+    assert repeats and lifted.lam[-1] not in repeats
+    assert all(len(set(lam)) == len(lam) for lam in polished)
+    assert len(set(lifted.lam)) == 8 and len(set(lifted.mu)) == 8
+
+
+def test_lift_zero_is_the_fiber_root_nearest_lam1(chain6):
+    # the polish moves mu afterwards, so the fiber is the parent's mu and t
+    parent = chain6.parent
+    q = zerofind.fiber_polynomial(chain6.lam[1:], (*parent.mu, chain6.lam[-1]))
+    roots = np.roots(q)
+    assert chain6.lam[0] == min(roots, key=lambda r: abs(r - parent.lam[0]))
 
 
 def test_lift_requires_witness(dim3_cert):
@@ -413,17 +475,6 @@ def test_moment_identity_at_certificate(dim3_cert):
 
     out = moment_identity_check(dim3_cert.lam, dim3_cert.mu)
     assert out["max_rel_diff"] < 1e-9
-
-
-def test_slice_is_the_exact_determinant_without_its_scale(dim3_cert, monkeypatch):
-    from symdisc.zerofind import slice_determinant
-
-    f = slice_determinant(dim3_cert.lam, dim3_cert.mu)
-    for x in (0.3, -0.2 + 0.1j, 0.25j):
-        det, _ = delta_with_scale((x, *dim3_cert.lam[1:]), dim3_cert.mu)
-        assert f(x) == det
-    monkeypatch.setattr("symdisc.kernel.cauchy_power_matrix", None)  # no scale is built
-    assert f(0.3) == delta_n((0.3, *dim3_cert.lam[1:]), dim3_cert.mu)
 
 
 def test_moment_identity_random_data(rng):
