@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactfield, kernel, zerofind
-from .errors import CertificationFailure, SymdiscError
+from .errors import CertificationFailure, InvalidScaling, SymdiscError
 from .zerofind import ZeroCertificate
 
 EXIT_OK = 0
@@ -270,6 +271,12 @@ def cmd_sample(args, cfg: RunConfig) -> int:
 
 
 def cmd_grid(args, cfg: RunConfig) -> int:
+    if args.res < 1:
+        print(f"grid: --res must be at least 1, got {args.res}", file=sys.stderr)
+        return EXIT_USAGE
+    if not (math.isfinite(args.width) and args.width > 0):
+        print(f"grid: --width must be finite and positive, got {args.width}", file=sys.stderr)
+        return EXIT_USAGE
     cert = _load_certificate(args.around, recheck=False)
     lam = np.asarray(cert.lam, dtype=complex)
     mu = np.asarray(cert.mu, dtype=complex)
@@ -386,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InvalidScaling) as exc:
         print(f"symdisc: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SymdiscError as exc:

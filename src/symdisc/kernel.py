@@ -11,9 +11,12 @@ and Cauchy's determinant cancel the Vandermonde product:
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
 Gray-code order.  The exact determinant is kept for the residuals of
-certified zeros, where floats would report rounding noise; it works on
-dyadic Gaussian integers with Bareiss's fraction-free elimination and
-rounds once, at the end.
+certified zeros, where floats would report rounding noise.  It is the
+same formula read backwards, det = V(lambda) V(conj mu) per C / prod B
+with V the Vandermonde product, evaluated on dyadic Gaussian integers:
+per C comes from Glynn's loop over Python ints after the rows of C are
+cleared of their denominators, and the value is rounded once, at the
+end.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -221,22 +224,32 @@ def _lu_det(slab: np.ndarray) -> np.ndarray:
 # A float coordinate is a dyadic rational: lambda_j = a_j / 2^e_j and
 # mu_k = b_k / 2^f_k with Gaussian integers a_j, b_k.  Then
 #
-#     1 - lambda_j conj(mu_k) = W_jk / 2^(e_j + f_k),
-#     W_jk = 2^(e_j + f_k) - a_j conj(b_k),
+#     B_jk = 1 - lambda_j conj(mu_k) = W_jk / 2^(e_j + f_k),
+#     W_jk = 2^(e_j + f_k) - a_j conj(b_k).
 #
-# so the Cauchy-power matrix has entries 2^(2 e_j + 2 f_k) / W_jk^2.  The
-# powers of two leave the rows and columns, and multiplying row j by
-# prod_l W_jl^2 turns it into E_jk = prod_{l != k} W_jl^2:
+# Borchardt's identity and Cauchy's determinant give the determinant of
+# the Cauchy-power matrix C o C, C = 1/B, as
 #
-#     det = 2^(2 sum e + 2 sum f) det E / prod_{j,l} W_jl^2.
+#     det(C o C) = det C * per C = V(lambda) V(conj mu) per C / prod_{j,k} B_jk
 #
-# det E comes from Bareiss's fraction-free elimination, whose only
-# divisions are exact divisions by the previous pivot, so no gcd is ever
-# taken.  Gaussian integers are (re, im) pairs of ints.
+# with V(x) = prod_{j<k} (x_j - x_k).  Multiplying row j of 1/W by
+# P_j = prod_l W_jl turns it into E_jk = prod_{l != k} W_jl, a Gaussian
+# integer, so per C = 2^(sum e + sum f) per E / prod_j P_j.  The powers of
+# two of V and prod B collect into one shift:
+#
+#     det = 2^(2 sum e + 2 sum f) v(a) v(conj b) per E / (prod_{j,l} W_jl)^2,
+#
+# where v(a) = prod_{j<k} (a_j 2^e_k - a_k 2^e_j).  per E is Glynn's sum
+# in Gray-code order, as in permanent(), over (re, im) pairs of Python
+# ints; the only division is the last one, which rounds once.
 
 
 def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    """Product of two Gaussian integers with three real multiplications
+    (Gauss's trick), which pays on integers of thousands of bits."""
+    (ar, ai), (br, bi) = a, b
+    k = br * (ar + ai)
+    return k - ai * (br + bi), k + ar * (bi - br)
 
 
 def _dyadic(c: complex) -> tuple[tuple[int, int], int]:
@@ -248,44 +261,46 @@ def _dyadic(c: complex) -> tuple[tuple[int, int], int]:
     return (pr << (e - er), pi << (e - ei)), e
 
 
-def _bareiss_det(m: list) -> tuple[int, int]:
-    """Determinant of a square Gaussian-integer matrix (rows are
-    overwritten) by Bareiss elimination with row swaps past zero pivots.
+def _vandermonde_int(points) -> tuple[int, int]:
+    """v(a) = prod_{j<k} (a_j 2^e_k - a_k 2^e_j) for dyadic (a_j, e_j)."""
+    v = (1, 0)
+    for j, ((ar, ai), e) in enumerate(points):
+        for (br, bi), f in points[j + 1 :]:
+            v = _gmul(v, ((ar << f) - (br << e), (ai << f) - (bi << e)))
+    return v
 
-    Complex products take three real multiplications (Gauss's trick),
-    which pays on integers of thousands of bits.
-    """
-    n = len(m)
-    sign = 1
-    qr, qi, norm = 1, 0, 1  # the previous pivot and its squared modulus
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
-        if piv is None:
-            return (0, 0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        (pr, pi), row_k = m[k][k], m[k]
-        for r in range(k + 1, n):
-            row = m[r]
-            ar, ai = row[k]
-            for c in range(k + 1, n):
-                xr, xi = row[c]
-                yr, yi = row_k[c]
-                # t = pivot * x - a * y
-                u = xr * (pr + pi)
-                v = yr * (ar + ai)
-                tr = u - pi * (xr + xi) - v + ai * (yr + yi)
-                ti = u + pr * (xi - xr) - v - ar * (yi - yr)
-                if norm == 1:
-                    row[c] = (tr, ti)
-                else:
-                    # t / previous pivot = t * conj(q) / |q|^2, exactly
-                    u = qr * (tr + ti)
-                    row[c] = ((u - ti * (qr - qi)) // norm, (u - tr * (qi + qr)) // norm)
-        qr, qi, norm = pr, pi, pr * pr + pi * pi
-    dr, di = m[n - 1][n - 1]
-    return (dr, di) if sign > 0 else (-dr, -di)
+
+def _glynn_sum(rows) -> tuple[int, int]:
+    """2^(n-1) per E for a square matrix of Gaussian integers given as
+    rows of (re, im) pairs: the exact form of permanent()'s loop."""
+    n = len(rows)
+    sr = [sum(row[k][0] for row in rows) for k in range(n)]
+    si = [sum(row[k][1] for row in rows) for k in range(n)]
+    twice = [([2 * x for x, _ in row], [2 * y for _, y in row]) for row in rows]
+    flipped = [False] * n
+    tr = ti = 0
+    for step in range(1 << (n - 1)):
+        if step:
+            j = (step & -step).bit_length()  # the sign flipped at this step, 1..n-1
+            dr, di = twice[j]
+            if flipped[j]:
+                sr = [s + d for s, d in zip(sr, dr)]
+                si = [s + d for s, d in zip(si, di)]
+            else:
+                sr = [s - d for s, d in zip(sr, dr)]
+                si = [s - d for s, d in zip(si, di)]
+            flipped[j] = not flipped[j]
+        pr, pi = sr[0], si[0]
+        for xr, xi in zip(sr[1:], si[1:]):
+            k = xr * (pr + pi)
+            pr, pi = k - pi * (xr + xi), k + pr * (xi - xr)
+        if step & 1:
+            tr -= pr
+            ti -= pi
+        else:
+            tr += pr
+            ti += pi
+    return tr, ti
 
 
 def delta_exact(lam, mu) -> tuple[int, int, int]:
@@ -297,33 +312,36 @@ def delta_exact(lam, mu) -> tuple[int, int, int]:
     if len(b) != n:
         raise ValueError("tuples must have the same dimension")
     rows = []
-    den = (1, 0)
+    prod_w = (1, 0)
     for (gr, gi), e in a:
-        squares = []
+        ws = []
         for (hr, hi), f in b:
             wr = (1 << (e + f)) - gr * hr - gi * hi
             wi = gr * hi - gi * hr
             if not (wr or wi):
                 raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-            squares.append((wr * wr - wi * wi, 2 * wr * wi))
-        # E_jk = prod_{l != k} W_jl^2 from prefix and suffix products
+            ws.append((wr, wi))
+        # E_jk = prod_{l != k} W_jl from prefix and suffix products
         prefix = [(1, 0)]
-        for sq in squares[:-1]:
-            prefix.append(_gmul(prefix[-1], sq))
+        for w in ws[:-1]:
+            prefix.append(_gmul(prefix[-1], w))
         row = [None] * n
         suffix = (1, 0)
         for k in range(n - 1, -1, -1):
             row[k] = _gmul(prefix[k], suffix)
-            suffix = _gmul(suffix, squares[k])
+            suffix = _gmul(suffix, ws[k])
         rows.append(row)
-        den = _gmul(den, suffix)  # suffix is now prod_l W_jl^2
-    nr, ni = _bareiss_det(rows)
+        prod_w = _gmul(prod_w, suffix)  # suffix is now P_j
+    vr, vi = _vandermonde_int(b)
+    v = _gmul(_vandermonde_int(a), (vr, -vi))  # v(conj b) = conj(v(b))
+    per_r, per_i = _glynn_sum(rows)
+    # Glynn's sum is 2^(n-1) per E, so these shifts are exact
+    x = _gmul(v, (per_r >> (n - 1), per_i >> (n - 1)))
+    # x / d = x conj(d) / |d|^2 with d = (prod W)^2
+    dr, di = _gmul(prod_w, prod_w)
+    re, im = _gmul(x, (dr, -di))
     shift = 2 * (sum(e for _, e in a) + sum(f for _, f in b))
-    # (nr + i ni) / den = (nr + i ni) conj(den) / |den|^2
-    dr, di = den
-    re = (nr * dr + ni * di) << shift
-    im = (ni * dr - nr * di) << shift
-    return re, im, dr * dr + di * di
+    return re << shift, im << shift, dr * dr + di * di
 
 
 def delta_n(lam, mu) -> complex:

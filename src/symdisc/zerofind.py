@@ -584,6 +584,8 @@ def sample_nonvanishing(
         raise ValueError(f"unknown mode {mode!r}; choose from {SAMPLING_MODES}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     if mode == "g2_full":
         lams = _draw_disc(rng, (samples, 2))

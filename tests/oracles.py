@@ -6,7 +6,8 @@ coordinates comes from the exact determinant over the Vandermonde
 product rather than from the permanent formula, and the kernel at
 coincident coordinates from Richardson extrapolation of that route.
 The exact determinant itself is checked against pivoted elimination
-over Fractions, the stacked extended-precision LU against its
+over Fractions and against Bareiss elimination over dyadic Gaussian
+integers (the route it replaced), the stacked extended-precision LU against its
 one-matrix loop, and the stacked dimension-3 cross-checks against their
 per-sample loops.
 """
@@ -97,6 +98,80 @@ def fraction_delta(lam, mu):
     if sign < 0:
         det = (-det[0], -det[1])
     return complex(float(det[0]), float(det[1]))
+
+
+def _dyadic_pair(c):
+    """(g, e) with c = g / 2^e, g a Gaussian integer as an (re, im) pair."""
+    pr, qr = c.real.as_integer_ratio()
+    pi, qi = c.imag.as_integer_ratio()
+    er, ei = qr.bit_length() - 1, qi.bit_length() - 1
+    e = max(er, ei)
+    return (pr << (e - er), pi << (e - ei)), e
+
+
+def _bareiss_det(m):
+    """Determinant of a square Gaussian-integer matrix (rows are
+    overwritten) by Bareiss elimination with row swaps past zero pivots;
+    every division is exact."""
+    n = len(m)
+    sign = 1
+    prev, norm = (1, 0), 1  # the previous pivot and its squared modulus
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
+        if piv is None:
+            return (0, 0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for r in range(k + 1, n):
+            row = m[r]
+            for c in range(k + 1, n):
+                t = _rc_sub(_rc_mul(pivot, row[c]), _rc_mul(row[k], row_k[c]))
+                # t / prev = t conj(prev) / |prev|^2, exactly
+                tr, ti = _rc_mul(t, (prev[0], -prev[1]))
+                row[c] = (tr // norm, ti // norm)
+        prev, norm = pivot, pivot[0] ** 2 + pivot[1] ** 2
+    dr, di = m[n - 1][n - 1]
+    return (dr, di) if sign > 0 else (-dr, -di)
+
+
+def bareiss_delta(lam, mu):
+    """Determinant of the Cauchy-power matrix by Bareiss elimination over
+    dyadic Gaussian integers, correctly rounded to a complex.
+
+    With lambda_j = a_j / 2^e_j, mu_k = b_k / 2^f_k and
+    W_jk = 2^(e_j + f_k) - a_j conj(b_k), row j times prod_l W_jl^2 is
+    E_jk = prod_{l != k} W_jl^2, and
+    det = 2^(2 sum e + 2 sum f) det E / prod_{j,l} W_jl^2.  Raises
+    ZeroDivisionError when some W_jk vanishes.
+    """
+    a = [_dyadic_pair(complex(c)) for c in lam]
+    b = [_dyadic_pair(complex(c)) for c in mu]
+    rows = []
+    den = (1, 0)
+    for (gr, gi), e in a:
+        squares = []
+        for (hr, hi), f in b:
+            w = ((1 << (e + f)) - gr * hr - gi * hi, gr * hi - gi * hr)
+            if w == (0, 0):
+                raise ZeroDivisionError("some 1 - lambda_j*conj(mu_k) vanishes")
+            squares.append(_rc_mul(w, w))
+        row = []
+        for k in range(len(b)):
+            entry = (1, 0)
+            for l, sq in enumerate(squares):
+                if l != k:
+                    entry = _rc_mul(entry, sq)
+            row.append(entry)
+        rows.append(row)
+        for sq in squares:
+            den = _rc_mul(den, sq)
+    nr, ni = _bareiss_det(rows)
+    shift = 2 * (sum(e for _, e in a) + sum(f for _, f in b))
+    re, im = _rc_mul((nr << shift, ni << shift), (den[0], -den[1]))
+    norm = den[0] ** 2 + den[1] ** 2
+    return complex(re / norm, im / norm)
 
 
 def loop_det_pivoted(matrix):

@@ -66,6 +66,14 @@ def test_find_zero_rejects_small_dimension(capsys):
     assert run(["find-zero", "2"]) == 2
 
 
+@pytest.mark.parametrize("scaling", [["--rho", "1.5"], ["--rho", "0.9999", "--mu1", "0.999"]])
+def test_find_zero_rejects_bad_scaling_as_usage(scaling, capsys):
+    # 0 < rho < mu1 < 1 is a condition on the input, so exit 2, not 3
+    assert run(["find-zero", "7", *scaling]) == 2
+    err = capsys.readouterr().err
+    assert "need 0 < rho < mu1_modulus < 1" in err and "numerical failure" not in err
+
+
 def test_find_zero_reproducible(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -211,6 +219,31 @@ def test_sample_subcommand_reproducible(tmp_path):
     payload = json.loads(a.read_text())
     assert payload["min_scaled_abs"] > 0
     assert payload["zero_found"] is False
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_rejects_non_positive_dimension(n, capsys):
+    assert run(["sample", "diagonal", "--n", n, "--count", "10"]) == 2
+    assert "n must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--res", "0"], "--res must be at least 1"),
+        (["--res", "-3"], "--res must be at least 1"),
+        (["--width", "nan"], "--width must be finite and positive"),
+        (["--width", "inf"], "--width must be finite and positive"),
+        (["--width", "0"], "--width must be finite and positive"),
+        (["--width", "-0.01"], "--width must be finite and positive"),
+    ],
+)
+def test_grid_rejects_bad_resolution_and_width(flags, message, tmp_path, capsys):
+    # rejected before the certificate is read: the file need not exist
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(tmp_path / "missing.json"), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_subcommand(tmp_path):

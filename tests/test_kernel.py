@@ -26,6 +26,7 @@ from symdisc.symcore import elem_sym, roots_from_sym
 
 from .conftest import draw_disc_tuple
 from .oracles import (
+    bareiss_delta,
     exact_kernel,
     extrapolated_confluent_kernel,
     fraction_delta,
@@ -88,6 +89,59 @@ def test_delta_exact_is_a_reduced_form_of_the_value():
     re, im, den = kernel.delta_exact([0, 0.5], [0, 0.5])
     assert den > 0 and im == 0
     assert re * 9 == 7 * den
+
+
+def test_delta_matches_bareiss_elimination(rng):
+    # Cauchy's product times the exact Glynn permanent against the
+    # Bareiss route it replaced: both round the same exact value once
+    for n in range(2, 10):
+        for _ in range(3 if n < 8 else 1):
+            lam = draw_disc_tuple(rng, n, radius=0.999)
+            mu = draw_disc_tuple(rng, n, radius=0.999)
+            assert _same(delta_n(lam, mu), bareiss_delta(lam, mu))
+            assert _same(delta_n(mu, lam), bareiss_delta(mu, lam))
+
+
+def test_delta_matches_bareiss_at_tiny_and_zero_coordinates(rng):
+    for n in (2, 3, 5):
+        rest_lam, mu = draw_disc_tuple(rng, n - 1), draw_disc_tuple(rng, n)
+        for first in (1e-300, -0.7e-300j, 0j):
+            lam = (first, *rest_lam)
+            assert _same(delta_n(lam, mu), bareiss_delta(lam, mu))
+            assert _same(delta_n(mu, lam), bareiss_delta(mu, lam))
+
+
+def test_delta_is_positive_zero_at_repeated_coordinates(rng):
+    # two equal rows or columns: the determinant is exactly +0.0 + 0.0j,
+    # as the elimination finds it
+    for n in (2, 3, 6):
+        lam = list(draw_disc_tuple(rng, n))
+        mu = list(draw_disc_tuple(rng, n))
+        rep_lam, rep_mu = lam[:1] + lam[:-1], mu[:1] + mu[:-1]  # first coordinate twice
+        for x, y in ((rep_lam, mu), (lam, rep_mu), (rep_lam, rep_mu)):
+            d = delta_n(x, y)
+            assert _same(d, bareiss_delta(x, y))
+            assert _same(d, 0j)
+            re, im, den = kernel.delta_exact(x, y)
+            assert re == im == 0 and den > 0
+    # two zero lambda coordinates: two rows of ones
+    assert _same(delta_n((0j, 0j, 0.5), (0.3, 0.2j, -0.4)), 0j)
+
+
+def test_delta_singular_entry_at_repeated_coordinates():
+    # W_jk = 0 is reported even where a repeated coordinate makes the
+    # determinant vanish anyway
+    cases = [
+        ((0.5, 0.25j), (2.0, 0.1)),  # 1 - 0.5 * 2 = 0
+        ((0.5, 0.5), (2.0, 0.1)),  # and lambda repeats
+        ((0.5, 0.25j), (2.0, 2.0)),  # and mu repeats
+        ((0.5j, 0.5j, 0.1), (2j, 2j, 0.3)),  # 0.5j * conj(2j) = 1, both repeat
+    ]
+    for lam, mu in cases:
+        with pytest.raises(SingularEntry):
+            delta_n(lam, mu)
+        with pytest.raises(ZeroDivisionError):
+            bareiss_delta(lam, mu)
 
 
 def test_det_pivoted_stack_matches_loop(rng):

@@ -33,7 +33,7 @@ from symdisc.zerofind import (
     TORUS_BASE,
 )
 
-from .oracles import fraction_delta
+from .oracles import bareiss_delta, fraction_delta
 
 component = st.floats(-5, 5).filter(lambda x: x == 0 or abs(x) > 1e-6)
 coeff = st.builds(complex, component, component)
@@ -258,6 +258,14 @@ def test_delta_matches_fraction_elimination_along_chain7(chain7):
     node = chain7
     while node is not None:
         assert delta_n(node.lam, node.mu) == fraction_delta(node.lam, node.mu)
+        node = node.parent
+
+
+def test_delta_matches_bareiss_along_chain8(chain8):
+    # the polished mu coordinates near 0 carry dyadic exponents up to 98
+    node = chain8
+    while node is not None:
+        assert _hex_pairs([delta_n(node.lam, node.mu)]) == _hex_pairs([bareiss_delta(node.lam, node.mu)])
         node = node.parent
 
 
