@@ -3,7 +3,7 @@
 Evaluation via the Cauchy permanent formula
 K = per C / (pi^n prod_{j,k} (1 - lambda_j conj(mu_k))), which is smooth
 at coincident preimage coordinates; certified construction of kernel
-zeros in every dimension n >= 3 (residuals from the exact determinant);
+zeros in every dimension n >= 3 (residuals from the exact permanent);
 sampling experiments for the dimensions where no zeros are expected;
 and exact-arithmetic verification of the algebraic identities behind
 the dimension-3 closed form.

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "text"
-    tol_dim3: float = zerofind.DEFAULT_TOL_DIM3
-    tol_lift: float = zerofind.DEFAULT_TOL_LIFT
 
 
 def parse_complex(text: str) -> complex:
@@ -50,9 +40,9 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _write_output(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -67,20 +57,23 @@ def _fmt_complex(c: complex) -> str:
 # --- verify-paper -------------------------------------------------------------
 
 
-def cmd_verify_paper(args, cfg: RunConfig) -> int:
+def cmd_verify_paper(args) -> int:
+    if args.samples < 1:
+        print(f"verify-paper: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
     reports = [
         exactfield.verify_base_point_identities(fault=args.fault_inject),
         exactfield.verify_bracket_identities(),
     ]
     numeric = exactfield.VerificationReport("numeric cross-checks")
-    closed = kernel.closed_form_comparison(samples=args.samples, seed=cfg.seed)
+    closed = kernel.closed_form_comparison(samples=args.samples, seed=args.seed)
     numeric.add(
         "closed-form-vs-permanent",
         f"dimension-3 closed form matches the permanent formula per C / (pi^n prod B) at {closed['samples']} points (1e-9 relative)",
         closed["max_rel_diff"] < 1e-9,
         detail=f"max relative difference {closed['max_rel_diff']:.3e}",
     )
-    chain = kernel.reduction_chain_check(samples=max(50, args.samples // 5), seed=cfg.seed + 1)
+    chain = kernel.reduction_chain_check(samples=max(50, args.samples // 5), seed=args.seed + 1)
     numeric.add(
         "reduction-chain",
         f"all stages of the two-column reduction agree at {chain['samples']} points (1e-9 relative)",
@@ -100,7 +93,7 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
         worst < 1e-14,
         detail=f"max relative difference {worst:.3e}",
     )
-    cert = zerofind.construct_zero_dim3(seed=cfg.seed)
+    cert = zerofind.construct_zero_dim3(seed=args.seed)
     moments = zerofind.moment_identity_check(cert.lam, cert.mu)
     numeric.add(
         "slice-moment-identity",
@@ -113,28 +106,28 @@ def cmd_verify_paper(args, cfg: RunConfig) -> int:
     reports.append(numeric)
 
     all_passed = all(r.passed for r in reports)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "passed": all_passed,
             "reports": [r.to_dict() for r in reports],
         }
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True))
+        _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
     else:
         blocks = [r.to_text() for r in reports]
         total = sum(len(r.checks) for r in reports)
         failed = sum(len(r.failures()) for r in reports)
         blocks.append(f"# {total - failed}/{total} checks passed")
-        _write_output(cfg, "\n\n".join(blocks))
+        _write_output(args.out, "\n\n".join(blocks))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 # --- find-zero / lift ----------------------------------------------------------
 
 
-def _emit_certificate(cert: ZeroCertificate, cfg: RunConfig) -> None:
+def _emit_certificate(cert: ZeroCertificate, out: str | None) -> None:
     text = json.dumps(cert.to_dict(), indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     chain = []
     node = cert
@@ -147,11 +140,11 @@ def _emit_certificate(cert: ZeroCertificate, cfg: RunConfig) -> None:
             f"residual_rel={node.residual_rel:.3e} kernel_abs={node.kernel_abs:.3e} "
             f"witness_abs={node.fn_witness.value_abs:.3e}"
         )
-    if not cfg.out:
+    if not out:
         print(text)
 
 
-def cmd_find_zero(args, cfg: RunConfig) -> int:
+def cmd_find_zero(args) -> int:
     if args.n < 3:
         print("find-zero: kernel zeros exist for n >= 3 only", file=sys.stderr)
         return EXIT_USAGE
@@ -159,8 +152,7 @@ def cmd_find_zero(args, cfg: RunConfig) -> int:
         cert = zerofind.construct_zero_dim3(
             rho=args.rho if args.rho is not None else 0.999,
             mu1_modulus=args.mu1 if args.mu1 is not None else 0.9995,
-            tol=cfg.tol_dim3,
-            seed=cfg.seed,
+            seed=args.seed,
         )
     else:
         kwargs = {}
@@ -168,14 +160,8 @@ def cmd_find_zero(args, cfg: RunConfig) -> int:
             kwargs["rho"] = args.rho
         if args.mu1 is not None:
             kwargs["mu1_modulus"] = args.mu1
-        cert = zerofind.build_certificate_chain(
-            args.n,
-            tol_dim3=cfg.tol_dim3,
-            tol_lift=cfg.tol_lift,
-            seed=cfg.seed,
-            **kwargs,
-        )
-    _emit_certificate(cert, cfg)
+        cert = zerofind.build_certificate_chain(args.n, seed=args.seed, **kwargs)
+    _emit_certificate(cert, args.out)
     return EXIT_OK
 
 
@@ -195,17 +181,16 @@ def _load_certificate(path: str, recheck: bool) -> ZeroCertificate:
     return cert
 
 
-def cmd_lift(args, cfg: RunConfig) -> int:
+def cmd_lift(args) -> int:
     cert = _load_certificate(args.cert, recheck=True)
-    lifted = zerofind.lift_zero(cert, tol=cfg.tol_lift)
-    _emit_certificate(lifted, cfg)
+    _emit_certificate(zerofind.lift_zero(cert), args.out)
     return EXIT_OK
 
 
 # --- eval ----------------------------------------------------------------------
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     lam = tuple(args.lam)
     mu = tuple(args.mu)
     if len(lam) != args.n or len(mu) != args.n:
@@ -219,7 +204,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         print(f"eval: coordinates not in the open unit disc: {outside}", file=sys.stderr)
         return EXIT_USAGE
     ev = kernel.kernel_gn(lam, mu)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "value": [ev.value.real, ev.value.imag],
             "abs": abs(ev.value),
@@ -227,10 +212,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "scale": ev.scale,
             "permanent_rel": abs(ev.numerator) / ev.scale,
         }
-        _write_output(cfg, json.dumps(payload, indent=2, sort_keys=True))
+        _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
     else:
         _write_output(
-            cfg,
+            args.out,
             "\n".join(
                 [
                     f"K        = {_fmt_complex(ev.value)}  (|K| = {abs(ev.value):.6e})",
@@ -246,10 +231,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 # --- sample ---------------------------------------------------------------------
 
 
-def cmd_sample(args, cfg: RunConfig) -> int:
-    report = zerofind.sample_nonvanishing(args.mode, args.count, seed=cfg.seed, n=args.n)
-    if cfg.fmt == "json":
-        _write_output(cfg, json.dumps(report.to_dict(), indent=2, sort_keys=True))
+def cmd_sample(args) -> int:
+    report = zerofind.sample_nonvanishing(args.mode, args.count, seed=args.seed, n=args.n)
+    if args.fmt == "json":
+        _write_output(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         lines = [
             f"mode={report.mode} samples={report.samples} seed={report.seed}",
@@ -263,14 +248,14 @@ def cmd_sample(args, cfg: RunConfig) -> int:
                 f"diagonal: min real part {report.diag_min_real:.6e}, "
                 f"max |imag|/real {report.diag_max_imag_ratio:.3e}"
             )
-        _write_output(cfg, "\n".join(lines))
+        _write_output(args.out, "\n".join(lines))
     return EXIT_OK
 
 
 # --- grid -----------------------------------------------------------------------
 
 
-def cmd_grid(args, cfg: RunConfig) -> int:
+def cmd_grid(args) -> int:
     if args.res < 1:
         print(f"grid: --res must be at least 1, got {args.res}", file=sys.stderr)
         return EXIT_USAGE
@@ -313,7 +298,7 @@ def cmd_grid(args, cfg: RunConfig) -> int:
     # one format string for the whole table: no per-row string objects
     table = np.column_stack([flat.real, flat.imag, np.abs(values), np.angle(values)])
     row = "\n%.17g,%.17g,%.17g,%.17g"
-    _write_output(cfg, "re,im,abs_k,arg_k" + row * len(table) % tuple(table.ravel().tolist()))
+    _write_output(args.out, "re,im,abs_k,arg_k" + row * len(table) % tuple(table.ravel().tolist()))
     return EXIT_OK
 
 
@@ -321,41 +306,41 @@ def cmd_grid(args, cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    common.add_argument("--tol-cert", type=float, default=zerofind.DEFAULT_TOL_DIM3)
-    common.add_argument("--tol-lift", type=float, default=zerofind.DEFAULT_TOL_LIFT)
+    # the common options, each declared on the subcommands that read it
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default: stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
 
     parser = argparse.ArgumentParser(
         prog="symdisc",
         description="Bergman kernel of the symmetrized polydisc: evaluation, "
         "certified zeros, exact identity verification.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "verify-paper",
         help="run the exact and numeric identity suite",
-        parents=[common],
+        parents=[seed, out, fmt],
     )
     p.add_argument("--fault-inject", choices=("p-coeff",), default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("find-zero", help="construct a certified kernel zero", parents=[common])
+    p = sub.add_parser("find-zero", help="construct a certified kernel zero", parents=[seed, out])
     p.add_argument("n", type=int)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--mu1", type=float, default=None)
     p.set_defaults(func=cmd_find_zero)
 
-    p = sub.add_parser("lift", help="lift a certificate one dimension up", parents=[common])
+    p = sub.add_parser("lift", help="lift a certificate one dimension up", parents=[out])
     p.add_argument("--cert", required=True)
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("eval", help="evaluate the kernel at explicit tuples", parents=[common])
+    p = sub.add_parser("eval", help="evaluate the kernel at explicit tuples", parents=[out, fmt])
     # a single-dash token with a comma, such as -0.3,0 or -inf,0, is a
     # coordinate; argparse by default takes only plain negative numbers
     # for values and everything else starting with '-' for an option
@@ -365,13 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=parse_complex, nargs="+", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sample", help="sample families for small determinant values", parents=[common])
+    p = sub.add_parser(
+        "sample", help="sample families for small determinant values", parents=[seed, out, fmt]
+    )
     p.add_argument("mode", choices=zerofind.SAMPLING_MODES)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--n", type=int, default=3, help="dimension for diagonal mode")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("grid", help="CSV slice of |K| and arg(K) around a certificate", parents=[common])
+    p = sub.add_parser("grid", help="CSV slice of |K| and arg(K) around a certificate", parents=[out])
     p.add_argument("--around", required=True, help="certificate JSON file")
     p.add_argument("--axis", choices=("z", "lambda1", "mu2"), default="z")
     p.add_argument("--res", type=int, default=200)
@@ -382,17 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-        tol_dim3=args.tol_cert,
-        tol_lift=args.tol_lift,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError, InvalidScaling) as exc:
         print(f"symdisc: {exc}", file=sys.stderr)
         return EXIT_USAGE

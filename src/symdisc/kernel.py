@@ -10,13 +10,14 @@ and Cauchy's determinant cancel the Vandermonde product:
 
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
-Gray-code order.  The exact determinant is kept for the residuals of
-certified zeros, where floats would report rounding noise.  It is the
-same formula read backwards, det = V(lambda) V(conj mu) per C / prod B
-with V the Vandermonde product, evaluated on dyadic Gaussian integers:
-per C comes from Glynn's loop over Python ints after the rows of C are
-cleared of their denominators, and the value is rounded once, at the
-end.
+Gray-code order.  At a certified zero the float per C is rounding
+noise, so the residual of a certificate takes per C exactly at the
+stored float coordinates: they are dyadic Gaussian rationals, Glynn's
+loop runs over Python ints after the rows of C are cleared of their
+denominators, and the value is rounded once, at the end
+(permanent_exact).  The same sum times the Vandermonde products gives
+the exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
+prod B (delta_n), which the tests compare against elimination.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -29,10 +30,9 @@ it is a rational function of lambda_1 whose numerator, the fiber
 polynomial, is built from the permanents of the first-row minors; its
 roots are the first coordinates at which the kernel vanishes.
 
-det_pivoted, complex LU with partial pivoting in the platform's extended
-precision (80-bit on x86), takes one matrix or a stack of them; it
-serves the dimension-3 reduction checks and the slice moment identity.
-Batch helpers for sampling work in ordinary complex128.
+det_pivoted takes one matrix or a stack of them; it serves the
+dimension-3 reduction checks and the slice moment identity.  Batch
+helpers for sampling work in ordinary complex128.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ PI = math.pi
 
 # pairs per slab of batch_kernel: bounds the (n, n, chunk) work arrays
 _BATCH_CHUNK = 4096
-
-_LONGDOUBLE_COMPLEX = np.result_type(np.longdouble, np.complex64)
 
 
 @dataclass(frozen=True)
@@ -85,26 +83,16 @@ class QuadraticData:
     c: complex
 
 
-def _base_matrix(lam, mu, dtype=complex) -> np.ndarray:
+def _base_matrix(lam, mu) -> np.ndarray:
     """Matrix B with entries 1 - lambda_j * conj(mu_k); none may vanish."""
-    a = np.asarray(_coords(lam), dtype=dtype)
-    b = np.asarray(_coords(mu), dtype=dtype)
+    a = np.asarray(_coords(lam), dtype=complex)
+    b = np.asarray(_coords(mu), dtype=complex)
     if a.shape != b.shape:
         raise ValueError("tuples must have the same dimension")
     base = 1.0 - np.multiply.outer(a, np.conj(b))
     if np.any(base == 0):
         raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
     return base
-
-
-def cauchy_power_matrix(lam, mu, dtype=complex) -> np.ndarray:
-    """Matrix with entries (1 - lambda_j * conj(mu_k))^(-2)."""
-    return _base_matrix(lam, mu, dtype) ** -2
-
-
-def matrix_scale(m: np.ndarray) -> float:
-    """Max row norm (infinity norm), the residual reference scale."""
-    return float(np.max(np.sum(np.abs(m), axis=-1)))
 
 
 def permanent(c: np.ndarray) -> np.ndarray:
@@ -170,56 +158,15 @@ def fiber_polynomial(rest, mu) -> np.ndarray:
 
 
 def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
-    """Determinants by LU with partial pivoting in extended precision.
+    """Determinants in complex128 (LAPACK LU with partial pivoting).
 
     Takes one (n, n) matrix, which gives a complex, or a stack
-    (..., n, n), which gives a complex array of shape (...).  Each matrix
-    of a stack gets exactly the arithmetic it would get alone (its own
-    pivot row, swap, division and update), in slabs of _BATCH_CHUNK.
-    Intended for the small (n <= 16) matrices of this package; the
-    extended intermediate precision lowers the cancellation floor by
-    roughly three orders of magnitude versus complex128.
+    (..., n, n), which gives a complex array of shape (...).
     """
-    a = np.asarray(matrix)
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    out = np.empty(len(stack), dtype=complex)
-    for lo in range(0, len(stack), _BATCH_CHUNK):
-        out[lo : lo + _BATCH_CHUNK] = _lu_det(stack[lo : lo + _BATCH_CHUNK])
-    if a.ndim == 2:
-        return complex(out[0])
-    return out.reshape(a.shape[:-2])
+    return _complex_if_scalar(np.linalg.det(np.asarray(matrix, dtype=complex)))
 
 
-def _lu_det(slab: np.ndarray) -> np.ndarray:
-    """Extended-precision determinants of a (count, n, n) stack."""
-    a = np.array(slab, dtype=_LONGDOUBLE_COMPLEX)
-    count, n, _ = a.shape
-    sign = np.ones(count)
-    singular = None
-    for k in range(n - 1):
-        p = k + np.abs(a[:, k:, k]).argmax(axis=1)
-        (swap,) = (p != k).nonzero()
-        if swap.size:
-            a[swap, k], a[swap, p[swap]] = a[swap, p[swap]], a[swap, k]
-            sign[swap] = -sign[swap]
-        zero = a[:, k, k] == 0
-        if zero.any():
-            # an all-zero pivot column: the determinant is 0; a unit pivot
-            # keeps the remaining steps of that matrix finite
-            singular = zero if singular is None else singular | zero
-            a[zero, k, k] = 1
-        a[:, k + 1 :, k] /= a[:, k, k, None]
-        a[:, k + 1 :, k + 1 :] -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
-    d = a[:, 0, 0] * sign
-    for k in range(1, n):
-        d = d * a[:, k, k]
-    if singular is not None:
-        d[singular] = 0
-    return d
-
-
-# --- exact determinant ---------------------------------------------------------
+# --- exact permanent and determinant ----------------------------------------
 #
 # A float coordinate is a dyadic rational: lambda_j = a_j / 2^e_j and
 # mu_k = b_k / 2^f_k with Gaussian integers a_j, b_k.  Then
@@ -227,21 +174,22 @@ def _lu_det(slab: np.ndarray) -> np.ndarray:
 #     B_jk = 1 - lambda_j conj(mu_k) = W_jk / 2^(e_j + f_k),
 #     W_jk = 2^(e_j + f_k) - a_j conj(b_k).
 #
-# Borchardt's identity and Cauchy's determinant give the determinant of
-# the Cauchy-power matrix C o C, C = 1/B, as
+# So C_jk = 1/B_jk = 2^e_j 2^f_k E_jk / P_j with P_j = prod_l W_jl and
+# the Gaussian integer E_jk = prod_{l != k} W_jl.  The permanent is
+# linear in each row and each column, so the factors come out:
 #
-#     det(C o C) = det C * per C = V(lambda) V(conj mu) per C / prod_{j,k} B_jk
+#     per C = 2^(sum e + sum f) per E / prod_{j,l} W_jl.
 #
-# with V(x) = prod_{j<k} (x_j - x_k).  Multiplying row j of 1/W by
-# P_j = prod_l W_jl turns it into E_jk = prod_{l != k} W_jl, a Gaussian
-# integer, so per C = 2^(sum e + sum f) per E / prod_j P_j.  The powers of
-# two of V and prod B collect into one shift:
+# per E is Glynn's sum in Gray-code order, as in permanent(), over
+# (re, im) pairs of Python ints; the only division is the last one,
+# which rounds once.  Borchardt's identity and Cauchy's determinant give
+# the determinant of the Cauchy-power matrix C o C from the same sum,
 #
-#     det = 2^(2 sum e + 2 sum f) v(a) v(conj b) per E / (prod_{j,l} W_jl)^2,
+#     det(C o C) = V(lambda) V(conj mu) per C / prod_{j,k} B_jk
+#                = 2^(2 sum e + 2 sum f) v(a) v(conj b) per E / (prod W)^2,
 #
-# where v(a) = prod_{j<k} (a_j 2^e_k - a_k 2^e_j).  per E is Glynn's sum
-# in Gray-code order, as in permanent(), over (re, im) pairs of Python
-# ints; the only division is the last one, which rounds once.
+# with V(x) = prod_{j<k} (x_j - x_k) and
+# v(a) = prod_{j<k} (a_j 2^e_k - a_k 2^e_j).
 
 
 def _gmul(a, b):
@@ -303,9 +251,10 @@ def _glynn_sum(rows) -> tuple[int, int]:
     return tr, ti
 
 
-def delta_exact(lam, mu) -> tuple[int, int, int]:
-    """Determinant of the Cauchy-power matrix as an exact complex rational:
-    ints (re, im, den) with det = (re + i im) / den and den > 0."""
+def _cleared_permanent(lam, mu):
+    """(a, b, per E, prod W) for a pair of float tuples: the dyadic
+    coordinates, the permanent of the cleared rows E and the product of
+    every W_jk, all exact."""
     a = [_dyadic(c) for c in _coords(lam)]
     b = [_dyadic(c) for c in _coords(mu)]
     n = len(a)
@@ -332,11 +281,30 @@ def delta_exact(lam, mu) -> tuple[int, int, int]:
             suffix = _gmul(suffix, ws[k])
         rows.append(row)
         prod_w = _gmul(prod_w, suffix)  # suffix is now P_j
-    vr, vi = _vandermonde_int(b)
-    v = _gmul(_vandermonde_int(a), (vr, -vi))  # v(conj b) = conj(v(b))
     per_r, per_i = _glynn_sum(rows)
     # Glynn's sum is 2^(n-1) per E, so these shifts are exact
-    x = _gmul(v, (per_r >> (n - 1), per_i >> (n - 1)))
+    return a, b, (per_r >> (n - 1), per_i >> (n - 1)), prod_w
+
+
+def permanent_exact(lam, mu) -> complex:
+    """per C for the pair (lam, mu), C = 1/B, computed exactly at the
+    given float coordinates and rounded once (int true division rounds
+    correctly)."""
+    a, b, per, (dr, di) = _cleared_permanent(lam, mu)
+    # per E / prod W = per E conj(prod W) / |prod W|^2
+    re, im = _gmul(per, (dr, -di))
+    shift = sum(e for _, e in a) + sum(f for _, f in b)
+    den = dr * dr + di * di
+    return complex((re << shift) / den, (im << shift) / den)
+
+
+def delta_exact(lam, mu) -> tuple[int, int, int]:
+    """Determinant of the Cauchy-power matrix as an exact complex rational:
+    ints (re, im, den) with det = (re + i im) / den and den > 0."""
+    a, b, per, prod_w = _cleared_permanent(lam, mu)
+    vr, vi = _vandermonde_int(b)
+    v = _gmul(_vandermonde_int(a), (vr, -vi))  # v(conj b) = conj(v(b))
+    x = _gmul(v, per)
     # x / d = x conj(d) / |d|^2 with d = (prod W)^2
     dr, di = _gmul(prod_w, prod_w)
     re, im = _gmul(x, (dr, -di))
@@ -354,11 +322,6 @@ def delta_n(lam, mu) -> complex:
     """
     re, im, den = delta_exact(lam, mu)
     return complex(re / den, im / den)
-
-
-def delta_with_scale(lam, mu) -> tuple[complex, float]:
-    m = cauchy_power_matrix(lam, mu)
-    return delta_n(lam, mu), matrix_scale(m)
 
 
 def kernel_gn(lam, mu) -> KernelEval:

@@ -2,19 +2,20 @@
 
 The dimension-3 construction scales a fixed unimodular triple slightly
 into the polydisc, solves the closed-form quadratic for the ratio of the
-two nonzero mu coordinates, and certifies that the Cauchy-power
-determinant vanishes at the resulting pair.  Higher dimensions are
-reached inductively: append a common coordinate t = sqrt(1 - s) to both
-tuples, on the fixed ladder s = 2^-1, 2^-2, ..., and move the first
-lambda coordinate to the nearest root of the fiber polynomial
-(kernel.fiber_polynomial), whose roots are exactly the first
-coordinates at which the lifted kernel vanishes.  An exact Newton step
-along the flattest mu direction then absorbs the float rounding of the
-root.
+two nonzero mu coordinates, and certifies that the kernel vanishes at
+the resulting pair.  Higher dimensions are reached inductively: append
+a common coordinate t = sqrt(1 - s) to both tuples, on the fixed ladder
+s = 2^-1, 2^-2, ..., and move the first lambda coordinate to the nearest
+root of the fiber polynomial (kernel.fiber_polynomial), whose roots are
+exactly the first coordinates at which the lifted kernel vanishes.  The
+float root certifies as it stands.
 
-Certification is post hoc throughout: an emitted certificate evaluates
-the exact determinant at its points and checks the residual against the
-stated tolerance.  count_zeros_disc, a winding-number zero count, is a
+Certification is post hoc throughout: K = per C / (pi^n prod B), and
+an emitted certificate stores the cancellation ratio |per C| / per |C|
+at its points, with per C exact at the stored float coordinates
+(kernel.permanent_exact) and per |C| in floats.  The ratio is at most 1
+and does not change when the matrix C is scaled, so one tolerance
+serves every n.  count_zeros_disc, a winding-number zero count, is a
 standalone tool; the lift does not use it.
 """
 
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import exactfield
 from .errors import (
     CertificationFailure,
     ContourTooClose,
@@ -37,26 +39,19 @@ from .errors import (
     WitnessNotFound,
 )
 from .kernel import (
-    PI,
     QuadraticData,
     abc_coeffs,
     batch_cauchy_power,
-    cauchy_power_matrix,
-    delta_n,
-    delta_with_scale,
     det_pivoted,
     fiber_polynomial,
-    matrix_scale,
+    kernel_gn,
+    permanent_exact,
 )
-from .symcore import vandermonde_pair
 
-# unimodular base triple of the construction and the reference root of the
-# induced real quadratic p(x) = (3 sqrt3 - 5) x^2 + (3 sqrt6 - 6 sqrt2) x + (4 sqrt3 - 6)
-TORUS_BASE = (
-    cmath.exp(1j * math.pi / 6),
-    cmath.exp(1j * math.pi / 3),
-    cmath.exp(-1j * math.pi / 6),
-)
+# unimodular base triple of the construction, correctly rounded from its
+# exact phases, and the reference root of the induced real quadratic
+# p(x) = (3 sqrt3 - 5) x^2 + (3 sqrt6 - 6 sqrt2) x + (4 sqrt3 - 6)
+TORUS_BASE = tuple(complex(w) for w in exactfield.TORUS_BASE)
 
 
 def base_root_x() -> float:
@@ -96,9 +91,13 @@ class FnWitness:
 class ZeroCertificate:
     """Machine-checkable record of a kernel zero.
 
-    lambda/mu are in-domain tuples with pairwise distinct coordinates;
-    residual_rel is |det| divided by the max row norm of the
-    Cauchy-power matrix at the pair, re-checkable via recertify().
+    lambda/mu are in-domain tuples with pairwise distinct coordinates.
+    With B_jk = 1 - lambda_j conj(mu_k) and C = 1/B, residual_rel is the
+    cancellation ratio |per C| / per |C| at the pair (per C exact at the
+    stored coordinates, rounded once; per |C| in floats) and kernel_abs
+    is |per C| / |pi^n prod B| = |K|; both are re-checkable via
+    recertify().  The witness value_abs is the same ratio at the
+    witness point.
     """
 
     n: int
@@ -168,19 +167,28 @@ class ZeroCertificate:
         )
 
 
-def _kernel_abs(det: complex, lam, mu) -> float:
-    """|K| from the exact determinant: |det| / (pi^n |vandermonde_pair|).
+def _cancellation(lam, mu) -> tuple[float, float]:
+    """(|per C| / per |C|, |per C| / |pi^n prod B|) at a pair.
 
-    At a certified zero the float permanent is rounding noise, so the
-    modulus is taken from the determinant the residual already used.
+    At a zero the float per C is rounding noise, so per C is taken
+    exactly; per |C| and pi^n prod B come from the float evaluation.
+    Fails closed: a zero or non-finite per |C| or pi^n prod B raises
+    instead of giving a ratio of 0.
     """
-    return abs(det) / (PI ** len(lam) * abs(vandermonde_pair(lam, mu)))
+    ev = kernel_gn(lam, mu)
+    den = abs(ev.denominator)
+    if not (0 < ev.scale < math.inf and 0 < den < math.inf):
+        raise CertificationFailure(
+            f"per |C| = {ev.scale:.3e} and |pi^n prod B| = {den:.3e} must be finite and nonzero"
+        )
+    per = abs(permanent_exact(lam, mu))
+    return per / ev.scale, per / den
 
 
 def recertify(cert: ZeroCertificate) -> dict:
     """Recompute the certificate's residual and kernel modulus from scratch."""
-    det, scale = delta_with_scale(cert.lam, cert.mu)
-    return {"residual_rel": abs(det) / scale, "kernel_abs": _kernel_abs(det, cert.lam, cert.mu)}
+    residual, kernel_abs = _cancellation(cert.lam, cert.mu)
+    return {"residual_rel": residual, "kernel_abs": kernel_abs}
 
 
 # --- quadratic ----------------------------------------------------------------
@@ -260,17 +268,17 @@ def fn_nontrivial(cert: ZeroCertificate, cap: int = 4096) -> FnWitness:
     """Find a decisive nonvanishing witness for the first-slot slice.
 
     Samples a deterministic low-discrepancy sequence in the disc until
-    |f(x)| exceeds WITNESS_FACTOR times the certification tolerance times
-    the local matrix scale.
+    the cancellation ratio |per C| / per |C| at (x, lambda_2..lambda_n)
+    exceeds WITNESS_FACTOR times the certification tolerance.
     """
     if len(set(cert.mu)) != cert.n:
         raise WitnessNotFound("mu coordinates must be pairwise distinct")
     tol = cert.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
     rest = cert.lam[1:]
     for idx, x in enumerate(disc_sequence(cap), start=1):
-        det, scale = delta_with_scale((x, *rest), cert.mu)
-        if abs(det) > WITNESS_FACTOR * tol * scale:
-            return FnWitness(point=x, value_abs=abs(det), samples=idx)
+        ratio, _ = _cancellation((x, *rest), cert.mu)
+        if ratio > WITNESS_FACTOR * tol:
+            return FnWitness(point=x, value_abs=ratio, samples=idx)
     raise WitnessNotFound(
         f"no witness after {cap} samples; the slice may be degenerate"
     )
@@ -287,8 +295,8 @@ def construct_zero_dim3(
     nu = rho * base triple; the quadratic root nearest the reference
     root and inside the unit disc fixes mu_2/mu_1; mu_1 is placed on the
     positive real axis with the given modulus, mu_3 = 0, and
-    lambda_j = nu_j / conj(mu_1).  The determinant residual is certified
-    against `tol` relative to the matrix scale.
+    lambda_j = nu_j / conj(mu_1).  The cancellation ratio
+    |per C| / per |C| there is certified against `tol`.
     """
     if not (0.0 < rho < mu1_modulus < 1.0):
         raise InvalidScaling(
@@ -309,13 +317,11 @@ def construct_zero_dim3(
     lam = tuple(v / mu1.conjugate() for v in nu)
     mu = (mu1, z.conjugate() * mu1, 0j)
 
-    det, scale = delta_with_scale(lam, mu)
-    residual = abs(det) / scale
+    residual, kernel_abs = _cancellation(lam, mu)
     if not residual <= tol:
         raise CertificationFailure(
             f"dimension-3 residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
-    kernel_abs = _kernel_abs(det, lam, mu)
     cert = ZeroCertificate(
         n=3,
         lam=lam,
@@ -394,42 +400,6 @@ def count_zeros_disc(
 # --- the induction step ---------------------------------------------------------
 
 
-def _polish_flat_direction(lam, mu, target_abs: float):
-    """Drive the determinant to (essentially) zero by adjusting the
-    smallest-modulus mu coordinate; returns the polished mu and the
-    exact determinant there.
-
-    Near the origin float spacing is astronomically fine, so that
-    coordinate can absorb the residual left after the located zero is
-    rounded to floats; Newton runs on the conjugated coordinate, in
-    which the determinant is analytic, with exact evaluations.  It stops
-    at a fixed point, where further steps would repeat the last one.
-    """
-    mu = tuple(mu)
-    k = min(range(len(mu)), key=lambda i: abs(mu[i]))
-
-    def moved(w: complex) -> tuple:
-        return (*mu[:k], w.conjugate(), *mu[k + 1 :])
-
-    w = mu[k].conjugate()
-    d0 = start = delta_n(lam, mu)
-    for _ in range(8):
-        if abs(d0) <= target_abs:
-            break
-        h = max(abs(w) * 1e-3, 1e-18)
-        deriv = (delta_n(lam, moved(w + h)) - d0) / h
-        if deriv == 0:
-            break
-        w_next = w - d0 / deriv
-        if w_next == w:
-            break
-        w = w_next
-        if abs(w) > 0.5:  # direction turned out not to be flat; give up
-            return mu, start
-        d0 = delta_n(lam, moved(w))
-    return moved(w), d0
-
-
 def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCertificate:
     """One induction step: an (n+1)-dimensional certificate from an
     n-dimensional one, appending a common coordinate t near 1 and moving
@@ -438,8 +408,7 @@ def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCerti
     The rungs s = 2^-1, 2^-2, ... give t = sqrt(1 - s).  At each, the
     zero is the root of the fiber polynomial q((lam_2..lam_n, t); (mu, t))
     nearest lam_1; the first rung whose root lies in the search disc,
-    keeps every coordinate distinct and certifies after the flat-direction
-    polish is accepted.
+    keeps every coordinate distinct and certifies is accepted.
     """
     if cert.fn_witness.value_abs <= 0:
         raise CertificationFailure("lift requires a certificate with a slice witness")
@@ -465,17 +434,12 @@ def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCerti
             rejected["outside the search disc"] += 1
             continue
         new_lam = (x, *lam[1:], t)
-        # a rung can repeat an earlier appended coordinate: two equal rows
-        # make the determinant exactly 0 at any first coordinate
+        # a rung can repeat an earlier appended coordinate, and a
+        # certificate's coordinates must be pairwise distinct
         if len(set(new_lam)) != n + 1 or len(set(new_mu)) != n + 1:
             rejected["repeated coordinates"] += 1
             continue
-        scale = matrix_scale(cauchy_power_matrix(new_lam, new_mu))
-        new_mu, det = _polish_flat_direction(new_lam, new_mu, 1e-3 * tol * scale)
-        if len(set(new_mu)) != n + 1:
-            rejected["repeated coordinates"] += 1
-            continue
-        residual = abs(det) / matrix_scale(cauchy_power_matrix(new_lam, new_mu))
+        residual, kernel_abs = _cancellation(new_lam, new_mu)
         if not residual <= tol:
             rejected["residual above tolerance"] += 1
             best = min(best, residual)
@@ -485,7 +449,7 @@ def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCerti
             lam=new_lam,
             mu=new_mu,
             residual_rel=residual,
-            kernel_abs=_kernel_abs(det, new_lam, new_mu),
+            kernel_abs=kernel_abs,
             construction="lift",
             fn_witness=FnWitness(0j, 0.0),
             tolerances={"residual_rel": tol},

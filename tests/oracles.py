@@ -7,9 +7,8 @@ product rather than from the permanent formula, and the kernel at
 coincident coordinates from Richardson extrapolation of that route.
 The exact determinant itself is checked against pivoted elimination
 over Fractions and against Bareiss elimination over dyadic Gaussian
-integers (the route it replaced), the stacked extended-precision LU against its
-one-matrix loop, and the stacked dimension-3 cross-checks against their
-per-sample loops.
+integers (the route it replaced), and the stacked dimension-3
+cross-checks against their per-sample loops.
 """
 
 import itertools
@@ -174,27 +173,6 @@ def bareiss_delta(lam, mu):
     return complex(re / norm, im / norm)
 
 
-def loop_det_pivoted(matrix):
-    """One-matrix extended-precision LU with partial pivoting: the loop
-    that the stacked det_pivoted must reproduce bit for bit."""
-    a = np.array(matrix, dtype=np.result_type(np.longdouble, np.complex64))
-    n = a.shape[0]
-    sign = 1.0
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            sign = -sign
-        if a[k, k] == 0:
-            return 0j
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    d = a[0, 0] * sign
-    for k in range(1, n):
-        d = d * a[k, k]
-    return complex(d)
-
-
 def exact_kernel(lam, mu):
     """Kernel at distinct coordinates: the exact Cauchy-power determinant
     over pi^n times the paired Vandermonde product."""
@@ -295,10 +273,10 @@ def loop_reduction_chain_check(samples=200, seed=1):
         m1c = m12[0].conjugate()
         z = m12[1].conjugate() / m1c
         nu = [lv * m1c for lv in lam]
-        stage_det3 = loop_det_pivoted(
+        stage_det3 = np.linalg.det(
             [[(1 - v) ** -2.0, (1 - z * v) ** -2.0, 1.0] for v in nu]
         )
-        stage_det2 = loop_det_pivoted(
+        stage_det2 = np.linalg.det(
             [
                 [
                     (1 - nu[r]) ** -2.0 - (1 - nu[2]) ** -2.0,
@@ -311,7 +289,7 @@ def loop_reduction_chain_check(samples=200, seed=1):
         stage_mid = (
             pref
             / ((1 - nu[2]) ** 2 * (1 - z * nu[2]) ** 2)
-            * loop_det_pivoted(
+            * np.linalg.det(
                 [
                     [
                         (nu[r] + nu[2] - 2) / (1 - nu[r]) ** 2,

@@ -53,6 +53,15 @@ def test_verify_paper_json(tmp_path):
     )
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_paper_rejects_non_positive_samples(samples, tmp_path, capsys):
+    # a check over no points would pass vacuously
+    out = tmp_path / "log.txt"
+    assert run(["verify-paper", "--samples", samples, "--out", str(out)]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_find_zero_three(tmp_path, capsys):
     out = tmp_path / "c3.json"
     assert run(["find-zero", "3", "--out", str(out)]) == 0
@@ -106,13 +115,27 @@ def _tampered(tmp_path, name, change):
     return path
 
 
-@pytest.mark.parametrize("flag", ["--disc-radius", "--append-step", "--max-retries"])
+@pytest.mark.parametrize(
+    "flag", ["--disc-radius", "--append-step", "--max-retries", "--tol-cert", "--tol-lift"]
+)
 def test_lift_tuning_flags_are_gone(flag, tmp_path, capsys):
     for argv in (["find-zero", "4"], ["lift", "--cert", str(tmp_path / "c3.json")]):
         with pytest.raises(SystemExit) as exc:
             run([*argv, flag, "0.5"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_common_options_follow_the_subcommand(tmp_path, capsys):
+    # before the subcommand --seed is not an option of the program, so it
+    # cannot be silently replaced by the subcommand's default
+    with pytest.raises(SystemExit) as exc:
+        run(["--seed", "5", "sample", "g2_full", "--count", "10"])
+    assert exc.value.code == 2
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, seed in ((a, "0"), (b, "5")):
+        assert run(["sample", "g2_full", "--count", "10", "--seed", seed, "--format", "json", "--out", str(path)]) == 0
+    assert json.loads(a.read_text())["seed"] == 0 and json.loads(b.read_text())["seed"] == 5
 
 
 def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):

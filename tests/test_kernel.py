@@ -16,7 +16,6 @@ from symdisc.kernel import (
     bracket_expr,
     closed_form_comparison,
     delta_n,
-    delta_with_scale,
     det_pivoted,
     kernel_g3_mu3zero,
     kernel_gn,
@@ -31,7 +30,6 @@ from .oracles import (
     extrapolated_confluent_kernel,
     fraction_delta,
     loop_closed_form_comparison,
-    loop_det_pivoted,
     loop_disc_samples,
     loop_dim3_samples,
     loop_reduction_chain_check,
@@ -142,26 +140,6 @@ def test_delta_singular_entry_at_repeated_coordinates():
             delta_n(lam, mu)
         with pytest.raises(ZeroDivisionError):
             bareiss_delta(lam, mu)
-
-
-def test_det_pivoted_stack_matches_loop(rng):
-    mats = rng.standard_normal((300, 5, 5)) + 1j * rng.standard_normal((300, 5, 5))
-    mats[0] = np.diag([1e-3, 2, 3, 4, 5])  # the first pivot forces a row swap
-    mats[0, 4, 0] = 1.0
-    mats[1, :, 2] = 0  # zero pivot column after two steps
-    mats[2] = 0
-    mats[3, :, 4] = 0  # zero last column: no early exit, the product is zero
-    loop = [loop_det_pivoted(m) for m in mats]
-    stacked = det_pivoted(mats)
-    assert stacked.shape == (300,)
-    assert all(_same(a, b) for a, b in zip(stacked.tolist(), loop))
-    assert loop[1] == 0 and loop[2] == 0
-    single = det_pivoted(mats[0])
-    assert isinstance(single, complex) and _same(single, loop[0])
-    # any leading shape, and stacks longer than one slab
-    assert det_pivoted(mats[:12].reshape(3, 4, 5, 5)).tolist() == np.reshape(loop[:12], (3, 4)).tolist()
-    big = np.concatenate([mats] * 15)  # 4500 matrices: two slabs
-    assert all(_same(a, b) for a, b in zip(det_pivoted(big).tolist(), loop * 15))
 
 
 def test_kernel_stable_solves_each_argument_once(monkeypatch):
@@ -450,7 +428,14 @@ def test_closed_form_and_bracket_coefficients_on_stacks():
         kernel_g3_mu3zero([lam, lam], [mu12, [0.0, 0.5]])
 
 
-def test_delta_with_scale_consistent():
-    det, scale = delta_with_scale([0, 0.5], [0, 0.5])
-    assert det == pytest.approx(7 / 9, rel=1e-14)
-    assert scale == pytest.approx(2 + 7 / 9, rel=1e-12)  # max row sum of [[1,1],[1,16/9]]
+def test_permanent_exact_hand_value():
+    # C = 1/B = [[1, 1], [1, 4/3]], so per C = 7/3, correctly rounded
+    assert kernel.permanent_exact([0, 0.5], [0, 0.5]) == 7 / 3
+    with pytest.raises(SingularEntry):
+        kernel.permanent_exact([1.0], [1.0])
+
+
+def test_permanent_exact_matches_the_float_permanent(rng):
+    for n in range(1, 8):
+        lam, mu = draw_disc_tuple(rng, n), draw_disc_tuple(rng, n)
+        assert kernel.permanent_exact(lam, mu) == pytest.approx(kernel_gn(lam, mu).numerator, rel=1e-12)

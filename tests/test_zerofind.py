@@ -1,5 +1,8 @@
 import cmath
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from symdisc.errors import (
     NoSolution,
     WitnessNotFound,
 )
-from symdisc.kernel import abc_coeffs, delta_n, delta_with_scale, kernel_gn
+from symdisc.kernel import PI, abc_coeffs, delta_n, kernel_gn
+from symdisc.symcore import vandermonde_pair
 from symdisc.zerofind import (
     FnWitness,
     ZeroCertificate,
@@ -105,11 +109,19 @@ def test_dim3_certificate_properties(dim3_cert):
     assert cert.mu[0].imag == 0 and cert.mu[0].real > 0
 
 
+def _float_ratio(lam, mu):
+    """|per C| / per |C| from the float permanent alone."""
+    ev = kernel_gn(lam, mu)
+    return abs(ev.numerator) / ev.scale
+
+
 def test_dim3_witness(dim3_cert):
     wit = dim3_cert.fn_witness
     assert wit.samples <= 64
-    _, scale = delta_with_scale(dim3_cert.lam, dim3_cert.mu)
-    assert wit.value_abs > 1e3 * dim3_cert.tolerances["residual_rel"] * scale / 10
+    assert wit.value_abs > 1e3 * dim3_cert.tolerances["residual_rel"] / 10
+    # away from a zero the float ratio is accurate
+    ratio = _float_ratio((wit.point, *dim3_cert.lam[1:]), dim3_cert.mu)
+    assert wit.value_abs == pytest.approx(ratio, rel=1e-12)
 
 
 def test_dim3_certificate_recertifies(dim3_cert):
@@ -227,16 +239,29 @@ def chain8(chain7):
     return lift_zero(chain7)
 
 
+@pytest.fixture(scope="module")
+def chain10(chain8):
+    return lift_zero(lift_zero(chain8))
+
+
 def _hex_pairs(coords):
     return [(c.real.hex(), c.imag.hex()) for c in coords]
+
+
+def _nodes(cert):
+    """The certificate and its ancestors, top down."""
+    node = cert
+    while node is not None:
+        yield node
+        node = node.parent
 
 
 def test_default_chain7_is_pinned(chain7):
     # the n = 7 certificate at the defaults, bit for bit
     assert _hex_pairs(chain7.lam) == [
-        ("0x1.ba1684140beffp-1", "0x1.fff43665e9759p-2"),
-        ("0x1.fdf2eca499518p-2", "0x1.b9a0f3f1900dap-1"),
-        ("0x1.b9a0f3f1900dbp-1", "-0x1.fdf2eca499515p-2"),
+        ("0x1.ba1684140c8aep-1", "0x1.fff43665eb84ep-2"),
+        ("0x1.fdf2eca499516p-2", "0x1.b9a0f3f1900dap-1"),
+        ("0x1.b9a0f3f1900dap-1", "-0x1.fdf2eca499516p-2"),
         ("0x1.feffbfdfebf1fp-1", "0x0.0p+0"),
         ("0x1.ff7feffbfebf9p-1", "0x0.0p+0"),
         ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
@@ -244,14 +269,14 @@ def test_default_chain7_is_pinned(chain7):
     ]
     assert _hex_pairs(chain7.mu) == [
         ("0x1.ff3b645a1cac1p-1", "0x0.0p+0"),
-        ("0x1.6685f47816635p-1", "0x1.6547478fa71b6p-1"),
-        ("-0x1.ed4d08543ac35p-40", "0x1.2fbaff7815546p-42"),
+        ("0x1.6685f47816630p-1", "0x1.6547478fa71afp-1"),
+        ("0x0.0p+0", "0x0.0p+0"),
         ("0x1.feffbfdfebf1fp-1", "0x0.0p+0"),
         ("0x1.ff7feffbfebf9p-1", "0x0.0p+0"),
         ("0x1.ffbffbff7fec0p-1", "0x0.0p+0"),
         ("0x1.ffdffeffeffecp-1", "0x0.0p+0"),
     ]
-    assert chain7.residual_rel.hex() == "0x1.0ab628fa5cb4ep-47"
+    assert chain7.residual_rel.hex() == "0x1.b5f7c511f58fdp-44"
 
 
 def test_delta_matches_fraction_elimination_along_chain7(chain7):
@@ -262,42 +287,58 @@ def test_delta_matches_fraction_elimination_along_chain7(chain7):
 
 
 def test_delta_matches_bareiss_along_chain8(chain8):
-    # the polished mu coordinates near 0 carry dyadic exponents up to 98
     node = chain8
     while node is not None:
         assert _hex_pairs([delta_n(node.lam, node.mu)]) == _hex_pairs([bareiss_delta(node.lam, node.mu)])
         node = node.parent
 
 
-def test_polish_stops_at_its_fixed_point(chain8, monkeypatch):
-    # the n = 8 residual stays above the polish target, so the
-    # certificate's mu is where the polish reached its fixed point: one
-    # Newton step leaves it unchanged, so only that step's two exact
-    # determinants run
-    calls = []
-
-    def counted(lam, mu):
-        calls.append(mu)
-        return delta_n(lam, mu)
-
-    monkeypatch.setattr(zerofind, "delta_n", counted)
-    _, scale = delta_with_scale(chain8.lam, chain8.mu)
-    target = 1e-3 * chain8.tolerances["residual_rel"] * scale
-    polished, det = zerofind._polish_flat_direction(chain8.lam, chain8.mu, target)
-    assert polished == chain8.mu
-    assert len(calls) == 2
-    assert abs(det) / scale == chain8.residual_rel
+def test_residual_is_the_cancellation_ratio_along_chain10(chain10):
+    # per C = det * prod B / (V(lambda) V(conj mu)) with det from Bareiss
+    # elimination, and |K| = |det| / (pi^n |V(lambda) V(conj mu)|)
+    for node in _nodes(chain10):
+        lam, mu = np.array(node.lam), np.array(node.mu)
+        prod_b = np.prod(1 - np.multiply.outer(lam, np.conj(mu)))
+        det = bareiss_delta(node.lam, node.mu)
+        vdm = vandermonde_pair(node.lam, node.mu)
+        scale = kernel_gn(node.lam, node.mu).scale
+        assert node.residual_rel == pytest.approx(abs(det * prod_b / vdm) / scale, rel=1e-12)
+        assert node.kernel_abs == pytest.approx(abs(det) / (PI**node.n * abs(vdm)), rel=1e-12)
 
 
-def test_polish_returns_the_exact_determinant_at_its_mu(chain6):
-    lam, mu = chain6.lam, chain6.mu
-    _, scale = delta_with_scale(lam, mu)
-    # a coarser start: the smallest mu coordinate moved off its polished value
-    k = min(range(len(mu)), key=lambda i: abs(mu[i]))
-    start = (*mu[:k], 2 * mu[k] + 1e-14, *mu[k + 1 :])
-    polished, det = zerofind._polish_flat_direction(lam, start, 1e-3 * chain6.tolerances["residual_rel"] * scale)
-    assert det == delta_n(lam, polished)
-    assert abs(det) < abs(delta_n(lam, start))
+def test_lift_keeps_the_parent_mu(chain10):
+    # no coordinate moves after the fiber root: mu is the parent's plus t
+    for node in _nodes(chain10):
+        if node.parent is not None:
+            assert node.mu == (*node.parent.mu, node.lam[-1])
+
+
+def _broken(field, value):
+    """kernel_gn with one field of its result replaced."""
+
+    def evaluate(lam, mu):
+        return replace(kernel_gn(lam, mu), **{field: value})
+
+    return evaluate
+
+
+@pytest.mark.parametrize("field, value", [("scale", math.inf), ("scale", 0.0), ("denominator", 0j)])
+def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
+    # a per |C| or pi^n prod B that is zero or not finite gives no residual
+    monkeypatch.setattr(zerofind, "kernel_gn", _broken(field, value))
+    with pytest.raises(CertificationFailure, match="finite and nonzero"):
+        construct_zero_dim3()
+    with pytest.raises(CertificationFailure, match="finite and nonzero"):
+        recertify(dim3_cert)
+
+
+def test_chain7_written_before_the_cancellation_residual_still_checks():
+    # certificate schema 1 as written when residual_rel was |det| over the
+    # max row norm of the Cauchy-power matrix and mu was polished
+    path = Path(__file__).parent / "data" / "chain7_v1.json"
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    assert [node.n for node in _nodes(cert)] == [7, 6, 5, 4, 3]
+    _assert_every_node_checks(cert)
 
 
 def test_lift_one_step(dim3_cert):
@@ -311,9 +352,8 @@ def test_lift_one_step(dim3_cert):
     assert lifted.parent == dim3_cert
     # the first coordinate moved, so the restriction is not a zero
     assert lifted.lam[0] != dim3_cert.lam[0]
-    restricted = abs(delta_n(lifted.lam[:-1], lifted.mu[:-1]))
-    _, scale = delta_with_scale(lifted.lam[:-1], lifted.mu[:-1])
-    assert restricted > 1e3 * lifted.tolerances["residual_rel"] * scale
+    restricted = _float_ratio(lifted.lam[:-1], lifted.mu[:-1])
+    assert restricted > 1e3 * lifted.tolerances["residual_rel"]
 
 
 def test_chain_to_six(chain6):
@@ -359,6 +399,11 @@ def test_lift_reaches_n8(chain7, chain8):
     _assert_every_node_checks(chain8)
 
 
+def test_lift_reaches_n10(chain8, chain10):
+    assert chain10.n == 10 and chain10.parent.parent == chain8
+    _assert_every_node_checks(chain10)
+
+
 @pytest.mark.parametrize("rho, mu1", [(0.995, 0.9995), (0.9955, 0.99925)])
 def test_chain7_certifies_at_the_band_edge(rho, mu1):
     _assert_every_node_checks(build_certificate_chain(7, rho=rho, mu1_modulus=mu1))
@@ -387,28 +432,27 @@ def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
 
 
 def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
-    # the n = 8 lift passes the rungs of the earlier lifts; at those, two
-    # rows agree and the exact determinant is 0 at any first coordinate
+    # the n = 8 lift passes the rungs of the earlier lifts; a certificate
+    # there would repeat a coordinate, so those rungs are never evaluated
     rungs = _appended_rungs(monkeypatch)
-    polished = []
-    polish = zerofind._polish_flat_direction
+    evaluated = []
+    cancellation = zerofind._cancellation
 
-    def spy(lam, mu, target):
-        polished.append(lam)
-        return polish(lam, mu, target)
+    def spy(lam, mu):
+        evaluated.append(lam)
+        return cancellation(lam, mu)
 
-    monkeypatch.setattr(zerofind, "_polish_flat_direction", spy)
+    monkeypatch.setattr(zerofind, "_cancellation", spy)
     lifted = lift_zero(chain7)
     repeats = [t for t in rungs if t in chain7.lam]
     assert repeats and lifted.lam[-1] not in repeats
-    assert all(len(set(lam)) == len(lam) for lam in polished)
+    assert all(len(set(lam)) == len(lam) for lam in evaluated)
     assert len(set(lifted.lam)) == 8 and len(set(lifted.mu)) == 8
 
 
 def test_lift_zero_is_the_fiber_root_nearest_lam1(chain6):
-    # the polish moves mu afterwards, so the fiber is the parent's mu and t
     parent = chain6.parent
-    q = zerofind.fiber_polynomial(chain6.lam[1:], (*parent.mu, chain6.lam[-1]))
+    q = zerofind.fiber_polynomial(chain6.lam[1:], chain6.mu)
     roots = np.roots(q)
     assert chain6.lam[0] == min(roots, key=lambda r: abs(r - parent.lam[0]))
 
