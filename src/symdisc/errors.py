@@ -10,7 +10,7 @@ class SymdiscError(Exception):
 
 
 class SolverFailure(SymdiscError):
-    """Simultaneous root iteration failed to converge within the cap."""
+    """The eigenvalue solve that inverts the symmetrization failed."""
 
 
 class SingularEntry(SymdiscError):

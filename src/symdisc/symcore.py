@@ -3,11 +3,12 @@
 The symmetrization map sends an n-tuple of unit-disc coordinates to the
 n-tuple of its elementary symmetric polynomial values; its image is the
 symmetrized polydisc.  This module provides the map, its inversion by
-simultaneous polynomial root finding, open-domain membership tests, and
-the paired Vandermonde product that appears in the kernel denominator.
+the eigenvalues of the companion matrix (np.roots, the root finder the
+lift in zerofind also uses), open-domain membership tests, and the
+paired Vandermonde product that appears in the kernel denominator.
 
 All operations are pure functions over immutable values and are safe to
-call concurrently; the root finder takes its seed explicitly.
+call concurrently.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .errors import NotInDomain, SolverFailure
 # Membership guard: open-set membership is undecidable at machine precision,
 # so roots within this distance of the unit circle are flagged indeterminate.
 BOUNDARY_GUARD = 1e-12
-
-_ROOT_TOL = 1e-13
-_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
@@ -127,58 +125,26 @@ def monic_coefficients(s: SymPoint | Sequence[complex]) -> list[complex]:
     return coeffs
 
 
-def _aberth(coeffs: np.ndarray, seed: int) -> np.ndarray:
-    """All roots of a monic polynomial by Aberth-Ehrlich simultaneous
-    iteration, started on a slightly perturbed circle."""
-    n = len(coeffs) - 1
-    deriv = coeffs[:-1] * np.arange(n, 0, -1)
-
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
-    rng = np.random.default_rng(seed)
-    angles = 2 * np.pi * (np.arange(n) + 0.25) / n + 1e-3 * rng.standard_normal(n)
-    z = radius * np.exp(1j * angles) * (1 + 1e-3 * rng.standard_normal(n))
-
-    # |p|(|z|) with all-positive coefficients, for the backward-error stop
-    abs_coeffs = np.abs(coeffs)
-    float_floor = 8.0 * n * np.finfo(float).eps
-
-    for _ in range(_MAX_ITER):
-        pv = np.polyval(coeffs, z)
-        scale = np.polyval(abs_coeffs, np.abs(z))
-        if np.all(np.abs(pv) <= float_floor * scale):
-            return z
-        dv = np.polyval(deriv, z)
-        w = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.1 + 0.1j)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        repulse = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal term
-        denom = 1.0 - w * repulse
-        denom = np.where(denom == 0, 1e-30, denom)
-        step = w / denom
-        z = z - step
-        if np.all(np.abs(step) <= _ROOT_TOL * (1.0 + np.abs(z))):
-            pv = np.polyval(coeffs, z)
-            scale = np.polyval(abs_coeffs, np.abs(z))
-            if np.all(np.abs(pv) <= 1e4 * float_floor * scale):
-                return z
-    raise SolverFailure(
-        f"root iteration did not converge after {_MAX_ITER} steps (degree {n})"
-    )
-
-
-def roots_from_sym(s: SymPoint | Sequence[complex], seed: int = 0) -> tuple[complex, ...]:
+def roots_from_sym(s: SymPoint | Sequence[complex]) -> tuple[complex, ...]:
     """Invert the symmetrization: the multiset of roots of
     x^n - s_1 x^(n-1) + s_2 x^(n-2) - ...
 
-    Deterministic for a fixed seed; roots are returned sorted by
-    (real, imag) so equal inputs give identical outputs.
+    The roots are the eigenvalues of the companion matrix (np.roots),
+    which are backward stable for the polynomial, so their symmetric
+    functions reproduce s to rounding even at repeated roots.  Roots are
+    returned sorted by (real, imag) so equal inputs give identical
+    outputs.  Non-finite coordinates are a usage error (ValueError).
     """
     sk = _coords(s)
+    if not np.all(np.isfinite(sk)):
+        raise ValueError(f"symmetric coordinates must be finite: {sk}")
     n = len(sk)
     if n == 1:
         return (sk[0],)
-    coeffs = np.asarray(monic_coefficients(sk), dtype=complex)
-    roots = _aberth(coeffs, seed)
+    try:
+        roots = np.roots(monic_coefficients(sk))
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"companion eigenvalues failed (degree {n}): {exc}") from exc
     ordered = sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
     return tuple(ordered)
 
@@ -190,8 +156,11 @@ def classify_roots(roots: Sequence[complex]) -> str:
     Returns "inside" when every root has modulus below
     1 - BOUNDARY_GUARD, "outside" when some root has modulus above
     1 + BOUNDARY_GUARD, and "boundary-indeterminate" in between.
+    Non-finite roots are a usage error (ValueError).
     """
     moduli = [abs(r) for r in roots]
+    if not np.all(np.isfinite(moduli)):
+        raise ValueError(f"roots must be finite: {tuple(roots)}")
     if all(m < 1.0 - BOUNDARY_GUARD for m in moduli):
         return "inside"
     if any(m > 1.0 + BOUNDARY_GUARD for m in moduli):
@@ -199,16 +168,16 @@ def classify_roots(roots: Sequence[complex]) -> str:
     return "boundary-indeterminate"
 
 
-def classify_gn(s: SymPoint | Sequence[complex], seed: int = 0) -> str:
+def classify_gn(s: SymPoint | Sequence[complex]) -> str:
     """Membership of s in the symmetrized polydisc: classify_roots of
     its preimage roots."""
-    return classify_roots(roots_from_sym(s, seed=seed))
+    return classify_roots(roots_from_sym(s))
 
 
-def in_gn(s: SymPoint | Sequence[complex], seed: int = 0) -> bool:
+def in_gn(s: SymPoint | Sequence[complex]) -> bool:
     """True iff every preimage root lies strictly inside the unit disc
     (with the boundary guard); indeterminate boundary points count as out."""
-    return classify_gn(s, seed=seed) == "inside"
+    return classify_gn(s) == "inside"
 
 
 def vandermonde_pair(lam: PolyPoint | Sequence[complex], mu: PolyPoint | Sequence[complex]) -> complex:

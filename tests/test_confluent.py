@@ -3,13 +3,14 @@ independent perturbation-extrapolation oracle."""
 
 import math
 
+import numpy as np
 import pytest
 
 from symdisc.errors import NotInDomain
 from symdisc.kernel import kernel_gn, kernel_gn_stable
 from symdisc.symcore import elem_sym
 
-from .conftest import expand_clusters
+from .conftest import draw_disc_tuple, expand_clusters
 from .oracles import extrapolated_confluent_kernel
 
 
@@ -56,6 +57,33 @@ def test_stable_evaluation_recovers_clusters():
 def test_stable_rejects_points_outside_domain():
     with pytest.raises(NotInDomain):
         kernel_gn_stable([5, 6], elem_sym([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("s", [[math.nan, 0.1], [math.inf, 0]])
+def test_stable_rejects_non_finite_coordinates(s):
+    with pytest.raises(ValueError, match="finite"):
+        kernel_gn_stable(s, elem_sym([0.1, 0.2]))
+    with pytest.raises(ValueError, match="finite"):
+        kernel_gn_stable(elem_sym([0.1, 0.2]), s)
+
+
+def test_stable_is_accurate_at_repeated_coordinates():
+    # one coordinate of each tuple repeated 2-4 times: the re-solved roots
+    # split by about eps^(1/m), yet the kernel, a symmetric function of
+    # them, must keep the value at the exact tuples
+    rng = np.random.default_rng(2005)
+    worst = 0.0
+    for n in range(2, 9):
+        for m in range(2, min(4, n) + 1):
+            for _ in range(8):
+                lam, mu = (
+                    expand_clusters(draw_disc_tuple(rng, n - m + 1, radius=0.9), [m] + [1] * (n - m))
+                    for _ in range(2)
+                )
+                got = kernel_gn_stable(elem_sym(lam), elem_sym(mu)).value
+                want = kernel_gn(lam, mu).value
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst < 1e-10
 
 
 def test_double_zero_matches_shrinking_perturbation():

@@ -148,9 +148,9 @@ def test_kernel_stable_solves_each_argument_once(monkeypatch):
     expected = kernel_gn(roots_from_sym(s), roots_from_sym(t)).value
     calls = []
 
-    def counted(point, seed=0):
+    def counted(point):
         calls.append(point)
-        return roots_from_sym(point, seed=seed)
+        return roots_from_sym(point)
 
     monkeypatch.setattr(kernel, "roots_from_sym", counted)
     assert kernel_gn_stable(s, t).value == expected

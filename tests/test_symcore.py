@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc.errors import NotInDomain
+from symdisc import symcore
+from symdisc.errors import NotInDomain, SolverFailure
 from symdisc.symcore import (
     PolyPoint,
     classify_gn,
@@ -74,7 +75,26 @@ def test_roots_from_sym_all_zero():
 
 def test_roots_from_sym_is_deterministic():
     s = elem_sym([0.3 + 0.2j, -0.5, 0.1j])
-    assert roots_from_sym(s, seed=7) == roots_from_sym(s, seed=7)
+    assert roots_from_sym(s) == roots_from_sym(s)
+
+
+def test_roots_from_sym_maps_an_eigenvalue_failure(monkeypatch):
+    def fail(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(symcore.np, "roots", fail)
+    with pytest.raises(SolverFailure):
+        roots_from_sym(elem_sym([0.3, -0.2j]))
+
+
+@pytest.mark.parametrize("s", [[math.nan, 0.1], [math.inf, 0], [0.2, complex(0, math.inf)], [math.nan]])
+def test_non_finite_coordinates_are_usage_errors(s):
+    with pytest.raises(ValueError, match="finite"):
+        roots_from_sym(s)
+    with pytest.raises(ValueError, match="finite"):
+        in_gn(s)
+    with pytest.raises(ValueError, match="finite"):
+        classify_roots(s)
 
 
 def test_round_trip_random_tuples(rng):
