@@ -40,9 +40,9 @@ def main() -> int:
 
     print("\n== certified kernel zeros ==")
     rows = []
-    cert = zerofind.construct_zero_dim3(seed=args.seed)
+    cert = zerofind.construct_zero_dim3()
     chain_start = time.perf_counter()
-    chain = zerofind.build_certificate_chain(args.max_n, seed=args.seed)
+    chain = zerofind.build_certificate_chain(args.max_n)
     chain_secs = time.perf_counter() - chain_start
     (out / "certificate_n3.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     (out / f"certificate_n{args.max_n}.json").write_text(
@@ -73,7 +73,7 @@ def main() -> int:
         if report.diag_min_real is not None:
             extra = f"  min real {report.diag_min_real:.3e}"
         print(
-            f"{mode:15s} samples={report.samples}  min scaled |delta| = "
+            f"{mode:15s} samples={report.samples}  min |per C| / per |C| = "
             f"{report.min_scaled_abs:.4e}  zero found: {report.zero_found}{extra}"
         )
     print(f"\nartifacts in {out}/")

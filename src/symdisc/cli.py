@@ -93,7 +93,7 @@ def cmd_verify_paper(args) -> int:
         worst < 1e-14,
         detail=f"max relative difference {worst:.3e}",
     )
-    cert = zerofind.construct_zero_dim3(seed=args.seed)
+    cert = zerofind.construct_zero_dim3()
     moments = zerofind.moment_identity_check(cert.lam, cert.mu)
     numeric.add(
         "slice-moment-identity",
@@ -152,7 +152,6 @@ def cmd_find_zero(args) -> int:
         cert = zerofind.construct_zero_dim3(
             rho=args.rho if args.rho is not None else 0.999,
             mu1_modulus=args.mu1 if args.mu1 is not None else 0.9995,
-            seed=args.seed,
         )
     else:
         kwargs = {}
@@ -160,7 +159,7 @@ def cmd_find_zero(args) -> int:
             kwargs["rho"] = args.rho
         if args.mu1 is not None:
             kwargs["mu1_modulus"] = args.mu1
-        cert = zerofind.build_certificate_chain(args.n, seed=args.seed, **kwargs)
+        cert = zerofind.build_certificate_chain(args.n, **kwargs)
     _emit_certificate(cert, args.out)
     return EXIT_OK
 
@@ -238,7 +237,7 @@ def cmd_sample(args) -> int:
     else:
         lines = [
             f"mode={report.mode} samples={report.samples} seed={report.seed}",
-            f"min scaled |delta| = {report.min_scaled_abs:.6e}",
+            f"min |per C| / per |C| = {report.min_scaled_abs:.6e}",
             f"argmin lambda = {[_fmt_complex(c) for c in report.argmin_lambda]}",
             f"argmin mu     = {[_fmt_complex(c) for c in report.argmin_mu]}",
             f"zero found: {'yes' if report.zero_found else 'no'}",
@@ -330,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("find-zero", help="construct a certified kernel zero", parents=[seed, out])
+    p = sub.add_parser("find-zero", help="construct a certified kernel zero", parents=[out])
     p.add_argument("n", type=int)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--mu1", type=float, default=None)
@@ -351,11 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "sample", help="sample families for small determinant values", parents=[seed, out, fmt]
+        "sample",
+        help="sample families for the least cancellation ratio |per C| / per |C|",
+        parents=[seed, out, fmt],
     )
     p.add_argument("mode", choices=zerofind.SAMPLING_MODES)
     p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--n", type=int, default=3, help="dimension for diagonal mode")
+    p.add_argument("--n", type=int, default=None, help="dimension for diagonal mode only (default 3)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("grid", help="CSV slice of |K| and arg(K) around a certificate", parents=[out])

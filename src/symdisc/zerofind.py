@@ -45,6 +45,7 @@ from .kernel import (
     det_pivoted,
     fiber_polynomial,
     kernel_gn,
+    kernel_ratio_slabs,
     permanent_exact,
 )
 
@@ -69,6 +70,8 @@ def reference_root() -> complex:
 DEFAULT_TOL_DIM3 = 1e-10
 DEFAULT_TOL_LIFT = 1e-8
 WITNESS_FACTOR = 1e3
+_WITNESS_CAP = 4096  # disc samples fn_nontrivial tries before it gives up
+_MOMENT_RADIUS, _MOMENT_SAMPLES = 0.3, 64  # the contour of moment_identity_check
 
 # rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
 _LIFT_CANDIDATES = 24
@@ -109,7 +112,6 @@ class ZeroCertificate:
     fn_witness: FnWitness
     tolerances: dict = field(default_factory=dict)
     parent: Optional["ZeroCertificate"] = None
-    seed: int = 0
 
     def validate(self) -> None:
         if len(self.lam) != self.n or len(self.mu) != self.n:
@@ -141,7 +143,6 @@ class ZeroCertificate:
                 "point": [self.fn_witness.point.real, self.fn_witness.point.imag],
                 "value_abs": self.fn_witness.value_abs,
             },
-            "seed": self.seed,
             "tolerances": dict(self.tolerances),
         }
 
@@ -163,7 +164,6 @@ class ZeroCertificate:
             ),
             tolerances=dict(data.get("tolerances", {})),
             parent=cls.from_dict(data["parent"]) if data.get("parent") else None,
-            seed=data.get("seed", 0),
         )
 
 
@@ -236,7 +236,7 @@ def disc_sequence(count: int, radius: float = 0.95):
         yield r * cmath.exp(1j * theta)
 
 
-def moment_identity_check(lam, mu, radius: float = 0.3, samples: int = 64) -> dict:
+def moment_identity_check(lam, mu) -> dict:
     """Cross-check the Taylor data of the dimension-3 first-slot slice.
 
     The j-th normalized derivative of the slice at 0 equals (j+1) times
@@ -248,6 +248,7 @@ def moment_identity_check(lam, mu, radius: float = 0.3, samples: int = 64) -> di
     """
     if len(lam) != 3 or len(mu) != 3:
         raise ValueError("moment identity is specific to dimension 3")
+    radius, samples = _MOMENT_RADIUS, _MOMENT_SAMPLES
     thetas = 2 * np.pi * np.arange(samples) / samples
     lams = np.tile(np.asarray(lam, dtype=complex), (samples, 1))
     lams[:, 0] = radius * np.exp(1j * thetas)
@@ -264,7 +265,7 @@ def moment_identity_check(lam, mu, radius: float = 0.3, samples: int = 64) -> di
     return {"max_rel_diff": float(gaps.max())}
 
 
-def fn_nontrivial(cert: ZeroCertificate, cap: int = 4096) -> FnWitness:
+def fn_nontrivial(cert: ZeroCertificate) -> FnWitness:
     """Find a decisive nonvanishing witness for the first-slot slice.
 
     Samples a deterministic low-discrepancy sequence in the disc until
@@ -275,20 +276,18 @@ def fn_nontrivial(cert: ZeroCertificate, cap: int = 4096) -> FnWitness:
         raise WitnessNotFound("mu coordinates must be pairwise distinct")
     tol = cert.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
     rest = cert.lam[1:]
-    for idx, x in enumerate(disc_sequence(cap), start=1):
+    for idx, x in enumerate(disc_sequence(_WITNESS_CAP), start=1):
         ratio, _ = _cancellation((x, *rest), cert.mu)
         if ratio > WITNESS_FACTOR * tol:
             return FnWitness(point=x, value_abs=ratio, samples=idx)
     raise WitnessNotFound(
-        f"no witness after {cap} samples; the slice may be degenerate"
+        f"no witness after {_WITNESS_CAP} samples; the slice may be degenerate"
     )
 
 
 def construct_zero_dim3(
     rho: float = 0.999,
     mu1_modulus: float = 0.9995,
-    tol: float = DEFAULT_TOL_DIM3,
-    seed: int = 0,
 ) -> ZeroCertificate:
     """Certified dimension-3 kernel zero near the unimodular base triple.
 
@@ -296,7 +295,7 @@ def construct_zero_dim3(
     root and inside the unit disc fixes mu_2/mu_1; mu_1 is placed on the
     positive real axis with the given modulus, mu_3 = 0, and
     lambda_j = nu_j / conj(mu_1).  The cancellation ratio
-    |per C| / per |C| there is certified against `tol`.
+    |per C| / per |C| there is certified against DEFAULT_TOL_DIM3.
     """
     if not (0.0 < rho < mu1_modulus < 1.0):
         raise InvalidScaling(
@@ -318,9 +317,9 @@ def construct_zero_dim3(
     mu = (mu1, z.conjugate() * mu1, 0j)
 
     residual, kernel_abs = _cancellation(lam, mu)
-    if not residual <= tol:
+    if not residual <= DEFAULT_TOL_DIM3:
         raise CertificationFailure(
-            f"dimension-3 residual {residual:.3e} exceeds tolerance {tol:.1e}"
+            f"dimension-3 residual {residual:.3e} exceeds tolerance {DEFAULT_TOL_DIM3:.1e}"
         )
     cert = ZeroCertificate(
         n=3,
@@ -330,8 +329,7 @@ def construct_zero_dim3(
         kernel_abs=kernel_abs,
         construction="dim3",
         fn_witness=FnWitness(0j, 0.0),
-        tolerances={"residual_rel": tol},
-        seed=seed,
+        tolerances={"residual_rel": DEFAULT_TOL_DIM3},
     )
     cert = replace(cert, fn_witness=fn_nontrivial(cert))
     cert.validate()
@@ -400,7 +398,7 @@ def count_zeros_disc(
 # --- the induction step ---------------------------------------------------------
 
 
-def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCertificate:
+def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     """One induction step: an (n+1)-dimensional certificate from an
     n-dimensional one, appending a common coordinate t near 1 and moving
     the first lambda coordinate to a nearby zero of the lifted slice.
@@ -408,12 +406,14 @@ def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCerti
     The rungs s = 2^-1, 2^-2, ... give t = sqrt(1 - s).  At each, the
     zero is the root of the fiber polynomial q((lam_2..lam_n, t); (mu, t))
     nearest lam_1; the first rung whose root lies in the search disc,
-    keeps every coordinate distinct and certifies is accepted.
+    keeps every coordinate distinct and certifies against
+    DEFAULT_TOL_LIFT is accepted.
     """
     if cert.fn_witness.value_abs <= 0:
         raise CertificationFailure("lift requires a certificate with a slice witness")
     lam, mu, n = cert.lam, cert.mu, cert.n
     lam1 = lam[0]
+    tol = DEFAULT_TOL_LIFT
 
     # keep the search disc inside the unit disc and clear of the other points
     gap = min(abs(lam1 - c) for c in lam[1:])
@@ -454,7 +454,6 @@ def lift_zero(cert: ZeroCertificate, tol: float = DEFAULT_TOL_LIFT) -> ZeroCerti
             fn_witness=FnWitness(0j, 0.0),
             tolerances={"residual_rel": tol},
             parent=cert,
-            seed=cert.seed,
         )
         lifted = replace(lifted, fn_witness=fn_nontrivial(lifted))
         lifted.validate()
@@ -470,9 +469,6 @@ def build_certificate_chain(
     n: int,
     rho: float = 0.9945,
     mu1_modulus: float = 0.9985,
-    tol_dim3: float = DEFAULT_TOL_DIM3,
-    tol_lift: float = DEFAULT_TOL_LIFT,
-    seed: int = 0,
 ) -> ZeroCertificate:
     """Certificate for dimension n >= 3: the dimension-3 construction
     followed by n - 3 lifts.  The default shrink factors sit farther
@@ -480,9 +476,9 @@ def build_certificate_chain(
     need the extra conditioning margin."""
     if n < 3:
         raise ValueError("kernel zeros are constructed for n >= 3 only")
-    cert = construct_zero_dim3(rho=rho, mu1_modulus=mu1_modulus, tol=tol_dim3, seed=seed)
+    cert = construct_zero_dim3(rho=rho, mu1_modulus=mu1_modulus)
     for _ in range(n - 3):
-        cert = lift_zero(cert, tol=tol_lift)
+        cert = lift_zero(cert)
     return cert
 
 
@@ -491,7 +487,10 @@ def build_certificate_chain(
 
 @dataclass(frozen=True)
 class SamplingReport:
-    """Minimum observed scaled determinant modulus over a sampled family.
+    """Least cancellation ratio |per C| / per |C|, the residual of a
+    certificate, over a sampled family (min_scaled_abs, at the pair
+    argmin_*); in diagonal mode also the least real part and the largest
+    |imag| / |real| of the values K(lambda, lambda).
 
     Reports evidence only; a strictly positive minimum certifies nothing
     beyond the sampled points.
@@ -525,66 +524,99 @@ SAMPLING_MODES = ("g2_full", "g3_equal_third", "diagonal")
 _EDGE_SHRINK = 1e-3  # samples are drawn from (1 - this) * unit polydisc
 
 
+# pairs drawn and scored per slab of sample_nonvanishing, as many as in a
+# slab of the batch evaluators: a job's memory does not grow with its count
+_SAMPLE_CHUNK = 1024
+
+
+def _disc_points(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """Points of the shrunken disc from uniforms in [0, 1), elementwise."""
+    return (1 - _EDGE_SHRINK) * np.sqrt(radial) * np.exp(2j * np.pi * angular)
+
+
 def _draw_disc(rng, shape) -> np.ndarray:
-    return (1 - _EDGE_SHRINK) * np.sqrt(rng.random(shape)) * np.exp(
-        2j * np.pi * rng.random(shape)
-    )
+    return _disc_points(rng.random(shape), rng.random(shape))
+
+
+def _disc_slabs(seed: int, tuples: int, samples: int, width: int):
+    """Slabs of _SAMPLE_CHUNK rows of the `tuples` arrays that consecutive
+    _draw_disc(rng, (samples, width)) calls on rng = default_rng(seed)
+    return, none of them held whole.
+
+    Each call takes samples * width radial uniforms and then as many
+    angular ones; every such run gets its own generator, advanced to the
+    run's start in rng's stream, which draws it slab by slab.
+    """
+    size = samples * width
+    runs = []
+    for k in range(2 * tuples):
+        bits = np.random.PCG64(seed)
+        bits.advance(k * size)
+        runs.append(np.random.Generator(bits))
+    for lo in range(0, samples, _SAMPLE_CHUNK):
+        shape = (min(_SAMPLE_CHUNK, samples - lo), width)
+        yield [
+            _disc_points(radial.random(shape), angular.random(shape))
+            for radial, angular in zip(runs[0::2], runs[1::2])
+        ]
 
 
 def sample_nonvanishing(
     mode: str,
     samples: int,
     seed: int = 0,
-    n: int = 3,
+    n: int | None = None,
 ) -> SamplingReport:
-    """Scan a family of pairs for small scaled determinant values.
+    """Scan a family of pairs for small cancellation ratios.
 
     g2_full draws independent dimension-2 pairs; g3_equal_third draws
     dimension-3 pairs sharing the third coordinate; diagonal draws one
-    tuple per sample and pairs it with itself (values should be real and
-    positive).  Sampling is reproducible for a fixed seed.
+    n-tuple per sample (n = 3 by default; only this mode takes n) and
+    pairs it with itself (values should be real and positive).  Every
+    pair is scored by kernel_ratio_slabs, kernel_gn's formula.  Sampling
+    is reproducible for a fixed seed.
     """
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {SAMPLING_MODES}")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if n is None:
+        n = 3
+    elif mode != "diagonal":
+        raise ValueError(f"n sets the dimension of diagonal mode only; {mode} fixes its own")
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
-    if mode == "g2_full":
-        lams = _draw_disc(rng, (samples, 2))
-        mus = _draw_disc(rng, (samples, 2))
-    elif mode == "g3_equal_third":
-        lams = _draw_disc(rng, (samples, 3))
-        mus = _draw_disc(rng, (samples, 3))
-        mus[:, 2] = lams[:, 2]
-    else:
-        lams = _draw_disc(rng, (samples, n))
-        mus = lams.copy()
+    width = {"g2_full": 2, "g3_equal_third": 3}.get(mode, n)
+    least, argmin = math.inf, None
+    diag_min_real, diag_ratio = math.inf, 0.0
 
-    # slabs of about 2^18 matrix entries bound the work arrays
-    slab = max(1, (1 << 18) // lams.shape[1] ** 2)
-    dets = np.empty(samples, dtype=complex)
-    scales = np.empty(samples)
-    for lo in range(0, samples, slab):
-        mats = batch_cauchy_power(lams[lo : lo + slab], mus[lo : lo + slab])
-        dets[lo : lo + slab] = np.linalg.det(mats)
-        scales[lo : lo + slab] = np.abs(mats).sum(axis=2).max(axis=1)
-    scaled = np.abs(dets) / scales
-    idx = int(np.argmin(scaled))
-    diag_min_real = diag_ratio = None
-    if mode == "diagonal":
-        reals = dets.real
-        diag_min_real = float(reals.min())
-        diag_ratio = float(np.max(np.abs(dets.imag) / np.maximum(np.abs(reals), 1e-300)))
+    def pairs():
+        for slab in _disc_slabs(seed, 1 if mode == "diagonal" else 2, samples, width):
+            lams, mus = slab[0], slab[-1]
+            if mode == "g3_equal_third":
+                mus[:, 2] = lams[:, 2]
+            yield lams, mus
+
+    for lams, mus, values, ratios in kernel_ratio_slabs(pairs()):
+        idx = int(np.argmin(ratios))
+        if argmin is None or ratios[idx] < least:
+            least = float(ratios[idx])
+            argmin = tuple(tuple(complex(c) for c in pts[idx]) for pts in (lams, mus))
+        if mode == "diagonal":
+            reals = values.real
+            diag_min_real = min(diag_min_real, float(reals.min()))
+            imag_ratio = np.abs(values.imag) / np.maximum(np.abs(reals), 1e-300)
+            diag_ratio = max(diag_ratio, float(imag_ratio.max()))
+    if mode != "diagonal":
+        diag_min_real = diag_ratio = None
     return SamplingReport(
         mode=mode,
         samples=samples,
         seed=seed,
-        min_scaled_abs=float(scaled[idx]),
-        argmin_lambda=tuple(complex(c) for c in lams[idx]),
-        argmin_mu=tuple(complex(c) for c in mus[idx]),
-        zero_found=bool(scaled[idx] == 0.0),
+        min_scaled_abs=least,
+        argmin_lambda=argmin[0],
+        argmin_mu=argmin[1],
+        zero_found=least == 0.0,
         diag_min_real=diag_min_real,
         diag_max_imag_ratio=diag_ratio,
     )

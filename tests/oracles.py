@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they check: elementary symmetric
 values come from explicit subset enumeration, the kernel at distinct
-coordinates comes from the exact determinant over the Vandermonde
-product rather than from the permanent formula, and the kernel at
-coincident coordinates from Richardson extrapolation of that route.
+coordinates comes from the determinant by exact Bareiss elimination
+over the Vandermonde product rather than from the permanent formula,
+and the kernel at coincident coordinates from Richardson extrapolation
+of that route.
 The exact determinant itself is checked against pivoted elimination
 over Fractions and against Bareiss elimination over dyadic Gaussian
 integers (the route it replaced), and the stacked dimension-3
@@ -20,7 +21,6 @@ from symdisc.kernel import (
     PI,
     bracket_coeffs_ABC,
     bracket_expr,
-    delta_n,
     kernel_g3_mu3zero,
     kernel_gn,
 )
@@ -174,9 +174,10 @@ def bareiss_delta(lam, mu):
 
 
 def exact_kernel(lam, mu):
-    """Kernel at distinct coordinates: the exact Cauchy-power determinant
-    over pi^n times the paired Vandermonde product."""
-    return delta_n(lam, mu) / (PI ** len(lam) * vandermonde_pair(lam, mu))
+    """Kernel at distinct coordinates: the Cauchy-power determinant by
+    exact elimination (bareiss_delta) over pi^n times the paired
+    Vandermonde product."""
+    return bareiss_delta(lam, mu) / (PI ** len(lam) * vandermonde_pair(lam, mu))
 
 
 def perturbed_cluster_tuple(nodes, mults, t, phases):

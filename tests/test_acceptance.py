@@ -215,7 +215,7 @@ def test_criterion_8_nonvanishing_sampling():
     _report(
         8,
         ok,
-        f"g2_full min scaled |delta| = {g2.min_scaled_abs:.2e} > 0, "
+        f"g2_full min |per C| / per |C| = {g2.min_scaled_abs:.2e} > 0, "
         f"g3_equal_third min = {g3.min_scaled_abs:.2e} > 0, over 1e5 samples each, "
         f"{elapsed:.1f}s (< 60 s)",
     )

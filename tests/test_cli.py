@@ -116,7 +116,7 @@ def _tampered(tmp_path, name, change):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--disc-radius", "--append-step", "--max-retries", "--tol-cert", "--tol-lift"]
+    "flag", ["--disc-radius", "--append-step", "--max-retries", "--tol-cert", "--tol-lift", "--seed"]
 )
 def test_lift_tuning_flags_are_gone(flag, tmp_path, capsys):
     for argv in (["find-zero", "4"], ["lift", "--cert", str(tmp_path / "c3.json")]):
@@ -248,6 +248,15 @@ def test_sample_subcommand_reproducible(tmp_path):
 def test_sample_rejects_non_positive_dimension(n, capsys):
     assert run(["sample", "diagonal", "--n", n, "--count", "10"]) == 2
     assert "n must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["g2_full", "g3_equal_third"])
+def test_sample_rejects_dimension_outside_diagonal_mode(mode, tmp_path, capsys):
+    # these modes fix their dimension, so an --n would be ignored
+    out = tmp_path / "s.json"
+    assert run(["sample", mode, "--n", "5", "--count", "10", "--out", str(out)]) == 2
+    assert "diagonal mode only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

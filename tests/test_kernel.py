@@ -408,8 +408,36 @@ def test_batch_kernel_matches_one_pair_kernel(rng, n):
     lams = np.array([draw_disc_tuple(rng, n) for _ in range(40)])
     mus = np.array([draw_disc_tuple(rng, n) for _ in range(40)])
     batch = kernel.batch_kernel(lams, mus)
-    for lam, mu, value in zip(lams, mus, batch):
-        assert value == pytest.approx(kernel_gn(lam, mu).value, rel=1e-13)
+    [(_, _, values, ratios)] = kernel.kernel_ratio_slabs([(lams, mus)])
+    for lam, mu, value, same, ratio in zip(lams, mus, batch, values, ratios):
+        ev = kernel_gn(lam, mu)
+        assert value == pytest.approx(ev.value, rel=1e-13)
+        assert same == pytest.approx(ev.value, rel=1e-13)
+        assert ratio == pytest.approx(abs(ev.numerator) / ev.scale, rel=1e-13)
+
+
+def test_ratio_slabs_of_any_sizes_match_one_slab(rng):
+    # the second slab is the largest, so the work arrays grow once
+    lams = np.array([draw_disc_tuple(rng, 5) for _ in range(25)])
+    mus = np.array([draw_disc_tuple(rng, 5) for _ in range(25)])
+    [(_, _, values, ratios)] = kernel.kernel_ratio_slabs([(lams, mus)])
+    cuts = [0, 5, 22, 25]
+    pieces = [(lams[a:b], mus[a:b]) for a, b in zip(cuts, cuts[1:])]
+    slabs = list(kernel.kernel_ratio_slabs(pieces))
+    assert [len(v) for _, _, v, _ in slabs] == [5, 17, 3]
+    for (got_lams, got_mus, _, _), (lams_ab, mus_ab) in zip(slabs, pieces):
+        assert got_lams is lams_ab and got_mus is mus_ab
+    np.testing.assert_allclose(np.concatenate([v for _, _, v, _ in slabs]), values, rtol=1e-15)
+    np.testing.assert_allclose(np.concatenate([r for _, _, _, r in slabs]), ratios, rtol=1e-15)
+
+
+def test_slab_buffers_hand_out_one_working_set():
+    empty = kernel._SlabBuffers()
+    first = [empty((3, 3, 8), complex), empty((3, 8), float)]
+    empty.next_slab()
+    again = [empty((3, 3, 5), complex), empty((3, 5), float)]
+    assert [a.shape for a in again] == [(3, 3, 5), (3, 5)]
+    assert all(np.shares_memory(a, b) for a, b in zip(first, again))
 
 
 def test_closed_form_and_bracket_coefficients_on_stacks():

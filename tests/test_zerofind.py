@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc import zerofind
+from symdisc import kernel, zerofind
 from symdisc.errors import (
     CertificationFailure,
     ContourTooClose,
@@ -424,8 +425,9 @@ def _appended_rungs(monkeypatch):
 
 def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
     rungs = _appended_rungs(monkeypatch)
+    monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)
     with pytest.raises(CertificationFailure, match="24 rungs"):
-        lift_zero(dim3_cert, tol=1e-300)
+        lift_zero(dim3_cert)
     assert len(rungs) == zerofind._LIFT_CANDIDATES == 24
     # the ladder s = 2^-1, 2^-2, ... with t = sqrt(1 - s), real and positive
     assert rungs == [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
@@ -472,7 +474,7 @@ def test_certificate_round_trip(chain6):
     data = chain6.to_dict()
     again = ZeroCertificate.from_dict(data)
     assert again == chain6
-    assert data["version"] == 1
+    assert data["version"] == 1 and "seed" not in data
     assert data["parent"]["n"] == 5
     with pytest.raises(ValueError):
         ZeroCertificate.from_dict({**data, "version": 2})
@@ -494,14 +496,14 @@ def test_certificate_validation_catches_tampering(dim3_cert):
 
 def test_sampling_g2(rng):
     report = sample_nonvanishing("g2_full", 2000, seed=3)
-    assert report.min_scaled_abs > 0
+    assert report.min_scaled_abs > 1e-2
     assert not report.zero_found
     assert len(report.argmin_lambda) == 2
 
 
 def test_sampling_g3_shared_third():
     report = sample_nonvanishing("g3_equal_third", 2000, seed=4)
-    assert report.min_scaled_abs > 0
+    assert report.min_scaled_abs > 1e-2
     assert report.argmin_lambda[2] == report.argmin_mu[2]
 
 
@@ -511,11 +513,70 @@ def test_sampling_diagonal_real_positive():
     assert report.diag_max_imag_ratio < 1e-9
 
 
+def test_sampling_diagonal_values_are_real_to_rounding():
+    # K(lambda, lambda) is real; its imaginary part is rounding only
+    report = sample_nonvanishing("diagonal", 5000, seed=5, n=6)
+    assert report.diag_max_imag_ratio < 1e-12
+
+
+def _sampled_pairs(mode, samples, seed, n=3):
+    """The pairs sample_nonvanishing draws, from the same generator."""
+    rng = np.random.default_rng(seed)
+    if mode == "diagonal":
+        lams = zerofind._draw_disc(rng, (samples, n))
+        return lams, lams
+    width = 2 if mode == "g2_full" else 3
+    lams = zerofind._draw_disc(rng, (samples, width))
+    mus = zerofind._draw_disc(rng, (samples, width))
+    if mode == "g3_equal_third":
+        mus[:, 2] = lams[:, 2]
+    return lams, mus
+
+
+@pytest.mark.parametrize("mode", zerofind.SAMPLING_MODES)
+def test_sampling_scores_by_the_one_pair_kernel(mode, monkeypatch):
+    # slabs of 64 pairs, so 200 samples cross slab boundaries
+    monkeypatch.setattr(zerofind, "_SAMPLE_CHUNK", 64)
+    report = sample_nonvanishing(mode, 200, seed=21)
+    lams, mus = _sampled_pairs(mode, 200, 21)
+    evals = [kernel_gn(lam, mu) for lam, mu in zip(lams, mus)]
+    ratios = [abs(ev.numerator) / ev.scale for ev in evals]
+    k = int(np.argmin(ratios))
+    assert report.min_scaled_abs == pytest.approx(ratios[k], rel=1e-12)
+    assert report.argmin_lambda == tuple(lams[k]) and report.argmin_mu == tuple(mus[k])
+    if mode == "diagonal":
+        least = min(ev.value.real for ev in evals)
+        assert report.diag_min_real == pytest.approx(least, rel=1e-12)
+    else:
+        assert report.diag_min_real is None and report.diag_max_imag_ratio is None
+
+
+def test_sampling_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # the 4e4 diagonal n = 6 tuples alone would take 3.84 MB drawn whole
+    monkeypatch.setattr(zerofind, "_SAMPLE_CHUNK", 256)
+    tracemalloc.start()
+    try:
+        report = sample_nonvanishing("diagonal", 40_000, seed=1, n=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.samples == 40_000 and report.diag_min_real > 0
+    assert peak < 40_000 * 6 * 16
+
+
+def test_sampling_ratio_reads_the_certified_zero(chain7):
+    [(_, _, _, ratios)] = kernel.kernel_ratio_slabs([(np.array([chain7.lam]), np.array([chain7.mu]))])
+    assert ratios[0] < 1e-8
+
+
 def test_sampling_rejects_unknown_mode():
     with pytest.raises(ValueError):
         sample_nonvanishing("bogus", 10)
     with pytest.raises(ValueError):
         sample_nonvanishing("g2_full", 0)
+    for mode in ("g2_full", "g3_equal_third"):
+        with pytest.raises(ValueError, match="diagonal mode only"):
+            sample_nonvanishing(mode, 10, n=3)
 
 
 def test_reference_root_value():
