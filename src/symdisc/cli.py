@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import itertools
 import json
 import math
 import re
@@ -41,13 +43,19 @@ def parse_complex(text: str) -> complex:
 
 
 def _write_output(out: str | None, text: str) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+    _write_chunks(out, [text])
+
+
+def _write_chunks(out: str | None, chunks) -> None:
+    """Write the strings of an iterable one after another, to the file out
+    or to stdout, and end with a newline; a generator's chunks are not all
+    held at once."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        last = ""
+        for last in chunks:
+            fh.write(last)
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
 def _fmt_complex(c: complex) -> str:
@@ -268,6 +276,10 @@ def cmd_grid(args) -> int:
     width = args.width
 
     if args.axis == "z":
+        if mu[0] == 0:
+            print("grid: --axis z needs mu_1 != 0 (z = conj(mu_2) / conj(mu_1)), "
+                  "but the certificate has mu_1 = 0", file=sys.stderr)
+            return EXIT_USAGE
         center = mu[1].conjugate() / mu[0].conjugate()
     elif args.axis == "lambda1":
         center = lam[0]
@@ -280,24 +292,27 @@ def cmd_grid(args) -> int:
     half = res // 2
     step = width / max(half, 1)
     offsets = (np.arange(res) - half) * step
-    pts = center + offsets[:, None] + 1j * offsets[None, :]
-    flat = pts.ravel()
+    re_, im_ = center.real + offsets, center.imag + offsets
+    pts = re_[:, None] + 1j * im_[None, :]
 
-    count = flat.size
-    lams = np.tile(lam, (count, 1))
-    mus = np.tile(mu, (count, 1))
-    if args.axis == "z":
-        mus[:, 1] = np.conj(flat) * mus[:, 0]
-    elif args.axis == "lambda1":
-        lams[:, 0] = flat
+    # each axis moves one coordinate of one tuple, so the values lie on one
+    # fiber: lambda1 moves lambda_1 itself, and mu2 and z move mu_2, which
+    # K(lam, mu) = conj K(mu, lam) and K's symmetry in mu turn into the
+    # first coordinate of a fiber with mu_2 left out and lam in mu's role
+    if args.axis == "lambda1":
+        values = kernel.fiber_kernel(pts, lam[1:], mu)
     else:
-        mus[:, 1] = flat
-    values = kernel.batch_kernel(lams, mus)
+        mu2 = np.conj(pts) * mu[0] if args.axis == "z" else pts
+        values = np.conj(kernel.fiber_kernel(mu2, np.delete(mu, 1), lam))
 
-    # one format string for the whole table: no per-row string objects
-    table = np.column_stack([flat.real, flat.imag, np.abs(values), np.angle(values)])
-    row = "\n%.17g,%.17g,%.17g,%.17g"
-    _write_output(args.out, "re,im,abs_k,arg_k" + row * len(table) % tuple(table.ravel().tolist()))
+    # the coordinates take res values each: format them once, and each block
+    # of res rows with one format string over its |K| and arg K columns,
+    # written as it is made: holding the whole table, as one string or as
+    # blocks, raised the command's peak memory by 9 MiB at --res 200
+    fields = np.stack([np.abs(values), np.angle(values)], axis=-1).reshape(res, -1).tolist()
+    tails = [""] + ["%.17g,%%.17g,%%.17g" % y for y in im_.tolist()]
+    blocks = (("\n%.17g," % x).join(tails) % tuple(block) for x, block in zip(re_.tolist(), fields))
+    _write_chunks(args.out, itertools.chain(["re,im,abs_k,arg_k"], blocks))
     return EXIT_OK
 
 

@@ -26,13 +26,16 @@ as generic expressions so the exact-arithmetic module can reuse them
 verbatim on its own field elements.
 
 per C is linear in the first row, so on a fiber (lambda_2..lambda_n, mu)
-it is a rational function of lambda_1 whose numerator, the fiber
-polynomial, is built from the permanents of the first-row minors; its
-roots are the first coordinates at which the kernel vanishes.
+it is a rational function of lambda_1 built from the permanents of the
+first-row minors.  Its numerator, the fiber polynomial, has the first
+coordinates at which the kernel vanishes as its roots; fiber_kernel
+evaluates the kernel along the fiber from the same minors, O(n) per
+point, which is what grid slices use.
 
 det_pivoted takes one matrix or a stack of them; it serves the
-dimension-3 reduction checks and the slice moment identity.  Batch
-helpers for sampling work in ordinary complex128.
+dimension-3 reduction checks and the slice moment identity.  The batch
+helpers, for sampling and the numeric cross-checks, work in ordinary
+complex128.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ PI = math.pi
 
 # pairs per slab of the batch evaluators: bounds the (n, n, chunk) work
 # arrays, about 3 MB at n = 7.  With slabs of 4096 pairs the peak memory of
-# a process running many grid and sample jobs varied from run to run by up
-# to 16 MB
+# a process running many sample jobs (and grid jobs, which then evaluated
+# every point as a pair) varied from run to run by up to 16 MB
 _BATCH_CHUNK = 1024
 
 
@@ -124,18 +127,12 @@ def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
 
 
-def fiber_polynomial(rest, mu) -> np.ndarray:
-    """Coefficients, highest degree first (as np.roots takes them), of
-
-        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
-
-    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
-    lambda_m.  per C is linear in the first row, so q(x) is
-    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
-    degree at most m - 1 whose roots in the unit disc are the first
-    coordinates that make the kernel vanish on this fiber.  The m minors
-    go through one permanent call, stacked on its batch axis.
-    """
+def _minor_permanents(rest, mu):
+    """(pers, mubar, base) for the fiber (rest; mu): pers[k] is the permanent
+    of R without column k, where R holds the rows 1 / (1 - lambda_j conj(mu_k))
+    of rest = lambda_2..lambda_m, mubar is conj(mu) and base the (m - 1, m)
+    matrix of those 1 - lambda_j conj(mu_k).  The m minors go through one
+    permanent call, stacked on its batch axis."""
     rest = np.asarray(rest, dtype=complex)
     mubar = np.conj(np.asarray(mu, dtype=complex))
     m = len(mubar)
@@ -147,7 +144,22 @@ def fiber_polynomial(rest, mu) -> np.ndarray:
     c = 1.0 / base
     keep = ~np.eye(m, dtype=bool)  # row k: every column but k
     minors = np.stack([c[:, keep[k]] for k in range(m)], axis=-1)
-    pers = permanent(minors)
+    return permanent(minors), mubar, base
+
+
+def fiber_polynomial(rest, mu) -> np.ndarray:
+    """Coefficients, highest degree first (as np.roots takes them), of
+
+        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
+
+    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
+    lambda_m.  per C is linear in the first row, so q(x) is
+    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
+    degree at most m - 1 whose roots in the unit disc are the first
+    coordinates that make the kernel vanish on this fiber.
+    """
+    pers, mubar, _ = _minor_permanents(rest, mu)
+    m = len(mubar)
     # prod_{l != k} (1 - x conj(mu_l)) from prefix and suffix products
     factors = [np.array([-b, 1.0]) for b in mubar]
     prefix = [np.ones(1, dtype=complex)]
@@ -159,6 +171,27 @@ def fiber_polynomial(rest, mu) -> np.ndarray:
         q += pers[k] * np.convolve(prefix[k], suffix)
         suffix = np.convolve(suffix, factors[k])
     return q
+
+
+def fiber_kernel(x, rest, mu) -> np.ndarray:
+    """Kernel values K((x, *rest), mu) for an array x of first coordinates.
+
+    The expansion of per C along its first row gives
+    per C = sum_k per(R without column k) / (1 - x conj(mu_k)), with the
+    minor permanents of fiber_polynomial computed once for the fiber; the
+    denominator is pi^m prod_{j>=2,k} B_jk prod_k (1 - x conj(mu_k)).  So
+    each x costs O(m), against the m 2^(m-1) of a full permanent, and the
+    value is kernel_gn's at every x with no zero 1 - x conj(mu_k).
+    """
+    pers, mubar, base = _minor_permanents(rest, mu)
+    x = np.asarray(x, dtype=complex)
+    per = np.zeros_like(x)
+    row = np.ones_like(x)
+    for minor, b in zip(pers, mubar):
+        first = 1.0 - x * b
+        per += minor / first
+        row *= first
+    return per / (PI ** len(mubar) * np.prod(base) * row)
 
 
 def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
@@ -483,7 +516,7 @@ def bracket_coeffs_ABC(nu) -> tuple:
     return tuple(_complex_if_scalar(v) for v in (big_a, big_b, big_c))
 
 
-# --- batch evaluation (complex128, for sampling and grids) -------------------
+# --- batch evaluation (complex128, for sampling and cross-checks) -----------
 
 
 def batch_cauchy_power(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:

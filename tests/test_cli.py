@@ -1,7 +1,9 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symdisc.cli import main, parse_complex
@@ -306,4 +308,59 @@ def test_grid_lambda_axis(tmp_path):
     top = max(r[2] for r in rows)
     for re_, im_, abs_k, arg_k in rows:
         k = kernel_gn((complex(re_, im_), *cert.lam[1:]), cert.mu).value
+        assert abs(abs_k * cmath.exp(1j * arg_k) - k) <= 1e-9 * top
+
+
+def test_grid_z_axis_rejects_mu_one_zero(tmp_path, capsys):
+    # z = conj(mu_2) / conj(mu_1) has no value: every row was inf, -inf, nan
+    def mu_one_zero(data):
+        data["mu"][0] = [0.0, 0.0]
+        data["mu"][2] = [0.1, 0.0]
+
+    path = _tampered(tmp_path, "mu1zero.json", mu_one_zero)
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(path), "--axis", "z", "--res", "5", "--out", str(out)]) == 2
+    assert "mu_1 = 0" in capsys.readouterr().err
+    assert not out.exists()
+    # the other axes do not divide by mu_1
+    assert run(["grid", "--around", str(path), "--axis", "mu2", "--res", "5", "--out", str(out)]) == 0
+
+
+def _grid_around(tmp_path, which):
+    """A certificate file: find-zero 3's, or the pinned n = 7 chain."""
+    if which == "c7":
+        return Path(__file__).parent / "data" / "chain7_v1.json"
+    path = tmp_path / "c3.json"
+    assert run(["find-zero", "3", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("which", ["c3", "c7"])
+@pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])
+def test_grid_rows_are_the_kernel_at_their_points(axis, which, tmp_path):
+    path = _grid_around(tmp_path, which)
+    res, width = 9, 0.01
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(path), "--axis", axis, "--res", str(res),
+                "--width", str(width), "--out", str(out)]) == 0
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    lam, mu = list(cert.lam), list(cert.mu)
+    # in complex128, as numpy divides (Python's complex division rounds differently)
+    m1, m2 = np.conj(np.asarray(cert.mu[:2]))
+    center = {"z": m2 / m1, "lambda1": lam[0], "mu2": mu[1]}[axis]
+    offsets = (np.arange(res) - res // 2) * (width / (res // 2))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "re,im,abs_k,arg_k" and len(lines) == 1 + res * res
+    # the coordinate columns are "%.17g" of center + offsets, row by row
+    expected = ["%.17g,%.17g" % (center.real + a, center.imag + b) for a in offsets for b in offsets]
+    assert [line.rsplit(",", 2)[0] for line in lines[1:]] == expected
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    top = max(r[2] for r in rows)
+    for re_, im_, abs_k, arg_k in rows:
+        point = complex(re_, im_)
+        if axis == "lambda1":
+            lam[0] = point
+        else:
+            mu[1] = point.conjugate() * mu[0] if axis == "z" else point
+        k = kernel_gn(lam, mu).value
         assert abs(abs_k * cmath.exp(1j * arg_k) - k) <= 1e-9 * top

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from symdisc.kernel import (
     kernel_gn_stable,
 )
 from symdisc.symcore import elem_sym, roots_from_sym
+from symdisc.zerofind import ZeroCertificate
 
 from .conftest import draw_disc_tuple
 from .oracles import (
@@ -240,6 +243,48 @@ def test_fiber_polynomial_rejects_bad_input():
         kernel.fiber_polynomial([], [0.3])
     with pytest.raises(SingularEntry):
         kernel.fiber_polynomial([0.5], [0.3, 2.0])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fiber_kernel_matches_one_pair_kernel(rng, n):
+    for repeat in (None, "rest", "mu"):
+        for _ in range(5):
+            rest = list(draw_disc_tuple(rng, n - 1))
+            mu = list(draw_disc_tuple(rng, n))
+            if repeat == "rest" and n > 2:
+                rest[-1] = rest[0]
+            elif repeat == "mu":
+                mu[-1] = mu[0]
+            xs = np.array(draw_disc_tuple(rng, 4))
+            values = kernel.fiber_kernel(xs, rest, mu)
+            assert values.shape == xs.shape
+            for x, value in zip(xs, values):
+                ev = kernel_gn((x, *rest), mu)
+                # to rounding of per |C|, the bound on Glynn's sum
+                assert abs(value - ev.value) <= 1e-13 * ev.scale / abs(ev.denominator)
+
+
+def test_fiber_kernel_keeps_the_shape_of_x(rng):
+    rest, mu = draw_disc_tuple(rng, 2), draw_disc_tuple(rng, 3)
+    xs = np.array(draw_disc_tuple(rng, 6)).reshape(2, 3)
+    values = kernel.fiber_kernel(xs, rest, mu)
+    assert values.shape == (2, 3)
+    assert values[1, 2] == kernel.fiber_kernel([xs[1, 2]], rest, mu)[0]
+    with pytest.raises(ValueError):
+        kernel.fiber_kernel(xs, rest, mu[:2])
+    with pytest.raises(SingularEntry):
+        kernel.fiber_kernel(xs, [0.5], [0.3, 2.0])
+
+
+def test_fiber_kernel_at_the_pinned_zero_is_no_worse_than_kernel_gn():
+    # at a certified zero the float per C is rounding noise: measured
+    # against the exact permanent, the one-row expansion must not be worse
+    path = Path(__file__).parent / "data" / "chain7_v1.json"
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    ev = kernel_gn(cert.lam, cert.mu)
+    exact = kernel.permanent_exact(cert.lam, cert.mu) / ev.denominator
+    [value] = kernel.fiber_kernel([cert.lam[0]], cert.lam[1:], cert.mu)
+    assert abs(value - exact) <= abs(ev.value - exact)
 
 
 def test_kernel_repeated_coordinate_matches_oracle():
