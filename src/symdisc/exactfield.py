@@ -3,9 +3,12 @@
 Every constant appearing in the dimension-3 zero construction lives in
 the real field Q(sqrt2, sqrt3), represented on the basis
 {1, sqrt2, sqrt3, sqrt6} with rational coordinates, plus an explicit
-complex pair on top.  An integral coordinate is kept as an int and only
-a true fraction as a Fraction, so identities with integer coefficients
-run on ints, without a gcd per product.  Signs of nonzero elements are
+complex pair on top.  The bracket identities are polynomial identities
+with rational coefficients, so ExactPoly works over Q alone.  An
+integral coordinate or coefficient is kept as an int and only a true
+fraction as a Fraction, so identities with integer coefficients run on
+ints, without a gcd per product.  The three types share one set of
+derived ring operations (_Ring).  Signs of nonzero elements are
 decided by interval arithmetic with escalating precision (exact-zero
 short circuit first), so every verification below is
 precision-independent.
@@ -24,7 +27,6 @@ The two verification entry points re-derive, with zero tolerance:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +48,60 @@ def _frac(x: _Rat) -> _Rat:
     return x.numerator if x.denominator == 1 else x
 
 
-class AlgNum:
+class _Ring:
+    """The derived operations of a commutative ring, for one type.
+
+    A subclass provides `of` (coercion of an operand into the type, which
+    raises TypeError for anything else), __add__, __neg__, __mul__, inv
+    and _key (the value that decides equality); subtraction, the
+    reflected operations, division, integer powers, == and hash follow
+    from those.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        try:
+            o = self.of(other)
+        except TypeError:
+            return NotImplemented
+        return self._key() == o._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-self.of(other))
+
+    def __rsub__(self, other):
+        return self.of(other) + (-self)
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __truediv__(self, other):
+        return self * self.of(other).inv()
+
+    def __rtruediv__(self, other):
+        return self.of(other) * self.inv()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = self.of(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+
+class AlgNum(_Ring):
     """Element q0 + q2*sqrt2 + q3*sqrt3 + q6*sqrt6 with rational coordinates."""
 
     __slots__ = ("q0", "q2", "q3", "q6")
@@ -68,36 +123,20 @@ class AlgNum:
     def coords(self):
         return (self.q0, self.q2, self.q3, self.q6)
 
+    _key = coords
+
     def is_zero(self) -> bool:
         return not (self.q0 or self.q2 or self.q3 or self.q6)
 
     def is_rational(self) -> bool:
         return not (self.q2 or self.q3 or self.q6)
 
-    def __eq__(self, other) -> bool:
-        try:
-            o = AlgNum.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.coords() == o.coords()
-
-    def __hash__(self):
-        return hash(self.coords())
-
     def __add__(self, other):
         o = AlgNum.of(other)
         return AlgNum(self.q0 + o.q0, self.q2 + o.q2, self.q3 + o.q3, self.q6 + o.q6)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return AlgNum(-self.q0, -self.q2, -self.q3, -self.q6)
-
-    def __sub__(self, other):
-        return self + (-AlgNum.of(other))
-
-    def __rsub__(self, other):
-        return AlgNum.of(other) + (-self)
 
     def __mul__(self, other):
         o = AlgNum.of(other)
@@ -110,8 +149,6 @@ class AlgNum:
             a0 * b3 + a3 * b0 + 2 * (a2 * b6 + a6 * b2),
             a0 * b6 + a6 * b0 + a2 * b3 + a3 * b2,
         )
-
-    __rmul__ = __mul__
 
     def _conj2(self) -> "AlgNum":
         # sqrt2 -> -sqrt2 (and hence sqrt6 -> -sqrt6)
@@ -130,24 +167,6 @@ class AlgNum:
         r = Fraction(1, norm.q0)
         return AlgNum(mult.q0 * r, mult.q2 * r, mult.q3 * r, mult.q6 * r)
 
-    def __truediv__(self, other):
-        return self * AlgNum.of(other).inv()
-
-    def __rtruediv__(self, other):
-        return AlgNum.of(other) * self.inv()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = AlgNum(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __float__(self) -> float:
         return (
             float(self.q0)
@@ -160,7 +179,6 @@ class AlgNum:
         return f"AlgNum({self.q0}, {self.q2}, {self.q3}, {self.q6})"
 
 
-ZERO = AlgNum(0)
 ONE = AlgNum(1)
 SQRT2 = AlgNum(0, 1)
 SQRT3 = AlgNum(0, 0, 1)
@@ -208,7 +226,7 @@ def alg_sign(x: AlgNum, start_bits: int = 64) -> int:
         bits *= 2
 
 
-class AlgComplex:
+class AlgComplex(_Ring):
     """Complex pair over AlgNum; conjugation negates the imaginary part."""
 
     __slots__ = ("re", "im")
@@ -225,41 +243,24 @@ class AlgComplex:
             return cls(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into the complex field")
 
+    def _key(self):
+        return self.re.coords() + self.im.coords()
+
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = AlgComplex.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __add__(self, other):
         o = AlgComplex.of(other)
         return AlgComplex(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return AlgComplex(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-AlgComplex.of(other))
-
-    def __rsub__(self, other):
-        return AlgComplex.of(other) + (-self)
 
     def __mul__(self, other):
         o = AlgComplex.of(other)
         return AlgComplex(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
-
-    __rmul__ = __mul__
 
     def conj(self) -> "AlgComplex":
         return AlgComplex(self.re, -self.im)
@@ -270,24 +271,6 @@ class AlgComplex:
         nrm = self.re * self.re + self.im * self.im
         inv_n = nrm.inv()
         return AlgComplex(self.re * inv_n, -(self.im * inv_n))
-
-    def __truediv__(self, other):
-        return self * AlgComplex.of(other).inv()
-
-    def __rtruediv__(self, other):
-        return AlgComplex.of(other) * self.inv()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = AlgComplex(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -310,16 +293,24 @@ PHASE_15 = AlgComplex(
 TORUS_BASE = (PHASE_30, PHASE_60, PHASE_NEG_30)
 
 
-# --- sparse polynomials over AlgComplex --------------------------------------
+# --- sparse polynomials over Q ----------------------------------------------
 
 VARS = ("nu1", "nu2", "nu3", "z")
 _NV = len(VARS)
 
 
-class ExactPoly:
-    """Sparse multivariate polynomial in (nu1, nu2, nu3, z) over AlgComplex.
+def _rational(x) -> _Rat:
+    """A polynomial coefficient: an int or a Fraction, as _frac keeps it."""
+    if isinstance(x, (int, Fraction)):
+        return _frac(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} into Q")
 
-    Zero coefficients are never stored; equality is exact coefficient
+
+class ExactPoly(_Ring):
+    """Sparse multivariate polynomial in (nu1, nu2, nu3, z) over Q.
+
+    A coefficient is an int, or a Fraction when it is not integral, and
+    zero coefficients are never stored; equality is exact coefficient
     comparison, which is the identity test used by the verification
     suite (full expansion, not randomized evaluation).
     """
@@ -328,93 +319,54 @@ class ExactPoly:
 
     def __init__(self, terms: dict | None = None):
         clean = {}
-        if terms:
-            for expo, coef in terms.items():
-                c = AlgComplex.of(coef)
-                if not c.is_zero():
-                    clean[tuple(expo)] = c
+        for expo, coef in (terms or {}).items():
+            c = _rational(coef)
+            if c:
+                clean[tuple(expo)] = c
         self.terms = clean
 
     @classmethod
     def const(cls, c) -> "ExactPoly":
-        return cls({(0,) * _NV: AlgComplex.of(c)})
+        return cls({(0,) * _NV: c})
 
     @classmethod
     def var(cls, name: str) -> "ExactPoly":
         expo = [0] * _NV
         expo[VARS.index(name)] = 1
-        return cls({tuple(expo): AlgComplex.of(1)})
+        return cls({tuple(expo): 1})
 
     @classmethod
-    def _coerce(cls, x) -> "ExactPoly":
+    def of(cls, x) -> "ExactPoly":
         if isinstance(x, ExactPoly):
             return x
         return cls.const(x)
 
+    def _key(self):
+        return frozenset(self.terms.items())
+
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        try:
-            o = ExactPoly._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
-        o = ExactPoly._coerce(other)
         out = dict(self.terms)
-        for expo, coef in o.terms.items():
-            acc = out.get(expo)
-            s = coef if acc is None else acc + coef
-            if s.is_zero():
-                out.pop(expo, None)
-            else:
-                out[expo] = s
+        for expo, coef in ExactPoly.of(other).terms.items():
+            out[expo] = out.get(expo, 0) + coef
         return ExactPoly(out)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return ExactPoly({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-ExactPoly._coerce(other))
-
-    def __rsub__(self, other):
-        return ExactPoly._coerce(other) + (-self)
-
     def __mul__(self, other):
-        o = ExactPoly._coerce(other)
+        o = ExactPoly.of(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(expo)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
+                out[expo] = out.get(expo, 0) + c1 * c2
         return ExactPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not polynomial")
-        out = ExactPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def inv(self):
+        raise ValueError("polynomials have no inverses: negative powers are not polynomial")
 
     def coeff_in(self, name: str, power: int) -> "ExactPoly":
         """Coefficient of name**power, as a polynomial in the other variables."""
@@ -501,9 +453,6 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # --- the exact quadratic data at the base triple ------------------------------

@@ -485,34 +485,19 @@ def bracket_raw_displays(nu1, nu2, nu3):
     return a_coef, minus_two_c, b_plus_two_c
 
 
-def _conv(p, q):
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
 def bracket_coeffs_ABC(nu) -> tuple:
-    """(A, B, C) from expanding the bracket as a cubic in z.
-
-    A, B, C are the z^3 coefficient, (z^1 coefficient) - 2C, and
-    -(z^0 coefficient)/2; each equals (nu_2 - nu_1) times the matching
-    closed-form quadratic coefficient.  nu runs along the last axis: a
-    (..., 3) array gives three arrays of shape (...), one triple gives
-    three complex numbers.
+    """(A, B, C) of the bracket as a cubic in z, from its coefficient
+    displays (bracket_raw_displays, which exactfield proves equal to the
+    expansion): A is the z^3 coefficient, the z^0 coefficient is -2C and
+    the z^1 coefficient is B + 2C.  Each equals (nu_2 - nu_1) times the
+    matching closed-form quadratic coefficient.  nu runs along the last
+    axis: a (..., 3) array gives three arrays of shape (...), one triple
+    gives three complex numbers.
     """
     n1, n2, n3 = np.moveaxis(np.asarray(nu, dtype=complex), -1, 0)
-    # ascending z-coefficient lists of each factor
-    term1 = _conv([-2, n2 + n3], [1, -2 * n1, n1 * n1])
-    term1 = [c * (n1 + n3 - 2) * (1 - n2) ** 2 for c in term1]
-    term2 = _conv([-2, n1 + n3], [1, -2 * n2, n2 * n2])
-    term2 = [c * (n2 + n3 - 2) * (1 - n1) ** 2 for c in term2]
-    coeffs = [a - b for a, b in zip(term1, term2)]
-    c0, c1, _, c3 = coeffs
-    big_a = c3
-    big_c = -c0 / 2
-    big_b = c1 + c0  # c1 = B + 2C and c0 = -2C
+    big_a, minus_two_c, b_plus_two_c = bracket_raw_displays(n1, n2, n3)
+    big_b = b_plus_two_c + minus_two_c
+    big_c = -minus_two_c / 2
     return tuple(_complex_if_scalar(v) for v in (big_a, big_b, big_c))
 
 

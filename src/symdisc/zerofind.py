@@ -117,7 +117,7 @@ class ZeroCertificate:
         if len(self.lam) != self.n or len(self.mu) != self.n:
             raise CertificationFailure("certificate dimension mismatch")
         for c in (*self.lam, *self.mu):
-            if abs(c) >= 1.0:
+            if not abs(c) < 1.0:  # fails closed on nan
                 raise CertificationFailure(f"coordinate {c} not in the unit disc")
         if len(set(self.lam)) != self.n or len(set(self.mu)) != self.n:
             raise CertificationFailure("coordinates are not pairwise distinct")
@@ -148,23 +148,50 @@ class ZeroCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ZeroCertificate":
+        """The certificate a to_dict() record holds; a record of another
+        shape raises ValueError naming the field at fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a certificate is a JSON object, not {type(data).__name__}")
         if data.get("version") != 1:
             raise ValueError(f"unsupported certificate version: {data.get('version')}")
-        wit = data["fn_witness"]
+        wit = _field(data, "fn_witness", dict)
+        tolerances = data.get("tolerances", {})
+        if not (isinstance(tolerances, dict) and all(isinstance(t, _NUMBER) for t in tolerances.values())):
+            raise ValueError(f"certificate field 'tolerances' is not a map to numbers: {tolerances!r}")
         return cls(
-            n=data["n"],
-            lam=tuple(complex(re, im) for re, im in data["lambda"]),
-            mu=tuple(complex(re, im) for re, im in data["mu"]),
-            residual_rel=data["residual_rel"],
-            kernel_abs=data["kernel_abs"],
-            construction=data["construction"],
+            n=_field(data, "n", int),
+            lam=tuple(_point(p, "lambda") for p in _field(data, "lambda", list)),
+            mu=tuple(_point(p, "mu") for p in _field(data, "mu", list)),
+            residual_rel=_field(data, "residual_rel", _NUMBER),
+            kernel_abs=_field(data, "kernel_abs", _NUMBER),
+            construction=_field(data, "construction", str),
             fn_witness=FnWitness(
-                point=complex(wit["point"][0], wit["point"][1]),
-                value_abs=wit["value_abs"],
+                point=_point(_field(wit, "point", list), "fn_witness.point"),
+                value_abs=_field(wit, "value_abs", _NUMBER),
             ),
-            tolerances=dict(data.get("tolerances", {})),
+            tolerances=dict(tolerances),
             parent=cls.from_dict(data["parent"]) if data.get("parent") else None,
         )
+
+
+_NUMBER = (int, float)
+
+
+def _field(data: dict, key: str, kind):
+    """data[key], required to be of type kind."""
+    if key not in data:
+        raise ValueError(f"certificate has no {key!r} field")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _point(pair, key: str) -> complex:
+    """The complex number a [re, im] pair of numbers stands for."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, _NUMBER) for x in pair)):
+        raise ValueError(f"certificate field {key!r} holds {pair!r}, not a [re, im] pair of numbers")
+    return complex(*pair)
 
 
 def _cancellation(lam, mu) -> tuple[float, float]:

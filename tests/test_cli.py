@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symdisc.cli import main, parse_complex
+from symdisc.errors import CertificationFailure
 from symdisc.kernel import kernel_gn
 from symdisc.zerofind import ZeroCertificate, recertify
 
@@ -170,6 +171,58 @@ def test_grid_validates_the_loaded_certificate(tmp_path, capsys):
     assert run(["grid", "--around", str(path), "--res", "5", "--out", str(out)]) == 3
     assert "exceeds tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_coordinate_fails_validation(tmp_path, capsys):
+    def nan_lambda(data):
+        data["lambda"][0] = [math.nan, 0.0]
+
+    path = _tampered(tmp_path, "nan.json", nan_lambda)
+    with pytest.raises(CertificationFailure, match="not in the unit disc"):
+        ZeroCertificate.from_dict(json.loads(path.read_text())).validate()
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(path), "--res", "5", "--out", str(out)]) == 3
+    assert "not in the unit disc" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _top_level_list(data):
+    return [data]
+
+
+def _no_witness(data):
+    del data["fn_witness"]
+
+
+def _string_coordinate(data):
+    data["mu"][1] = [str(x) for x in data["mu"][1]]
+
+
+def _string_tolerance(data):
+    data["tolerances"]["residual_rel"] = "1e-8"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_top_level_list, "a certificate is a JSON object, not list"),
+        (_no_witness, "certificate has no 'fn_witness' field"),
+        (_string_coordinate, "certificate field 'mu' holds ["),
+        (_string_tolerance, "certificate field 'tolerances' is not a map to numbers"),
+    ],
+    ids=["top-level-list", "no-witness", "string-coordinate", "string-tolerance"],
+)
+def test_malformed_certificate_is_a_usage_error(change, message, tmp_path, capsys):
+    good = tmp_path / "c3.json"
+    assert run(["find-zero", "3", "--out", str(good)]) == 0
+    data = json.loads(good.read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(change(data) or data))
+    for argv in (["lift", "--cert", str(path)], ["grid", "--around", str(path), "--res", "3"]):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_subcommand(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdisc import exactfield, kernel
 from symdisc.errors import DivisionByZero
 from symdisc.exactfield import (
     NU1,
@@ -35,6 +36,10 @@ rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
 algnums = st.builds(AlgNum, rationals, rationals, rationals, rationals)
+algcomplexes = st.builds(AlgComplex, algnums, algnums)
+exactpolys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(exactfield.VARS)), rationals, max_size=4
+).map(ExactPoly)
 
 
 def test_basis_multiplication_table():
@@ -234,3 +239,44 @@ def test_tampered_bracket_display_fails_extraction(monkeypatch):
     monkeypatch.setattr(exactfield, "bracket_raw_displays", tampered)
     rep = verify_bracket_identities()
     assert [c.name for c in rep.failures()] == ["extract-z3"]
+
+
+def test_float_bracket_coefficients_come_from_the_proved_displays(monkeypatch):
+    # one tampered display, installed where the exact suite and the float
+    # A, B, C each look it up: the proof and the numeric chain both see it
+    displays = kernel.bracket_raw_displays
+
+    def tampered(nu1, nu2, nu3):
+        a_coef, minus_two_c, b_plus_two_c = displays(nu1, nu2, nu3)
+        return a_coef + 1, minus_two_c, b_plus_two_c
+
+    monkeypatch.setattr(kernel, "bracket_raw_displays", tampered)
+    monkeypatch.setattr(exactfield, "bracket_raw_displays", tampered)
+    assert [c.name for c in verify_bracket_identities().failures()] == ["extract-z3"]
+    assert kernel.reduction_chain_check(50, 1)["max_rel_diff"] > 1e-3
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(st.tuples(s, s) for s in (algnums, algcomplexes, exactpolys)))
+def test_derived_ring_operations(pair):
+    x, y = pair
+    assert x - y == x + (-y)
+    assert 1 - x == -x + 1 and (1 - x) + x == 1
+    assert x**3 == x * x * x and x**0 == 1
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    if not isinstance(x, ExactPoly) and not x.is_zero():
+        assert 2 / x * x == 2
+        assert x**-2 * x * x == 1
+
+
+@pytest.mark.parametrize("coef", [AlgNum(1), AlgComplex(1), 1.0, 1j], ids=repr)
+def test_exactpoly_coefficients_are_rational(coef):
+    for make in (ExactPoly.const, lambda c: NU1 * c, lambda c: NU1 + c, lambda c: c - NU1):
+        with pytest.raises(TypeError):
+            make(coef)
+    bracket = bracket_expr(NU1, NU2, NU3, Z)
+    half = ExactPoly.const(Fraction(1, 2)) * bracket + Fraction(3, 2)
+    coefs = [*bracket.terms.values(), *half.terms.values()]
+    assert all(type(c) is int or c.denominator != 1 for c in coefs)
+    assert any(isinstance(c, Fraction) for c in coefs)
