@@ -52,10 +52,10 @@ class _Ring:
     """The derived operations of a commutative ring, for one type.
 
     A subclass provides `of` (coercion of an operand into the type, which
-    raises TypeError for anything else), __add__, __neg__, __mul__, inv
-    and _key (the value that decides equality); subtraction, the
-    reflected operations, division, integer powers, == and hash follow
-    from those.
+    raises TypeError for anything else), __add__, __neg__, __mul__, inv,
+    _key (the value that decides equality) and _plain (the simpler value
+    the element equals, or None); subtraction, the reflected operations,
+    division, integer powers, == and hash follow from those.
     """
 
     __slots__ = ()
@@ -68,7 +68,10 @@ class _Ring:
         return self._key() == o._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # == crosses types through `of`, so an element equal to an int, a
+        # Fraction or a real field element hashes as that value does
+        plain = self._plain()
+        return hash(self._key() if plain is None else plain)
 
     def __radd__(self, other):
         return self + other
@@ -124,6 +127,9 @@ class AlgNum(_Ring):
         return (self.q0, self.q2, self.q3, self.q6)
 
     _key = coords
+
+    def _plain(self):
+        return self.q0 if self.is_rational() else None
 
     def is_zero(self) -> bool:
         return not (self.q0 or self.q2 or self.q3 or self.q6)
@@ -246,6 +252,9 @@ class AlgComplex(_Ring):
     def _key(self):
         return self.re.coords() + self.im.coords()
 
+    def _plain(self):
+        return self.re if self.im.is_zero() else None
+
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
@@ -343,6 +352,11 @@ class ExactPoly(_Ring):
 
     def _key(self):
         return frozenset(self.terms.items())
+
+    def _plain(self):
+        if not self.terms:
+            return 0
+        return self.terms.get((0,) * _NV) if len(self.terms) == 1 else None
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -18,6 +18,8 @@ denominators, and the value is rounded once, at the end
 (permanent_exact).  The same sum times the Vandermonde products gives
 the exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
 prod B (delta_n), which the tests compare against elimination.
+Away from a zero the float per C suffices where its forward-error bound
+(numerator_error) is small against |per C|, as at a slice witness.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -30,7 +32,8 @@ it is a rational function of lambda_1 built from the permanents of the
 first-row minors.  Its numerator, the fiber polynomial, has the first
 coordinates at which the kernel vanishes as its roots; fiber_kernel
 evaluates the kernel along the fiber from the same minors, O(n) per
-point, which is what grid slices use.
+point, which is what grid slices use.  fiber_minors takes a stack of
+fibers, the lift's rungs, through one permanent call.
 
 det_pivoted takes one matrix or a stack of them; it serves the
 dimension-3 reduction checks and the slice moment identity.  The batch
@@ -127,41 +130,41 @@ def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
 
 
-def _minor_permanents(rest, mu):
-    """(pers, mubar, base) for the fiber (rest; mu): pers[k] is the permanent
-    of R without column k, where R holds the rows 1 / (1 - lambda_j conj(mu_k))
-    of rest = lambda_2..lambda_m, mubar is conj(mu) and base the (m - 1, m)
-    matrix of those 1 - lambda_j conj(mu_k).  The m minors go through one
-    permanent call, stacked on its batch axis."""
-    rest = np.asarray(rest, dtype=complex)
-    mubar = np.conj(np.asarray(mu, dtype=complex))
-    m = len(mubar)
-    if m < 2 or len(rest) != m - 1:
-        raise ValueError("need m >= 2 mu coordinates and m - 1 rest coordinates")
-    base = 1.0 - np.multiply.outer(rest, mubar)
+def fiber_minors(rests, mus) -> tuple[np.ndarray, np.ndarray]:
+    """(pers, base) for a stack of F fibers (rests[f]; mus[f]), arrays of
+    shape (F, m - 1) and (F, m): pers[f, k] is the permanent of R_f without
+    column k, where R_f holds the rows 1 / (1 - lambda_j conj(mu_k)) of
+    rests[f] = lambda_2..lambda_m, and base[f] is the (m - 1, m) matrix of
+    those 1 - lambda_j conj(mu_k).  All F m minors go through one permanent
+    call, stacked on its batch axis; every element sees the same arithmetic
+    as in a call with F = 1, so a fiber's minors do not depend on the others
+    in the stack."""
+    rests = np.asarray(rests, dtype=complex)
+    mubar = np.conj(np.asarray(mus, dtype=complex))
+    count, m = mubar.shape
+    if m < 2 or rests.shape != (count, m - 1):
+        raise ValueError("need m >= 2 mu coordinates and m - 1 rest coordinates per fiber")
+    base = 1.0 - rests[:, :, None] * mubar[:, None, :]
     if np.any(base == 0):
         raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
     c = 1.0 / base
-    keep = ~np.eye(m, dtype=bool)  # row k: every column but k
-    minors = np.stack([c[:, keep[k]] for k in range(m)], axis=-1)
-    return permanent(minors), mubar, base
+    # cols[k] lists every column but k; minors[i, j, f * m + k] = c[f, i, cols[k, j]],
+    # contiguous whatever the count: numpy's reductions in permanent() may
+    # round in another order on a strided array
+    cols = np.array([[j for j in range(m) if j != k] for k in range(m)])
+    minors = np.ascontiguousarray(c[:, :, cols].transpose(1, 3, 0, 2)).reshape(m - 1, m - 1, count * m)
+    return permanent(minors).reshape(count, m), base
 
 
-def fiber_polynomial(rest, mu) -> np.ndarray:
+def fiber_coefficients(pers, mu) -> np.ndarray:
     """Coefficients, highest degree first (as np.roots takes them), of
 
-        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
+        q(x) = sum_k pers[k] prod_{l != k} (1 - x conj(mu_l))
 
-    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
-    lambda_m.  per C is linear in the first row, so q(x) is
-    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
-    degree at most m - 1 whose roots in the unit disc are the first
-    coordinates that make the kernel vanish on this fiber.
-    """
-    pers, mubar, _ = _minor_permanents(rest, mu)
-    m = len(mubar)
+    for the minor permanents pers of one fiber (a row of fiber_minors)."""
+    factors = [np.array([-b, 1.0]) for b in np.conj(np.asarray(mu, dtype=complex))]
+    m = len(factors)
     # prod_{l != k} (1 - x conj(mu_l)) from prefix and suffix products
-    factors = [np.array([-b, 1.0]) for b in mubar]
     prefix = [np.ones(1, dtype=complex)]
     for f in factors[:-1]:
         prefix.append(np.convolve(prefix[-1], f))
@@ -171,6 +174,21 @@ def fiber_polynomial(rest, mu) -> np.ndarray:
         q += pers[k] * np.convolve(prefix[k], suffix)
         suffix = np.convolve(suffix, factors[k])
     return q
+
+
+def fiber_polynomial(rest, mu) -> np.ndarray:
+    """Coefficients, highest degree first, of
+
+        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
+
+    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
+    lambda_m.  per C is linear in the first row, so q(x) is
+    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
+    degree at most m - 1 whose roots in the unit disc are the first
+    coordinates that make the kernel vanish on this fiber.
+    """
+    pers, _ = fiber_minors([rest], [mu])
+    return fiber_coefficients(pers[0], mu)
 
 
 def fiber_kernel(x, rest, mu) -> np.ndarray:
@@ -183,15 +201,16 @@ def fiber_kernel(x, rest, mu) -> np.ndarray:
     each x costs O(m), against the m 2^(m-1) of a full permanent, and the
     value is kernel_gn's at every x with no zero 1 - x conj(mu_k).
     """
-    pers, mubar, base = _minor_permanents(rest, mu)
+    pers, base = fiber_minors([rest], [mu])
+    mubar = np.conj(np.asarray(mu, dtype=complex))
     x = np.asarray(x, dtype=complex)
     per = np.zeros_like(x)
     row = np.ones_like(x)
-    for minor, b in zip(pers, mubar):
+    for minor, b in zip(pers[0], mubar):
         first = 1.0 - x * b
         per += minor / first
         row *= first
-    return per / (PI ** len(mubar) * np.prod(base) * row)
+    return per / (PI ** len(mubar) * np.prod(base[0]) * row)
 
 
 def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
@@ -378,6 +397,44 @@ def kernel_gn(lam, mu) -> KernelEval:
         denominator=complex(den),
         scale=float(scale.real),
     )
+
+
+def numerator_error(lam, mu, scale: float) -> float:
+    """Bound on |kernel_gn(lam, mu).numerator - per C|, with per C exact at
+    the given float coordinates and scale kernel_gn's per |C|.
+
+    A complex sum rounds with relative error at most u = 2^-53, a product
+    with at most 3u, and the reciprocal 1/B (Smith's algorithm) with at
+    most 6u.  Two sources add up; Higham's gamma_k = k u / (1 - k u) in
+    place of k u absorbs the higher orders:
+
+    * Glynn's sum.  With S_k = sum_j |C_jk|, every running column sum of
+      the Gray walk in permanent() is at most S_k in modulus, and it is off
+      by at most (n - 1 + t) u S_k after the column sum and t steps,
+      t < T = 2^(n-1).  So each of the T terms, a product of n such sums,
+      is off by at most (n (n + T - 2) + 3 (n - 1)) u prod S_k; the terms
+      sum, in any order, with error at most (T / 2 + 1) u T prod S_k; and
+      the division by T is exact.  The error is at most gamma_k prod S_k
+      with k = (n + 1) T + n (n + 3), and n (n + 1) more cover the rounding
+      of prod S_k itself.
+    * The entries.  B_jk = 1 - lambda_j conj(mu_k) rounds to within
+      3u + u |B_jk|, so the float C_jk is within e_jk = g / (1 - g),
+      g = 3u |C_jk| + 7u, of the exact 1 / B_jk, relatively.  per is linear
+      in each row, so this moves it by at most
+      per |C| (prod_j (1 + max_k e_jk) - 1), and per |C| is at most scale
+      plus the Glynn bound.
+
+    The first term dominates: divided by per |C| it is 2e-9 at the n = 7
+    node of the default chain and 6e-4 at n = 12.
+    """
+    size = np.abs(1.0 / _base_matrix(lam, mu))
+    n = len(size)
+    u = 2.0**-53
+    k = (n + 1) * 2 ** (n - 1) + 2 * n * (n + 2)
+    glynn = k * u / (1 - k * u) * float(np.prod(size.sum(axis=0)))
+    g = 3 * u * size.max(axis=1) + 7 * u
+    entries = math.expm1(float(np.log1p(g / (1 - g)).sum()))
+    return glynn + entries * (scale + glynn)
 
 
 def kernel_gn_stable(

@@ -162,6 +162,17 @@ def test_lift_validates_the_loaded_certificate(tmp_path, capsys):
     assert "not in the unit disc" in capsys.readouterr().err
 
 
+def test_lift_rejects_a_nan_witness(tmp_path, capsys):
+    # value_abs <= 0 is false for nan: the witness gate has to fail closed
+    def nan_witness(data):
+        data["fn_witness"] = {"point": [math.nan, 0.0], "value_abs": math.nan}
+
+    path = _tampered(tmp_path, "nan_witness.json", nan_witness)
+    assert run(["lift", "--cert", str(path), "--out", str(tmp_path / "c4.json")]) == 3
+    assert "slice witness" in capsys.readouterr().err
+    assert not (tmp_path / "c4.json").exists()
+
+
 def test_grid_validates_the_loaded_certificate(tmp_path, capsys):
     def loose(data):
         data["residual_rel"] = 1e-3

@@ -280,3 +280,14 @@ def test_exactpoly_coefficients_are_rational(coef):
     coefs = [*bracket.terms.values(), *half.terms.values()]
     assert all(type(c) is int or c.denominator != 1 for c in coefs)
     assert any(isinstance(c, Fraction) for c in coefs)
+
+
+def test_equal_values_of_different_types_hash_equal():
+    # == crosses types, so a set must not hold two equal values
+    assert len({AlgNum(2), 2}) == 1
+    assert len({AlgNum(1), AlgComplex(1)}) == 1
+    assert len({ExactPoly.const(3), 3}) == 1
+    assert len({AlgComplex(Fraction(1, 2)), AlgNum(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({AlgComplex(SQRT2), SQRT2}) == 1 and len({ExactPoly(), 0}) == 1
+    # values that differ stay apart
+    assert len({AlgNum(2), AlgComplex(2, 1), ExactPoly.const(3) + NU1, 3}) == 4

@@ -245,6 +245,41 @@ def test_fiber_polynomial_rejects_bad_input():
         kernel.fiber_polynomial([0.5], [0.3, 2.0])
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_stacked_fibers_match_one_call_per_fiber(rng, m):
+    # a lift stacks its 24 rungs' fibers; each must get the bits a call of
+    # its own gives, at repeated coordinates too
+    fibers = 24
+    rests = np.array([draw_disc_tuple(rng, m - 1) for _ in range(fibers)])
+    mus = np.array([draw_disc_tuple(rng, m) for _ in range(fibers)])
+    mus[1, -1] = mus[1, 0]
+    rests[2, 0] = mus[2, 0]
+    if m > 2:
+        rests[3, -1] = rests[3, 0]
+    pers, base = kernel.fiber_minors(rests, mus)
+    assert pers.shape == (fibers, m) and base.shape == (fibers, m - 1, m)
+    for f in range(fibers):
+        one, one_base = kernel.fiber_minors(rests[f : f + 1], mus[f : f + 1])
+        assert np.array_equal(pers[f], one[0]) and np.array_equal(base[f], one_base[0])
+        assert np.array_equal(
+            kernel.fiber_coefficients(pers[f], mus[f]), kernel.fiber_polynomial(rests[f], mus[f])
+        )
+
+
+def test_numerator_error_bounds_the_float_permanent(rng):
+    # against per C exact at the float coordinates, near the torus too,
+    # where the rounding of B = 1 - lambda conj(mu) outweighs Glynn's sum
+    t = 1 - 2.0**-30
+    pairs = [((t,), (t,)), ((t, 0.5j), (t, -0.3))]
+    for n in range(1, 7):
+        for radius in (0.9, 0.999999):
+            pairs += [(draw_disc_tuple(rng, n, radius), draw_disc_tuple(rng, n, radius)) for _ in range(5)]
+    for lam, mu in pairs:
+        ev = kernel_gn(lam, mu)
+        error = abs(ev.numerator - kernel.permanent_exact(lam, mu))
+        assert error <= kernel.numerator_error(lam, mu, ev.scale)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_fiber_kernel_matches_one_pair_kernel(rng, n):
     for repeat in (None, "rest", "mu"):

@@ -411,32 +411,43 @@ def test_chain7_certifies_at_the_band_edge(rho, mu1):
 
 
 def _appended_rungs(monkeypatch):
-    """Record the appended coordinate of every rung lift_zero tries."""
-    rungs = []
-    fiber = zerofind.fiber_polynomial
+    """Record, per stacked fiber evaluation of lift_zero, the appended
+    coordinate of every rung in the stack, and that of every rung whose
+    polynomial the lift assembles."""
+    stacks, assembled = [], []
+    minors, coefficients = zerofind.fiber_minors, zerofind.fiber_coefficients
 
-    def spy(rest, mu):
-        rungs.append(mu[-1])
-        return fiber(rest, mu)
+    def spy_minors(rests, mus):
+        assert all(rest[-1] == mu[-1] for rest, mu in zip(rests, mus))
+        stacks.append([mu[-1] for mu in mus])
+        return minors(rests, mus)
 
-    monkeypatch.setattr(zerofind, "fiber_polynomial", spy)
-    return rungs
+    def spy_coefficients(pers, mu):
+        assembled.append(mu[-1])
+        return coefficients(pers, mu)
+
+    monkeypatch.setattr(zerofind, "fiber_minors", spy_minors)
+    monkeypatch.setattr(zerofind, "fiber_coefficients", spy_coefficients)
+    return stacks, assembled
 
 
 def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
-    rungs = _appended_rungs(monkeypatch)
+    stacks, assembled = _appended_rungs(monkeypatch)
     monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)
     with pytest.raises(CertificationFailure, match="24 rungs"):
         lift_zero(dim3_cert)
-    assert len(rungs) == zerofind._LIFT_CANDIDATES == 24
-    # the ladder s = 2^-1, 2^-2, ... with t = sqrt(1 - s), real and positive
-    assert rungs == [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
+    assert zerofind._LIFT_CANDIDATES == 24
+    # one stacked evaluation of the ladder s = 2^-1, 2^-2, ... with
+    # t = sqrt(1 - s), real and positive, and every rung tried in order
+    ladder = [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
+    assert stacks == [ladder]
+    assert assembled == ladder
 
 
 def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
     # the n = 8 lift passes the rungs of the earlier lifts; a certificate
     # there would repeat a coordinate, so those rungs are never evaluated
-    rungs = _appended_rungs(monkeypatch)
+    stacks, _ = _appended_rungs(monkeypatch)
     evaluated = []
     cancellation = zerofind._cancellation
 
@@ -446,6 +457,7 @@ def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypat
 
     monkeypatch.setattr(zerofind, "_cancellation", spy)
     lifted = lift_zero(chain7)
+    [rungs] = stacks
     repeats = [t for t in rungs if t in chain7.lam]
     assert repeats and lifted.lam[-1] not in repeats
     assert all(len(set(lam)) == len(lam) for lam in evaluated)
@@ -454,17 +466,79 @@ def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypat
 
 def test_lift_zero_is_the_fiber_root_nearest_lam1(chain6):
     parent = chain6.parent
-    q = zerofind.fiber_polynomial(chain6.lam[1:], chain6.mu)
+    q = kernel.fiber_polynomial(chain6.lam[1:], chain6.mu)
     roots = np.roots(q)
     assert chain6.lam[0] == min(roots, key=lambda r: abs(r - parent.lam[0]))
 
 
 def test_lift_requires_witness(dim3_cert):
-    from dataclasses import replace
+    # a nan value_abs fails the gate too
+    for witness in (FnWitness(0j, 0.0), FnWitness(complex(math.nan, 0), math.nan)):
+        bare = replace(dim3_cert, fn_witness=witness)
+        with pytest.raises(CertificationFailure, match="slice witness"):
+            lift_zero(bare)
 
-    bare = replace(dim3_cert, fn_witness=FnWitness(0j, 0.0))
-    with pytest.raises(CertificationFailure):
-        lift_zero(bare)
+
+def test_chain7_counts_one_fiber_stack_per_lift_and_five_exact_permanents(monkeypatch):
+    # call counts, not wall time: a return to one permanent walk per rung,
+    # or to exact witnesses, fails here
+    shapes, exact = [], []
+    permanent, permanent_exact = kernel.permanent, zerofind.permanent_exact
+
+    def spy_permanent(c, *args):
+        shapes.append(c.shape)
+        return permanent(c, *args)
+
+    def spy_exact(lam, mu):
+        exact.append(len(lam))
+        return permanent_exact(lam, mu)
+
+    monkeypatch.setattr(kernel, "permanent", spy_permanent)
+    monkeypatch.setattr(zerofind, "permanent_exact", spy_exact)
+    build_certificate_chain(7)
+    # the lift to m coordinates stacks the m minors of its 24 rungs
+    assert [s for s in shapes if s[2:] != (2,)] == [(m - 1, m - 1, 24 * m) for m in range(4, 8)]
+    # kernel_gn's one call on (C, |C|): a residual and a witness sample per node
+    assert sorted(s[0] for s in shapes if s[2:] == (2,)) == [3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
+    # the residuals only
+    assert exact == [3, 4, 5, 6, 7]
+
+
+def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
+    for node in _nodes(chain10):
+        lam = (node.fn_witness.point, *node.lam[1:])
+        ratio, bound = zerofind._witness_ratio(lam, node.mu)
+        exact, _ = zerofind._cancellation(lam, node.mu)
+        assert ratio == node.fn_witness.value_abs and node.fn_witness.samples == 1
+        assert abs(ratio - exact) <= bound < 1e-5
+        assert ratio - bound > zerofind.WITNESS_FACTOR * node.tolerances["residual_rel"]
+
+
+def test_witness_threshold_inside_the_bound_rejects_the_point(chain7, monkeypatch):
+    # with a threshold between ratio - B and ratio, the float ratio alone
+    # would pass; less its bound it does not
+    first = next(zerofind.disc_sequence(1))
+    ratio, bound = zerofind._witness_ratio((first, *chain7.lam[1:]), chain7.mu)
+    assert fn_nontrivial(chain7).point == first
+    tol = chain7.tolerances["residual_rel"]
+    monkeypatch.setattr(zerofind, "WITNESS_FACTOR", (ratio - bound / 2) / tol)
+    monkeypatch.setattr(zerofind, "_WITNESS_CAP", 1)
+    with pytest.raises(WitnessNotFound):
+        fn_nontrivial(chain7)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_witness_fails_closed_on_a_bad_scale(dim3_cert, monkeypatch, value):
+    monkeypatch.setattr(zerofind, "kernel_gn", _broken("scale", value))
+    with pytest.raises(CertificationFailure, match="finite and nonzero"):
+        fn_nontrivial(dim3_cert)
+
+
+def test_witness_skips_a_nan_numerator(dim3_cert, monkeypatch):
+    monkeypatch.setattr(zerofind, "kernel_gn", _broken("numerator", complex(math.nan, 0)))
+    monkeypatch.setattr(zerofind, "_WITNESS_CAP", 8)
+    with pytest.raises(WitnessNotFound):
+        fn_nontrivial(dim3_cert)
 
 
 # --- serialization ------------------------------------------------------------------
