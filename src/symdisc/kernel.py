@@ -19,7 +19,8 @@ denominators, and the value is rounded once, at the end
 the exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
 prod B (delta_n), which the tests compare against elimination.
 Away from a zero the float per C suffices where its forward-error bound
-(numerator_error) is small against |per C|, as at a slice witness.
+(numerator_error, which kernel_gn_with_error returns with the value) is
+small against |per C|, as at a slice witness.
 
 Dimension 3 with mu_3 = 0 admits a closed quadratic form in
 z = conj(mu_2)/conj(mu_1) whose coefficients are symmetric functions of
@@ -157,11 +158,17 @@ def fiber_minors(rests, mus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fiber_coefficients(pers, mu) -> np.ndarray:
-    """Coefficients, highest degree first (as np.roots takes them), of
+    """Coefficients, highest degree first (as np.roots takes them), of the
+    fiber polynomial
 
         q(x) = sum_k pers[k] prod_{l != k} (1 - x conj(mu_l))
 
-    for the minor permanents pers of one fiber (a row of fiber_minors)."""
+    for the minor permanents pers of one fiber (a row of fiber_minors).
+    per C is linear in the first row, so q(x) is
+    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
+    degree at most m - 1 whose roots in the unit disc are the first
+    coordinates that make the kernel vanish on the fiber.
+    """
     factors = [np.array([-b, 1.0]) for b in np.conj(np.asarray(mu, dtype=complex))]
     m = len(factors)
     # prod_{l != k} (1 - x conj(mu_l)) from prefix and suffix products
@@ -177,16 +184,7 @@ def fiber_coefficients(pers, mu) -> np.ndarray:
 
 
 def fiber_polynomial(rest, mu) -> np.ndarray:
-    """Coefficients, highest degree first, of
-
-        q(x) = sum_k per(R without column k) prod_{l != k} (1 - x conj(mu_l)),
-
-    where R holds the rows 1 / (1 - lambda_j conj(mu_k)) of rest = lambda_2..
-    lambda_m.  per C is linear in the first row, so q(x) is
-    per C((x, *rest); mu) * prod_k (1 - x conj(mu_k)): a polynomial of
-    degree at most m - 1 whose roots in the unit disc are the first
-    coordinates that make the kernel vanish on this fiber.
-    """
+    """fiber_coefficients of the single fiber (rest; mu)."""
     pers, _ = fiber_minors([rest], [mu])
     return fiber_coefficients(pers[0], mu)
 
@@ -196,7 +194,7 @@ def fiber_kernel(x, rest, mu) -> np.ndarray:
 
     The expansion of per C along its first row gives
     per C = sum_k per(R without column k) / (1 - x conj(mu_k)), with the
-    minor permanents of fiber_polynomial computed once for the fiber; the
+    minor permanents of fiber_minors computed once for the fiber; the
     denominator is pi^m prod_{j>=2,k} B_jk prod_k (1 - x conj(mu_k)).  So
     each x costs O(m), against the m 2^(m-1) of a full permanent, and the
     value is kernel_gn's at every x with no zero 1 - x conj(mu_k).
@@ -387,21 +385,35 @@ def kernel_gn(lam, mu) -> KernelEval:
     coordinates too.  Swapping the arguments conjugates the value;
     permuting one tuple alone leaves it unchanged.
     """
-    base = _base_matrix(lam, mu)
+    return _evaluate(_base_matrix(lam, mu))[0]
+
+
+def _evaluate(base) -> tuple[KernelEval, np.ndarray]:
+    """kernel_gn's evaluation for the matrix B, and the |C| it summed."""
     c = 1.0 / base
-    num, scale = permanent(np.stack([c, np.abs(c)], axis=-1))
+    size = np.abs(c)
+    num, scale = permanent(np.stack([c, size], axis=-1))
     den = PI ** len(base) * np.prod(base)
-    return KernelEval(
+    ev = KernelEval(
         value=complex(num / den),
         numerator=complex(num),
         denominator=complex(den),
         scale=float(scale.real),
     )
+    return ev, size
 
 
-def numerator_error(lam, mu, scale: float) -> float:
+def kernel_gn_with_error(lam, mu) -> tuple[KernelEval, float]:
+    """(kernel_gn(lam, mu), numerator_error of its numerator), from one
+    construction of C."""
+    ev, size = _evaluate(_base_matrix(lam, mu))
+    return ev, numerator_error(size, ev.scale)
+
+
+def numerator_error(size: np.ndarray, scale: float) -> float:
     """Bound on |kernel_gn(lam, mu).numerator - per C|, with per C exact at
-    the given float coordinates and scale kernel_gn's per |C|.
+    the given float coordinates, size the float |C| and scale the float
+    per |C| of that evaluation (kernel_gn_with_error).
 
     A complex sum rounds with relative error at most u = 2^-53, a product
     with at most 3u, and the reciprocal 1/B (Smith's algorithm) with at
@@ -427,7 +439,6 @@ def numerator_error(lam, mu, scale: float) -> float:
     The first term dominates: divided by per |C| it is 2e-9 at the n = 7
     node of the default chain and 6e-4 at n = 12.
     """
-    size = np.abs(1.0 / _base_matrix(lam, mu))
     n = len(size)
     u = 2.0**-53
     k = (n + 1) * 2 ** (n - 1) + 2 * n * (n + 2)

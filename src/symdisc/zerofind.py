@@ -6,7 +6,7 @@ two nonzero mu coordinates, and certifies that the kernel vanishes at
 the resulting pair.  Higher dimensions are reached inductively: append
 a common coordinate t = sqrt(1 - s) to both tuples, on the fixed ladder
 s = 2^-1, 2^-2, ..., and move the first lambda coordinate to the nearest
-root of the fiber polynomial (kernel.fiber_polynomial), whose roots are
+root of the fiber polynomial (kernel.fiber_coefficients), whose roots are
 exactly the first coordinates at which the lifted kernel vanishes.  The
 minor permanents behind the fiber polynomials of all the rungs come from
 one stacked call (kernel.fiber_minors).  The float root certifies as it
@@ -51,8 +51,8 @@ from .kernel import (
     fiber_coefficients,
     fiber_minors,
     kernel_gn,
+    kernel_gn_with_error,
     kernel_ratio_slabs,
-    numerator_error,
     permanent_exact,
 )
 
@@ -226,10 +226,10 @@ def _witness_ratio(lam, mu) -> tuple[float, float]:
     (kernel.numerator_error over per |C|).  Where ratio > bound, per C is
     not zero.  Fails closed as _cancellation does: a zero or non-finite
     per |C| raises."""
-    ev = kernel_gn(lam, mu)
+    ev, error = kernel_gn_with_error(lam, mu)
     if not 0 < ev.scale < math.inf:
         raise CertificationFailure(f"per |C| = {ev.scale:.3e} must be finite and nonzero")
-    return abs(ev.numerator) / ev.scale, numerator_error(lam, mu, ev.scale) / ev.scale
+    return abs(ev.numerator) / ev.scale, error / ev.scale
 
 
 def recertify(cert: ZeroCertificate) -> dict:

@@ -323,6 +323,16 @@ def _broken(field, value):
     return evaluate
 
 
+def _broken_with_error(field, value):
+    """kernel_gn_with_error with one field of its kernel value replaced."""
+
+    def evaluate(lam, mu):
+        ev, error = kernel.kernel_gn_with_error(lam, mu)
+        return replace(ev, **{field: value}), error
+
+    return evaluate
+
+
 @pytest.mark.parametrize("field, value", [("scale", math.inf), ("scale", 0.0), ("denominator", 0j)])
 def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
     # a per |C| or pi^n prod B that is zero or not finite gives no residual
@@ -447,7 +457,7 @@ def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
 def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
     # the n = 8 lift passes the rungs of the earlier lifts; a certificate
     # there would repeat a coordinate, so those rungs are never evaluated
-    stacks, _ = _appended_rungs(monkeypatch)
+    stacks, assembled = _appended_rungs(monkeypatch)
     evaluated = []
     cancellation = zerofind._cancellation
 
@@ -457,8 +467,9 @@ def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypat
 
     monkeypatch.setattr(zerofind, "_cancellation", spy)
     lifted = lift_zero(chain7)
-    [rungs] = stacks
-    repeats = [t for t in rungs if t in chain7.lam]
+    assert len(stacks) == 1
+    # the rungs the loop reached, not the whole stack
+    repeats = [t for t in assembled if t in chain7.lam]
     assert repeats and lifted.lam[-1] not in repeats
     assert all(len(set(lam)) == len(lam) for lam in evaluated)
     assert len(set(lifted.lam)) == 8 and len(set(lifted.mu)) == 8
@@ -529,13 +540,13 @@ def test_witness_threshold_inside_the_bound_rejects_the_point(chain7, monkeypatc
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_witness_fails_closed_on_a_bad_scale(dim3_cert, monkeypatch, value):
-    monkeypatch.setattr(zerofind, "kernel_gn", _broken("scale", value))
+    monkeypatch.setattr(zerofind, "kernel_gn_with_error", _broken_with_error("scale", value))
     with pytest.raises(CertificationFailure, match="finite and nonzero"):
         fn_nontrivial(dim3_cert)
 
 
 def test_witness_skips_a_nan_numerator(dim3_cert, monkeypatch):
-    monkeypatch.setattr(zerofind, "kernel_gn", _broken("numerator", complex(math.nan, 0)))
+    monkeypatch.setattr(zerofind, "kernel_gn_with_error", _broken_with_error("numerator", complex(math.nan, 0)))
     monkeypatch.setattr(zerofind, "_WITNESS_CAP", 8)
     with pytest.raises(WitnessNotFound):
         fn_nontrivial(dim3_cert)
