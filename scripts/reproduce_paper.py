@@ -2,8 +2,11 @@
 """One-shot reproduction driver.
 
 Runs the exact/numeric identity suite, constructs certified kernel
-zeros for a range of dimensions, and scans the nonvanishing families,
-writing all artifacts into an output directory.
+zeros for a range of dimensions, reads every certificate file back
+(validate() and a recomputed residual within its stored tolerance, at
+every node of the chain), and scans the nonvanishing families, writing
+all artifacts into an output directory.  Exits nonzero when a check or
+a read-back fails.
 
 Usage:
     python scripts/reproduce_paper.py --out-dir out
@@ -17,6 +20,30 @@ import time
 from pathlib import Path
 
 from symdisc import cli, zerofind
+from symdisc.errors import CertificationFailure
+
+
+def read_back(path: Path) -> int:
+    """Load the certificate file at path and check every node of its
+    chain: validate() and a recomputed residual within the node's stored
+    tolerance.  Returns the number of nodes; a failing node raises
+    CertificationFailure naming the file and the node."""
+    node = zerofind.ZeroCertificate.from_dict(json.loads(path.read_text()))
+    count = 0
+    while node is not None:
+        try:
+            node.validate()
+            residual = zerofind.recertify(node)["residual_rel"]
+            tol = node.tolerances.get("residual_rel", zerofind.DEFAULT_TOL_LIFT)
+            if not residual <= tol:
+                raise CertificationFailure(
+                    f"residual recomputes to {residual:.3e}, above its tolerance {tol:.1e}"
+                )
+        except CertificationFailure as exc:
+            raise CertificationFailure(f"{path.name}, node n={node.n}: {exc}") from exc
+        count += 1
+        node = node.parent
+    return count
 
 
 def main() -> int:
@@ -44,10 +71,9 @@ def main() -> int:
     chain_start = time.perf_counter()
     chain = zerofind.build_certificate_chain(args.max_n)
     chain_secs = time.perf_counter() - chain_start
-    (out / "certificate_n3.json").write_text(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    (out / f"certificate_n{args.max_n}.json").write_text(
-        json.dumps(chain.to_dict(), indent=2, sort_keys=True)
-    )
+    written = [out / "certificate_n3.json", out / f"certificate_n{args.max_n}.json"]
+    for path, node in zip(written, (cert, chain)):
+        path.write_text(json.dumps(node.to_dict(), indent=2, sort_keys=True))
     node = chain
     while node is not None:
         rows.append(node)
@@ -62,6 +88,16 @@ def main() -> int:
             f"residual_rel={node.residual_rel:.3e}  kernel_abs={node.kernel_abs:.3e}"
         )
     print(f"chain to n={args.max_n}: {chain_secs:.1f}s")
+    back_start = time.perf_counter()
+    try:
+        nodes = sum(read_back(path) for path in written)
+    except CertificationFailure as exc:
+        print(f"read-back failed: {exc}")
+        return 1
+    print(
+        f"read-back: {nodes} nodes of {len(written)} certificate files validated and "
+        f"recertified in {time.perf_counter() - back_start:.3f}s"
+    )
 
     print("\n== nonvanishing scans ==")
     for mode in ("g2_full", "g3_equal_third", "diagonal"):

@@ -210,12 +210,13 @@ def cmd_eval(args) -> int:
     if outside:
         print(f"eval: coordinates not in the open unit disc: {outside}", file=sys.stderr)
         return EXIT_USAGE
-    ev = kernel.kernel_gn(lam, mu)
+    ev, error = kernel.kernel_gn_with_error(lam, mu)
     if args.fmt == "json":
         payload = {
             "value": [ev.value.real, ev.value.imag],
             "abs": abs(ev.value),
             "permanent": [ev.numerator.real, ev.numerator.imag],
+            "permanent_error": error,
             "scale": ev.scale,
             "permanent_rel": abs(ev.numerator) / ev.scale,
         }
@@ -227,6 +228,7 @@ def cmd_eval(args) -> int:
                 [
                     f"K        = {_fmt_complex(ev.value)}  (|K| = {abs(ev.value):.6e})",
                     f"per C    = {_fmt_complex(ev.numerator)}",
+                    f"|per C - exact per C| <= {error:.6e}",
                     f"per |C|  = {ev.scale:.6e}",
                     f"|per C| / per |C| = {abs(ev.numerator) / ev.scale:.6e}",
                 ]

@@ -11,12 +11,15 @@ and Cauchy's determinant cancel the Vandermonde product:
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
 Gray-code order.  At a certified zero the float per C is rounding
-noise, so the residual of a certificate takes per C exactly at the
-stored float coordinates: they are dyadic Gaussian rationals, Glynn's
-loop runs over Python ints after the rows of C are cleared of their
-denominators, and the value is rounded once, at the end
-(permanent_exact).  The same sum times the Vandermonde products gives
-the exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
+noise, so the residual of a certificate takes per C correctly rounded
+at the stored float coordinates (permanent_exact).  They are dyadic
+Gaussian rationals, so the rows of C scaled to fixed point and truncated
+give, through Glynn's loop over Python ints, an enclosure of per C with
+a proved radius; when both ends of the enclosure round to the same
+double, that is the value.  Otherwise the rows of C are cleared of their
+denominators, Glynn's loop runs exactly and the value is rounded once,
+at the end.  That exact sum times the Vandermonde products gives the
+exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
 prod B (delta_n), which the tests compare against elimination.
 Away from a zero the float per C suffices where its forward-error bound
 (numerator_error, which kernel_gn_with_error returns with the value) is
@@ -112,8 +115,12 @@ def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     over sign vectors d with d_0 = +1, visited in Gray-code order: each
     step flips one sign, which updates the column sums in O(n) and
     alternates the sign of prod_j d_j.  `empty(shape, dtype)` provides
-    the work arrays (the batch evaluators pass a _SlabBuffers).
+    the work arrays (the batch evaluators pass a _SlabBuffers).  A strided
+    c is copied to a contiguous one first: numpy's reductions may round in
+    another order on a strided array, and the bits of the result should
+    depend on the values of c alone.
     """
+    c = np.ascontiguousarray(c)
     n = c.shape[0]
     twice = np.multiply(c, 2.0, out=empty(c.shape, c.dtype))
     sums = c.sum(axis=0, out=empty(c.shape[1:], c.dtype))
@@ -149,11 +156,9 @@ def fiber_minors(rests, mus) -> tuple[np.ndarray, np.ndarray]:
     if np.any(base == 0):
         raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
     c = 1.0 / base
-    # cols[k] lists every column but k; minors[i, j, f * m + k] = c[f, i, cols[k, j]],
-    # contiguous whatever the count: numpy's reductions in permanent() may
-    # round in another order on a strided array
+    # cols[k] lists every column but k; minors[i, j, f * m + k] = c[f, i, cols[k, j]]
     cols = np.array([[j for j in range(m) if j != k] for k in range(m)])
-    minors = np.ascontiguousarray(c[:, :, cols].transpose(1, 3, 0, 2)).reshape(m - 1, m - 1, count * m)
+    minors = c[:, :, cols].transpose(1, 3, 0, 2).reshape(m - 1, m - 1, count * m)
     return permanent(minors).reshape(count, m), base
 
 
@@ -245,6 +250,17 @@ def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
 # with V(x) = prod_{j<k} (x_j - x_k) and
 # v(a) = prod_{j<k} (a_j 2^e_k - a_k 2^e_j).
 
+# bits per row of the fixed-point enclosure that permanent_exact tries
+# before the exact sum.  At a certified zero per C cancels to about 1e-16
+# of per |C|, so the enclosure needs far more than 53 bits: the least that
+# decides was 109-126 over the 981 nodes of the default chain to n = 12,
+# the chains to n = 7 at both edges of the benchmark's (rho, mu_1) band
+# and at 64 draws from it for each of the seeds 1-3 (126 at the worst).
+# 144 leaves 18 bits of margin and costs what 128 does at n = 5..10.  The
+# zeros of schema-1 files were polished exactly and cancel further: three
+# nodes of tests/data/chain7_v1.json need 149-171 bits and fall back.
+_FIXED_BITS = 144
+
 
 def _gmul(a, b):
     """Product of two Gaussian integers with three real multiplications
@@ -305,17 +321,14 @@ def _glynn_sum(rows) -> tuple[int, int]:
     return tr, ti
 
 
-def _cleared_permanent(lam, mu):
-    """(a, b, per E, prod W) for a pair of float tuples: the dyadic
-    coordinates, the permanent of the cleared rows E and the product of
-    every W_jk, all exact."""
+def _cleared_rows(lam, mu):
+    """(a, b, rows) for a pair of float tuples: the dyadic coordinates and
+    the Gaussian integers W_jk, row by row."""
     a = [_dyadic(c) for c in _coords(lam)]
     b = [_dyadic(c) for c in _coords(mu)]
-    n = len(a)
-    if len(b) != n:
+    if len(b) != len(a):
         raise ValueError("tuples must have the same dimension")
     rows = []
-    prod_w = (1, 0)
     for (gr, gi), e in a:
         ws = []
         for (hr, hi), f in b:
@@ -324,6 +337,19 @@ def _cleared_permanent(lam, mu):
             if not (wr or wi):
                 raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
             ws.append((wr, wi))
+        rows.append(ws)
+    return a, b, rows
+
+
+def _cleared_permanent(lam, mu):
+    """(a, b, per E, prod W) for a pair of float tuples: the dyadic
+    coordinates, the permanent of the cleared rows E and the product of
+    every W_jk, all exact."""
+    a, b, w_rows = _cleared_rows(lam, mu)
+    n = len(a)
+    rows = []
+    prod_w = (1, 0)
+    for ws in w_rows:
         # E_jk = prod_{l != k} W_jl from prefix and suffix products
         prefix = [(1, 0)]
         for w in ws[:-1]:
@@ -340,10 +366,94 @@ def _cleared_permanent(lam, mu):
     return a, b, (per_r >> (n - 1), per_i >> (n - 1)), prod_w
 
 
+def _floor_scaled(x: int, s: int, d: int) -> int:
+    """floor(x 2^s / d) for d > 0."""
+    return (x << s) // d if s >= 0 else x // (d << -s)
+
+
+def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
+    """((re, im), radius, shift): each part of 2^shift per C lies within
+    radius of the matching part of the Gaussian integer re + i im.
+
+    Row j of C is scaled by 2^p_j, p_j chosen so that the row's largest
+    |C_jk| times 2^p_j lies in (2^(bits-1), 2^bits], and truncated: from
+    C_jk = 2^(e_j + f_k) conj(W_jk) / |W_jk|^2, each part of
+    X_jk = floor(2^p_j C_jk) is one integer division.  So
+    2^p_j C = X + D with both parts of every D_jk in [0, 1), and
+    per(2^p C) = 2^shift per C, shift = sum_j p_j, since the permanent is
+    linear in each row.  Glynn's sum over X is exact, 2^(n-1) per X.
+
+    The error: per is multilinear in the rows, so per(X + D) - per X is
+    the sum, over the nonempty sets S of rows, of the permanents taking
+    the rows in S from D and the others from X.  |per Y| is at most the
+    product of the row sums sum_k |Y_jk|, |X_jk| <= |Re X_jk| + |Im X_jk|
+    and |D_jk| < 2, so with R_j = sum_k (|Re X_jk| + |Im X_jk|) the sum
+    is at most sum_S prod_{j in S} 2n prod_{j not in S} R_j
+    = prod_j (R_j + 2n) - prod_j R_j, the radius.  It bounds the
+    modulus, hence each part.
+    """
+    a, b, w_rows = _cleared_rows(lam, mu)
+    n = len(a)
+    rows, shift, sums, padded = [], 0, 1, 1
+    for (_, e), ws in zip(a, w_rows):
+        norms = [wr * wr + wi * wi for wr, wi in ws]
+        # |C_jk| = 2^(e + f_k) / |W_jk| lies in (2^(t - 1), 2^t] with
+        # t = e + f_k - (bit length of |W_jk|^2 - 1) // 2
+        p = bits - max(e + f - (w2.bit_length() - 1) // 2 for (_, f), w2 in zip(b, norms))
+        row = [
+            (_floor_scaled(wr, p + e + f, w2), _floor_scaled(-wi, p + e + f, w2))
+            for (wr, wi), w2, (_, f) in zip(ws, norms, b)
+        ]
+        r = sum(abs(xr) + abs(xi) for xr, xi in row)
+        sums *= r
+        padded *= r + 2 * n
+        rows.append(row)
+        shift += p
+    per_r, per_i = _glynn_sum(rows)
+    return (per_r >> (n - 1), per_i >> (n - 1)), padded - sums, shift
+
+
+def _scaled_float(x: int, s: int) -> float:
+    """x / 2^s correctly rounded."""
+    return x / (1 << s) if s >= 0 else float(x << -s)
+
+
+def _rounded(per, radius: int, shift: int) -> complex | None:
+    """The correctly rounded per C from a _fixed_enclosure, or None when
+    the enclosure does not decide it: both ends of each part must round
+    to the same double, the sign of a zero included (int true division
+    gives -0.0 only below zero).  Rounding is monotone, so every value
+    between the ends then rounds to it too."""
+    parts = []
+    for x in per:
+        lo, hi = _scaled_float(x - radius, shift), _scaled_float(x + radius, shift)
+        if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
+            return None
+        parts.append(lo)
+    return complex(*parts)
+
+
 def permanent_exact(lam, mu) -> complex:
-    """per C for the pair (lam, mu), C = 1/B, computed exactly at the
-    given float coordinates and rounded once (int true division rounds
-    correctly)."""
+    """per C for the pair (lam, mu), C = 1/B, exact at the given float
+    coordinates and rounded once, per part.
+
+    A fixed-point enclosure with _FIXED_BITS bits per row
+    (_fixed_enclosure) decides the rounding in almost every case, as in
+    Ziv's strategy for correctly rounded functions: its Glynn sum runs
+    over ints of about _FIXED_BITS bits, against (n - 1) 107 bits per
+    entry of the exact cleared rows.  Only an enclosure whose ends round to
+    different doubles (a part within the enclosure's width of a rounding
+    boundary, or exactly zero, as the imaginary part at real coordinates)
+    takes the exact sum (_cleared_permanent), where int true division
+    rounds correctly.  Both give the same float, zero signs included.
+    """
+    value = _rounded(*_fixed_enclosure(lam, mu))
+    return _exact_rounded(lam, mu) if value is None else value
+
+
+def _exact_rounded(lam, mu) -> complex:
+    """per C from the exact sum over the cleared rows, rounded once: the
+    reference permanent_exact falls back to."""
     a, b, per, (dr, di) = _cleared_permanent(lam, mu)
     # per E / prod W = per E conj(prod W) / |prod W|^2
     re, im = _gmul(per, (dr, -di))

@@ -136,6 +136,12 @@ class ZeroCertificate:
             )
         if self.construction == "lift" and self.lam[-1] != self.mu[-1]:
             raise CertificationFailure("lifted certificate must share its appended coordinate")
+        witness = self.fn_witness
+        if not (0 < witness.value_abs < math.inf and cmath.isfinite(witness.point)):
+            raise CertificationFailure(
+                f"slice witness {witness.value_abs!r} at {witness.point!r} must be finite, "
+                "positive and at a finite point"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ import pytest
 
 from symdisc.cli import main, parse_complex
 from symdisc.errors import CertificationFailure
-from symdisc.kernel import kernel_gn
+from symdisc.kernel import kernel_gn, numerator_error, permanent_exact
 from symdisc.zerofind import ZeroCertificate, recertify
 
 from .oracles import extrapolated_confluent_kernel
@@ -197,6 +197,32 @@ def test_non_finite_coordinate_fails_validation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "point, value_abs",
+    [
+        ([0.0, 0.0], math.nan),
+        ([0.0, 0.0], -1.0),
+        ([0.0, 0.0], 0.0),
+        ([0.0, 0.0], math.inf),
+        ([math.nan, 0.0], 1.0),
+        ([0.0, math.inf], 1.0),
+    ],
+    ids=["nan", "negative", "zero", "inf", "nan-point", "inf-point"],
+)
+def test_bad_witness_fails_validation(tmp_path, capsys, point, value_abs):
+    def bad_witness(data):
+        data["fn_witness"] = {"point": point, "value_abs": value_abs}
+
+    path = _tampered(tmp_path, "witness.json", bad_witness)
+    with pytest.raises(CertificationFailure, match="slice witness"):
+        ZeroCertificate.from_dict(json.loads(path.read_text())).validate()
+    for argv in (["grid", "--around", str(path), "--res", "5"], ["lift", "--cert", str(path)]):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 3
+        assert "slice witness" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _top_level_list(data):
     return [data]
 
@@ -258,6 +284,23 @@ def test_eval_subcommand(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["abs"] == pytest.approx(28 / (9 * math.pi**2), rel=1e-12)
+
+
+def test_eval_reports_the_error_bound_of_the_float_permanent(tmp_path):
+    rng = np.random.default_rng(17)
+    lam, mu = (tuple((0.95 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))).tolist()) for _ in range(2))
+    coords = [f"{c.real!r},{c.imag!r}" for c in (*lam, *mu)]
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--n", "5", "--lambda", *coords[:5], "--mu", *coords[5:]]
+    assert run([*argv, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    size = np.abs(1.0 / (1.0 - np.multiply.outer(lam, np.conj(mu))))
+    assert payload["permanent_error"] == numerator_error(size, payload["scale"]) > 0
+    exact = permanent_exact(lam, mu)
+    assert abs(complex(*payload["permanent"]) - exact) <= payload["permanent_error"]
+    text = tmp_path / "eval.txt"
+    assert run([*argv, "--out", str(text)]) == 0
+    assert f"|per C - exact per C| <= {payload['permanent_error']:.6e}" in text.read_text()
 
 
 def test_eval_dimension_mismatch():

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from symdisc.kernel import (
     kernel_gn_stable,
 )
 from symdisc.symcore import elem_sym, roots_from_sym
-from symdisc.zerofind import ZeroCertificate
+from symdisc.zerofind import ZeroCertificate, construct_zero_dim3
 
 from .conftest import draw_disc_tuple
 from .oracles import (
@@ -243,6 +244,19 @@ def test_fiber_polynomial_rejects_bad_input():
         kernel.fiber_polynomial([], [0.3])
     with pytest.raises(SingularEntry):
         kernel.fiber_polynomial([0.5], [0.3, 2.0])
+
+
+@pytest.mark.parametrize("m", range(5, 9))
+def test_permanent_bits_do_not_depend_on_the_memory_layout(rng, m):
+    # the minors of one fiber as fiber_minors builds them: transposed and
+    # reshaped, a strided view of c (numpy's reductions over such a view
+    # rounded in another order)
+    rest, mu = np.array(draw_disc_tuple(rng, m - 1)), np.array(draw_disc_tuple(rng, m))
+    c = 1.0 / (1.0 - rest[None, :, None] * np.conj(mu)[None, None, :])
+    cols = np.array([[j for j in range(m) if j != k] for k in range(m)])
+    view = c[:, :, cols].transpose(1, 3, 0, 2).reshape(m - 1, m - 1, m)
+    assert not view.flags.c_contiguous
+    assert np.array_equal(kernel.permanent(view), kernel.permanent(np.ascontiguousarray(view)))
 
 
 @pytest.mark.parametrize("m", range(2, 11))
@@ -544,3 +558,69 @@ def test_permanent_exact_matches_the_float_permanent(rng):
     for n in range(1, 8):
         lam, mu = draw_disc_tuple(rng, n), draw_disc_tuple(rng, n)
         assert kernel.permanent_exact(lam, mu) == pytest.approx(kernel_gn(lam, mu).numerator, rel=1e-12)
+
+
+# --- the fixed-point route of permanent_exact ---------------------------------
+
+
+def _hex(z):
+    # float.hex keeps the sign of a zero
+    return z.real.hex(), z.imag.hex()
+
+
+def _exact_parts(lam, mu):
+    """The real and imaginary parts of per C as Fractions, from the
+    cleared rows."""
+    a, b, per, (dr, di) = kernel._cleared_permanent(lam, mu)
+    re, im = kernel._gmul(per, (dr, -di))
+    scale = Fraction(2) ** (sum(e for _, e in a) + sum(f for _, f in b)) / (dr * dr + di * di)
+    return re * scale, im * scale
+
+
+def _near_torus(rng, n):
+    """n points with 1 - |z| spread from 1e-1 to 1e-6."""
+    return (1 - 10.0 ** -rng.uniform(1, 6, n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _route_pairs(rng, n):
+    """Pairs of n-tuples: random in the disc, near the torus, real near
+    the torus, and near the torus with a repeated lambda, a zero lambda
+    and mu_3 = 0."""
+    pairs = [(draw_disc_tuple(rng, n), draw_disc_tuple(rng, n))]
+    pairs += [(_near_torus(rng, n), _near_torus(rng, n)) for _ in range(2)]
+    pairs.append((np.abs(_near_torus(rng, n)), np.abs(_near_torus(rng, n))))
+    lam, mu = _near_torus(rng, n), _near_torus(rng, n)
+    lam[-1] = lam[0]
+    if n > 1:
+        lam[1] = 0
+    if n > 2:
+        mu[2] = 0
+    pairs.append((lam, mu))
+    return [(tuple(complex(c) for c in lam), tuple(complex(c) for c in mu)) for lam, mu in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fixed_point_route_gives_the_exact_route_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for lam, mu in _route_pairs(rng, n):
+        assert _hex(kernel.permanent_exact(lam, mu)) == _hex(kernel._exact_rounded(lam, mu))
+        # only the real pair falls back: its imaginary part is exactly 0,
+        # which an enclosure of nonzero width does not decide
+        real = not any(c.imag for c in (*lam, *mu))
+        assert (kernel._rounded(*kernel._fixed_enclosure(lam, mu)) is None) == real
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_fixed_point_enclosure_holds_the_exact_permanent(bits):
+    rng = np.random.default_rng(bits)
+    zero = construct_zero_dim3()
+    pairs = [(zero.lam, zero.mu)] + [pair for n in range(1, 7) for pair in _route_pairs(rng, n)]
+    for lam, mu in pairs:
+        (re, im), radius, shift = kernel._fixed_enclosure(lam, mu, bits)
+        scale = Fraction(2) ** -shift
+        for g, exact in zip((re, im), _exact_parts(lam, mu)):
+            assert abs(g * scale - exact) <= radius * scale
+        value = kernel._rounded((re, im), radius, shift)
+        assert value is None or _hex(value) == _hex(kernel._exact_rounded(lam, mu))
+    # the permanent at the n = 3 zero is 1e-16 of per |C|: 8 bits do not decide it
+    assert kernel._rounded(*kernel._fixed_enclosure(zero.lam, zero.mu, 8)) is None

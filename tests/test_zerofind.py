@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdisc import kernel, zerofind
+from symdisc.cli import main
 from symdisc.errors import (
     CertificationFailure,
     ContourTooClose,
@@ -513,6 +514,47 @@ def test_chain7_counts_one_fiber_stack_per_lift_and_five_exact_permanents(monkey
     assert sorted(s[0] for s in shapes if s[2:] == (2,)) == [3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
     # the residuals only
     assert exact == [3, 4, 5, 6, 7]
+
+
+def test_find_zero_7_and_its_read_back_take_no_exact_sum(tmp_path, monkeypatch):
+    # a count, not a time: every residual is decided by the fixed-point
+    # enclosure, and none falls back to the exact sum over cleared rows
+    calls = []
+    cleared = kernel._cleared_permanent
+
+    def spy(lam, mu):
+        calls.append(len(lam))
+        return cleared(lam, mu)
+
+    monkeypatch.setattr(kernel, "_cleared_permanent", spy)
+    path = tmp_path / "c7.json"
+    assert main(["find-zero", "7", "--out", str(path)]) == 0
+    for node in _nodes(ZeroCertificate.from_dict(json.loads(path.read_text()))):
+        node.validate()
+        assert recertify(node)["residual_rel"] <= node.tolerances["residual_rel"]
+    assert calls == []
+    # the spy does see a fallback: a real pair's imaginary part is exactly 0
+    assert kernel.permanent_exact([0, 0.5], [0, 0.5]) == 7 / 3 and calls == [2]
+
+
+def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10):
+    edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in ((0.995, 0.9995), (0.9955, 0.99925))]
+    for cert in (chain10, *edges):
+        for node in _nodes(cert):
+            fast = kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu))
+            assert fast is not None, f"n = {node.n} not decided at {kernel._FIXED_BITS} bits"
+            assert _hex_pairs([fast]) == _hex_pairs([kernel._exact_rounded(node.lam, node.mu)])
+            assert _hex_pairs([kernel.permanent_exact(node.lam, node.mu)]) == _hex_pairs([fast])
+    # the schema-1 file's zeros were polished exactly and cancel further:
+    # its n = 5, 6 and 7 nodes need 149-171 bits and take the exact sum
+    v1 = ZeroCertificate.from_dict(json.loads((Path(__file__).parent / "data" / "chain7_v1.json").read_text()))
+    decided = []
+    for node in _nodes(v1):
+        decided.append(kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu)) is not None)
+        assert _hex_pairs([kernel.permanent_exact(node.lam, node.mu)]) == _hex_pairs(
+            [kernel._exact_rounded(node.lam, node.mu)]
+        )
+    assert decided == [False, False, False, True, True]
 
 
 def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
