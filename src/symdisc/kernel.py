@@ -37,7 +37,10 @@ first-row minors.  Its numerator, the fiber polynomial, has the first
 coordinates at which the kernel vanishes as its roots; fiber_kernel
 evaluates the kernel along the fiber from the same minors, O(n) per
 point, which is what grid slices use.  fiber_minors takes a stack of
-fibers, the lift's rungs, through one permanent call.
+fibers, the lift's rungs, through one permanent call, and
+fiber_zero_free proves from the same minors, by a Taylor bound with its
+own rounding accounted for, that a fiber polynomial has no root in a
+given disc.
 
 det_pivoted takes one matrix or a stack of them; it serves the
 dimension-3 reduction checks and the slice moment identity.  The batch
@@ -186,6 +189,80 @@ def fiber_coefficients(pers, mu) -> np.ndarray:
         q += pers[k] * np.convolve(prefix[k], suffix)
         suffix = np.convolve(suffix, factors[k])
     return q
+
+
+def fiber_zero_free(pers, mus, center, radius) -> np.ndarray:
+    """For a stack of F fibers, whether the fiber polynomial of each
+    provably has no root in the closed disc |x - center| <= radius: a bool
+    array of shape (F,).  pers (F, m) holds the fibers' minor permanents
+    (fiber_minors) and mus (F, m) their mu coordinates; the statement is
+    about the polynomial these exact floats define (fiber_coefficients),
+    whatever the rounding of the test's own arithmetic.
+
+    The bound.  Along a fiber, with mubar_k = conj(mu_k), per C is
+    f(x) = sum_k pers_k / (1 - x mubar_k) and q(x) = f(x) prod_k (1 - x mubar_k)
+    (fiber_coefficients).  Write
+    x = c + w with |w| <= rho and B_k = 1 - c mubar_k.  On the disc
+    |1 - x mubar_k| = |B_k - w mubar_k| >= |B_k| - rho |mu_k|, so where that
+    is positive for every k no factor of the product vanishes, f is
+    analytic on the disc, and f and q have the same roots there.  The
+    geometric series 1 / (B_k - w mubar_k) = sum_j (w mubar_k)^j / B_k^(j+1)
+    gives
+
+        f(c + w) = f(c) + w f'(c) + R,
+        f(c) = sum_k pers_k / B_k,    f'(c) = sum_k pers_k mubar_k / B_k^2,
+        R = sum_k pers_k (w mubar_k)^2 / (B_k^2 (B_k - w mubar_k)),
+        |R| <= rho^2 sum_k |pers_k| |mu_k|^2 / (|B_k|^2 (|B_k| - rho |mu_k|)),
+
+    so |f(c)| > rho |f'(c)| + (the bound on |R|) shows that f, and with it
+    q, has no root in the disc.  At the lift's rungs (lift_zero) rho is at
+    most 0.8 (1 - |c|), so |c| + rho < 1, and with |mu_k| < 1,
+    |B_k| - rho |mu_k| >= 1 - (|c| + rho) |mu_k| is positive.
+
+    The rounding.  With u = 2^-53 the float B^_k = fl(1 - c mubar_k) is
+    within d_k = 3u |c| |mu_k| + 2u |B^_k| of B_k (a complex product, then a
+    subtraction).  The test takes g_k = |B^_k| - rho |mu_k| - s_k with
+    s_k = u (3 |c| |mu_k| + 4 |B^_k| + 4 rho |mu_k|), which is d_k plus the
+    rounding of this difference, and requires every g_k > 0.  Then both
+    |B_k - w mubar_k| and |B^_k - w mubar_k| are at least g_k on the disc,
+    so f^, f with B^ in place of B, is within
+    M = sum_k |pers_k| s_k / g_k^2 of f there, and the expansion above,
+    applied to f^, bounds its remainder by
+    T = rho^2 sum_k |pers_k| |mu_k|^2 / (|B^_k|^2 g_k).  Each term of the float
+    f^(c) and f^'(c) takes at most three complex operations, each within
+    12u relatively (a quotient, by Smith's algorithm, is the worst), and
+    the m terms sum with an error of at most (m - 1) u times the sum of
+    their moduli, S_0 = sum_k |pers_k| / |B^_k| and
+    S_1 = sum_k |pers_k| |mu_k| / |B^_k|^2.  The real sums S_0, S_1, T and M
+    take a few operations per term on positive values.  So with
+    gamma = k u / (1 - k u), k = 2 m + 64,
+
+        |f^(c)| > rho |f^'(c)| + T + M + gamma (S_0 + rho S_1 + T + M)
+
+    in floats implies |f(c + w)| > 0 for every |w| <= rho in exact
+    arithmetic: the gamma term covers the errors of f^(c), rho f^'(c) and
+    of every real quantity in the comparison.  The bound assumes that no
+    intermediate result underflows.  A zero, infinite or NaN quantity
+    fails the comparison, so the test then clears nothing.
+    """
+    pers = np.asarray(pers, dtype=complex)
+    mubar = np.conj(np.asarray(mus, dtype=complex))
+    u = 2.0**-53
+    k = 2 * mubar.shape[-1] + 64
+    gamma = k * u / (1 - k * u)
+    with np.errstate(all="ignore"):
+        base = 1.0 - center * mubar
+        size, mod, per_mod = np.abs(mubar), np.abs(base), np.abs(pers)
+        slack = u * (3 * abs(center) * size + 4 * mod + 4 * radius * size)
+        gap = mod - radius * size - slack
+        terms = pers / base
+        value = terms.sum(axis=-1)
+        slope = (terms * (mubar / base)).sum(axis=-1)
+        tail = radius**2 * (per_mod * size**2 / (mod**2 * gap)).sum(axis=-1)
+        moved = (per_mod * slack / gap**2).sum(axis=-1)
+        moduli = (per_mod / mod * (1 + radius * size / mod)).sum(axis=-1)
+        rounding = moved + gamma * (moduli + tail + moved)
+        return (gap > 0).all(axis=-1) & (np.abs(value) > radius * np.abs(slope) + tail + rounding)
 
 
 def fiber_polynomial(rest, mu) -> np.ndarray:
@@ -372,8 +449,9 @@ def _floor_scaled(x: int, s: int, d: int) -> int:
 
 
 def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
-    """((re, im), radius, shift): each part of 2^shift per C lies within
-    radius of the matching part of the Gaussian integer re + i im.
+    """((re, im), (radius_re, radius_im), shift): each part of 2^shift
+    per C lies within its radius of the matching part of the Gaussian
+    integer re + i im.
 
     Row j of C is scaled by 2^p_j, p_j chosen so that the row's largest
     |C_jk| times 2^p_j lies in (2^(bits-1), 2^bits], and truncated: from
@@ -390,7 +468,9 @@ def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
     and |D_jk| < 2, so with R_j = sum_k (|Re X_jk| + |Im X_jk|) the sum
     is at most sum_S prod_{j in S} 2n prod_{j not in S} R_j
     = prod_j (R_j + 2n) - prod_j R_j, the radius.  It bounds the
-    modulus, hence each part.
+    modulus, hence each part.  When every W_jk is real (as at real
+    coordinates), so are C, X and D: the imaginary part of per C is then
+    exactly 0 = im, and its radius is 0.
     """
     a, b, w_rows = _cleared_rows(lam, mu)
     n = len(a)
@@ -410,7 +490,9 @@ def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
         rows.append(row)
         shift += p
     per_r, per_i = _glynn_sum(rows)
-    return (per_r >> (n - 1), per_i >> (n - 1)), padded - sums, shift
+    real = not any(wi for ws in w_rows for _, wi in ws)
+    radius = padded - sums
+    return (per_r >> (n - 1), per_i >> (n - 1)), (radius, 0 if real else radius), shift
 
 
 def _scaled_float(x: int, s: int) -> float:
@@ -418,14 +500,14 @@ def _scaled_float(x: int, s: int) -> float:
     return x / (1 << s) if s >= 0 else float(x << -s)
 
 
-def _rounded(per, radius: int, shift: int) -> complex | None:
+def _rounded(per, radii, shift: int) -> complex | None:
     """The correctly rounded per C from a _fixed_enclosure, or None when
     the enclosure does not decide it: both ends of each part must round
     to the same double, the sign of a zero included (int true division
     gives -0.0 only below zero).  Rounding is monotone, so every value
     between the ends then rounds to it too."""
     parts = []
-    for x in per:
+    for x, radius in zip(per, radii):
         lo, hi = _scaled_float(x - radius, shift), _scaled_float(x + radius, shift)
         if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
             return None
@@ -441,11 +523,13 @@ def permanent_exact(lam, mu) -> complex:
     (_fixed_enclosure) decides the rounding in almost every case, as in
     Ziv's strategy for correctly rounded functions: its Glynn sum runs
     over ints of about _FIXED_BITS bits, against (n - 1) 107 bits per
-    entry of the exact cleared rows.  Only an enclosure whose ends round to
-    different doubles (a part within the enclosure's width of a rounding
-    boundary, or exactly zero, as the imaginary part at real coordinates)
-    takes the exact sum (_cleared_permanent), where int true division
-    rounds correctly.  Both give the same float, zero signs included.
+    entry of the exact cleared rows.  Where every 1 - lambda_j conj(mu_k)
+    is real, as at real coordinates, the imaginary part is exactly +0.0 and
+    only the real part needs deciding.  Only an enclosure whose ends round
+    to different doubles (a part within the enclosure's width of a
+    rounding boundary) takes the exact sum (_cleared_permanent), where int
+    true division rounds correctly.  Both give the same float, zero signs
+    included.
     """
     value = _rounded(*_fixed_enclosure(lam, mu))
     return _exact_rounded(lam, mu) if value is None else value
@@ -689,13 +773,14 @@ def batch_cauchy_power(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
 
 class _SlabBuffers:
     """np.empty for a stream of slabs of one n: the i-th request of each
-    slab gets the same buffer (its leading part along the batch axis, the
-    last, in a shorter slab), so the stream allocates its working set
-    once.  Arrays allocated anew per slab go back to the system whenever
-    malloc trims its heap, and fault their pages in again on the next
-    slab: on a 2-vCPU x86 host a 1e5-pair diagonal n = 6 sample took
-    23 000 page faults and 0.20-0.24 s that way, against 1 100 and
-    0.15-0.18 s."""
+    slab gets the same flat buffer, its leading segment reshaped, so the
+    stream allocates its working set once and every array it hands out is
+    C-contiguous (a shorter last slab gets no strided view, which
+    permanent() would copy).  Arrays allocated anew per slab go back to
+    the system whenever malloc trims its heap, and fault their pages in
+    again on the next slab: on a 2-vCPU x86 host a 1e5-pair diagonal n = 6
+    sample took 23 000 page faults and 0.20-0.24 s that way, against 1 100
+    and 0.15-0.18 s."""
 
     def __init__(self):
         self.buffers = []
@@ -710,9 +795,10 @@ class _SlabBuffers:
         if i == len(self.buffers):
             self.buffers.append(None)
         buf = self.buffers[i]
-        if buf is None or buf.shape[-1] < shape[-1]:
-            buf = self.buffers[i] = np.empty(shape, dtype)
-        return buf[..., : shape[-1]]
+        size = math.prod(shape)
+        if buf is None or buf.size < size:
+            buf = self.buffers[i] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _split(lams: np.ndarray, mus: np.ndarray):

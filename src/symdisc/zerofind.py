@@ -9,8 +9,11 @@ s = 2^-1, 2^-2, ..., and move the first lambda coordinate to the nearest
 root of the fiber polynomial (kernel.fiber_coefficients), whose roots are
 exactly the first coordinates at which the lifted kernel vanishes.  The
 minor permanents behind the fiber polynomials of all the rungs come from
-one stacked call (kernel.fiber_minors).  The float root certifies as it
-stands.
+one stacked call (kernel.fiber_minors).  A closed-form zero-exclusion
+bound on the same minors (kernel.fiber_zero_free) clears most rungs below
+the accepted one, whose roots lie far outside the search disc, so only
+the others have their polynomial assembled and solved.  The float root
+certifies as it stands.
 
 Certification is post hoc throughout: K = per C / (pi^n prod B), and
 an emitted certificate stores the cancellation ratio |per C| / per |C|
@@ -50,6 +53,7 @@ from .kernel import (
     det_pivoted,
     fiber_coefficients,
     fiber_minors,
+    fiber_zero_free,
     kernel_gn,
     kernel_gn_with_error,
     kernel_ratio_slabs,
@@ -82,6 +86,11 @@ _MOMENT_RADIUS, _MOMENT_SAMPLES = 0.3, 64  # the contour of moment_identity_chec
 
 # rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
 _LIFT_CANDIDATES = 24
+# the lift skips a rung whose fiber polynomial kernel.fiber_zero_free proves
+# root-free within this many search radii of lambda_1.  np.roots would have
+# to move a root by more than a search radius to put it in the search disc
+# of such a rung, so the screen skips only rungs the loop would reject
+_SCREEN_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -465,8 +474,15 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     nearest lam_1; the first rung whose root lies in the search disc,
     keeps every coordinate distinct and certifies against
     DEFAULT_TOL_LIFT is accepted.  The minor permanents of all the rungs'
-    fibers come from one stacked kernel.fiber_minors call; a rung's
-    polynomial is assembled and solved only when the loop reaches it.
+    fibers come from one stacked kernel.fiber_minors call.  From them
+    kernel.fiber_zero_free proves, for all the rungs at once, which
+    polynomials have no root within _SCREEN_MARGIN search radii of lam_1:
+    such a rung counts as outside the search disc without a solve.  The
+    distance from lam_1 to the nearest root about halves from one rung to
+    the next, so the screen clears all but the last few rungs below the
+    accepted one.  Any other rung's polynomial is assembled and solved
+    only when the loop reaches it.  A failure says how many rungs failed
+    for which reason and how many of them the bound cleared.
     """
     if not cert.fn_witness.value_abs > 0:  # fails closed on nan
         raise CertificationFailure("lift requires a certificate with a slice witness")
@@ -485,7 +501,11 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     rungs = [complex(math.sqrt(1.0 - 2.0**-k)) for k in range(1, _LIFT_CANDIDATES + 1)]
     mus = [(*mu, t) for t in rungs]
     pers, _ = fiber_minors([(*lam[1:], t) for t in rungs], mus)
-    for t, new_mu, minors in zip(rungs, mus, pers):
+    cleared = fiber_zero_free(pers, mus, lam1, _SCREEN_MARGIN * radius)
+    for t, new_mu, minors, skip in zip(rungs, mus, pers, cleared):
+        if skip:
+            rejected["outside the search disc"] += 1
+            continue
         roots = np.roots(fiber_coefficients(minors, new_mu))
         x = complex(min(roots, key=lambda r: abs(r - lam1), default=math.inf))
         if not abs(x - lam1) <= radius:
@@ -519,6 +539,7 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
     raise CertificationFailure(
         f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "
+        f"{int(cleared.sum())} cleared by the zero-exclusion bound without a solve; "
         f"smallest residual {best:.3e} against tolerance {tol:.1e})"
     )
 

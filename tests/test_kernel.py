@@ -277,6 +277,85 @@ def test_stacked_fibers_match_one_call_per_fiber(rng, m):
         assert np.array_equal(pers[f], one[0]) and np.array_equal(base[f], one_base[0])
 
 
+def _fiber_with_roots(roots, mu) -> np.ndarray:
+    """The minor permanents of a fiber whose polynomial is prod (x - r)
+    over the m - 1 roots, for m mu coordinates, nonzero and distinct: at
+    x = 1 / conj(mu_k) every term of q but the k-th vanishes."""
+    poles = 1 / np.conj(mu)
+    return np.array(
+        [np.prod(p - roots) / np.prod(np.delete(1 - p * np.conj(mu), k)) for k, p in enumerate(poles)]
+    )
+
+
+def _screen_cases(rng, m):
+    """Two lists of (pers, mu, center) fibers of m coordinates: kernel
+    fibers at random points with random centres, and fibers with
+    prescribed roots, three of them in a cluster, centred next to a root
+    and midway between two roots."""
+    fibers = []
+    for _ in range(10):
+        rest, mu = draw_disc_tuple(rng, m - 1, 0.95), draw_disc_tuple(rng, m, 0.95)
+        pers, _ = kernel.fiber_minors([rest], [mu])
+        fibers.append((pers[0], np.array(mu), complex(*rng.uniform(-0.6, 0.6, 2))))
+    cases = []
+    for spread in (0.1, 1e-3):
+        for _ in range(6):
+            mu = np.array(draw_disc_tuple(rng, m, 0.95))
+            roots = np.array(draw_disc_tuple(rng, m - 1, 0.8))
+            roots[1:3] = roots[0] + spread * (rng.random(len(roots[1:3])) - 0.5 + 1j * rng.random(len(roots[1:3])))
+            pers = _fiber_with_roots(roots, mu)
+            cases += [(pers, mu, roots[0] + offset * cmath.exp(2j * math.pi * rng.random())) for offset in (1e-2, 1e-6)]
+            cases.append((pers, mu, (roots[0] + roots[-1]) / 2))
+    return fibers, cases
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_screen_clears_no_disc_with_a_root_of_the_fiber_polynomial(rng, m):
+    # radii on both sides of the distance to the nearest root: the screen
+    # may clear only the smaller ones.  It clears the kernel fibers' discs
+    # at a tenth of that distance where they lie in the unit disc, as the
+    # lift's do; next to a cluster of roots, where f(c) cancels, its bound
+    # on the remainder is coarse and it clears less
+    fibers, cases = _screen_cases(rng, m)
+    for i, (pers, mu, center) in enumerate(fibers + cases):
+        distance = np.abs(np.roots(kernel.fiber_coefficients(pers, mu)) - center).min()
+        for factor in (0.1, 0.5, 0.9, 1.1, 2.0, 8.0):
+            radius = factor * distance
+            cleared = kernel.fiber_zero_free([pers], [mu], center, radius)
+            assert cleared.shape == (1,)
+            assert not cleared[0] or factor < 1
+            if factor == 0.1 and i < len(fibers) and abs(center) + radius < 1:
+                assert cleared[0]
+
+
+def test_screen_keeps_a_root_at_the_centre_that_rounding_hides():
+    # with these short dyadic coordinates B = 1 - c conj(mu) is exact, and
+    # pers = (B_1, -B_2) makes f(c) = B_1 / B_1 - B_2 / B_2 = 0: the fiber
+    # polynomial vanishes at the centre.  The float quotients do not
+    # cancel, and only the rounding term keeps the screen from clearing
+    # the disc
+    center, mu = 0.5, np.array([-0.875 - 0.25j, -0.75 - 0.5j])
+    base = 1 - center * np.conj(mu)
+    pers = np.array([base[0], -base[1]])
+    assert np.polyval(kernel.fiber_coefficients(pers, mu), center) == 0
+    assert (pers / base).sum() != 0
+    assert not kernel.fiber_zero_free([pers], [mu], center, 1e-30)[0]
+    # another centre is cleared at that radius
+    assert kernel.fiber_zero_free([pers], [mu], 0.5j, 1e-30)[0]
+
+
+def test_screen_fails_closed():
+    pers, mu = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    assert kernel.fiber_zero_free([pers], [mu], 0j, 0.1)[0]
+    # a pole of the fiber's rational function inside the disc, at 1 / conj(mu_k)
+    assert not kernel.fiber_zero_free([pers], [mu], 0j, 2.5)[0]
+    for bad in (math.nan, math.inf):
+        assert not kernel.fiber_zero_free([[bad, 2.0]], [mu], 0j, 0.1)[0]
+        assert not kernel.fiber_zero_free([pers], [mu], 0j, bad)[0]
+    stack = kernel.fiber_zero_free([pers, [0.0, 0.0]], [mu, mu], 0j, 0.1)
+    assert stack.tolist() == [True, False]
+
+
 def test_numerator_error_bounds_the_float_permanent(rng):
     # against per C exact at the float coordinates, near the torus too,
     # where the rounding of B = 1 - lambda conj(mu) outweighs Glynn's sum
@@ -529,6 +608,10 @@ def test_slab_buffers_hand_out_one_working_set():
     again = [empty((3, 3, 5), complex), empty((3, 5), float)]
     assert [a.shape for a in again] == [(3, 3, 5), (3, 5)]
     assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+    # a shorter slab gets C-contiguous arrays too, which permanent() does
+    # not copy
+    assert all(a.flags.c_contiguous for a in (*first, *again))
+    assert [a.dtype for a in again] == [complex, float]
 
 
 def test_closed_form_and_bracket_coefficients_on_stacks():
@@ -604,10 +687,38 @@ def test_fixed_point_route_gives_the_exact_route_bit_for_bit(n):
     rng = np.random.default_rng(100 + n)
     for lam, mu in _route_pairs(rng, n):
         assert _hex(kernel.permanent_exact(lam, mu)) == _hex(kernel._exact_rounded(lam, mu))
-        # only the real pair falls back: its imaginary part is exactly 0,
-        # which an enclosure of nonzero width does not decide
-        real = not any(c.imag for c in (*lam, *mu))
-        assert (kernel._rounded(*kernel._fixed_enclosure(lam, mu)) is None) == real
+        # none falls back, the real pair included: its imaginary part is
+        # exactly +0.0, with an enclosure radius of 0
+        assert kernel._rounded(*kernel._fixed_enclosure(lam, mu)) is not None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairs_with_real_entries_take_the_fixed_point_route(n, monkeypatch):
+    # every 1 - lambda_j conj(mu_k) is real at real coordinates and at
+    # imaginary ones; per C is then real, and its +0.0 imaginary part comes
+    # from the enclosure as from the exact sum
+    calls = []
+    cleared = kernel._cleared_permanent
+
+    def spy(lam, mu):
+        calls.append(len(lam))
+        return cleared(lam, mu)
+
+    rng = np.random.default_rng(200 + n)
+    pairs = []
+    for phase in (1, -1, 1j, -1j):
+        for draw in (lambda: rng.uniform(-0.95, 0.95, n), lambda: np.abs(_near_torus(rng, n))):
+            lam, mu = draw(), draw()
+            pairs.append((tuple(complex(phase * x) for x in lam), tuple(complex(phase * x) for x in mu)))
+    monkeypatch.setattr(kernel, "_cleared_permanent", spy)
+    for lam, mu in pairs:
+        (_, im), (_, radius_im), _ = kernel._fixed_enclosure(lam, mu)
+        assert im == radius_im == 0
+        value = kernel.permanent_exact(lam, mu)
+        assert value.imag == 0 and math.copysign(1.0, value.imag) == 1.0
+        assert calls == []
+        assert _hex(value) == _hex(kernel._exact_rounded(lam, mu))
+        calls.clear()
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32, 64])
@@ -616,11 +727,11 @@ def test_fixed_point_enclosure_holds_the_exact_permanent(bits):
     zero = construct_zero_dim3()
     pairs = [(zero.lam, zero.mu)] + [pair for n in range(1, 7) for pair in _route_pairs(rng, n)]
     for lam, mu in pairs:
-        (re, im), radius, shift = kernel._fixed_enclosure(lam, mu, bits)
+        (re, im), radii, shift = kernel._fixed_enclosure(lam, mu, bits)
         scale = Fraction(2) ** -shift
-        for g, exact in zip((re, im), _exact_parts(lam, mu)):
+        for g, exact, radius in zip((re, im), _exact_parts(lam, mu), radii):
             assert abs(g * scale - exact) <= radius * scale
-        value = kernel._rounded((re, im), radius, shift)
+        value = kernel._rounded((re, im), radii, shift)
         assert value is None or _hex(value) == _hex(kernel._exact_rounded(lam, mu))
     # the permanent at the n = 3 zero is 1e-16 of per |C|: 8 bits do not decide it
     assert kernel._rounded(*kernel._fixed_enclosure(zero.lam, zero.mu, 8)) is None

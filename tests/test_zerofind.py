@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +41,10 @@ from symdisc.zerofind import (
 )
 
 from .oracles import bareiss_delta, fraction_delta
+
+V1_CHAIN = Path(__file__).parent / "data" / "chain7_v1.json"
+# the two ends of the (rho, mu_1) band that find-zero 7 certifies across
+BAND_EDGES = ((0.995, 0.9995), (0.9955, 0.99925))
 
 component = st.floats(-5, 5).filter(lambda x: x == 0 or abs(x) > 1e-6)
 coeff = st.builds(complex, component, component)
@@ -347,8 +352,7 @@ def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
 def test_chain7_written_before_the_cancellation_residual_still_checks():
     # certificate schema 1 as written when residual_rel was |det| over the
     # max row norm of the Cauchy-power matrix and mu was polished
-    path = Path(__file__).parent / "data" / "chain7_v1.json"
-    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    cert = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
     assert [node.n for node in _nodes(cert)] == [7, 6, 5, 4, 3]
     _assert_every_node_checks(cert)
 
@@ -416,7 +420,7 @@ def test_lift_reaches_n10(chain8, chain10):
     _assert_every_node_checks(chain10)
 
 
-@pytest.mark.parametrize("rho, mu1", [(0.995, 0.9995), (0.9955, 0.99925)])
+@pytest.mark.parametrize("rho, mu1", BAND_EDGES)
 def test_chain7_certifies_at_the_band_edge(rho, mu1):
     _assert_every_node_checks(build_certificate_chain(7, rho=rho, mu1_modulus=mu1))
 
@@ -442,17 +446,133 @@ def _appended_rungs(monkeypatch):
     return stacks, assembled
 
 
+def _screens(monkeypatch):
+    """Record (pers, mus, center, cleared) per call of the lift's
+    zero-exclusion screen."""
+    calls = []
+    screen = zerofind.fiber_zero_free
+
+    def spy(pers, mus, center, radius):
+        out = screen(pers, mus, center, radius)
+        calls.append((pers, mus, center, out))
+        return out
+
+    monkeypatch.setattr(zerofind, "fiber_zero_free", spy)
+    return calls
+
+
+def _clear_nothing(pers, mus, center, radius):
+    return np.zeros(len(pers), dtype=bool)
+
+
+LADDER = [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
+
+
 def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
     stacks, assembled = _appended_rungs(monkeypatch)
+    screens = _screens(monkeypatch)
     monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)
-    with pytest.raises(CertificationFailure, match="24 rungs"):
+    with pytest.raises(CertificationFailure, match="24 rungs") as failure:
         lift_zero(dim3_cert)
     assert zerofind._LIFT_CANDIDATES == 24
     # one stacked evaluation of the ladder s = 2^-1, 2^-2, ... with
-    # t = sqrt(1 - s), real and positive, and every rung tried in order
-    ladder = [complex(math.sqrt(1 - 2.0**-k)) for k in range(1, 25)]
-    assert stacks == [ladder]
-    assert assembled == ladder
+    # t = sqrt(1 - s), real and positive; every rung is either cleared by
+    # the screen or assembled and solved, in ladder order
+    assert stacks == [LADDER]
+    [(_, mus, _, out)] = screens
+    skipped = [mu[-1] for mu, skip in zip(mus, out) if skip]
+    assert skipped and assembled
+    assert sorted(skipped + assembled, key=LADDER.index) == LADDER
+    assert assembled == [t for t in LADDER if t not in skipped]
+    # the reasons count all 24 rungs, and the message says how many the
+    # bound cleared without a solve
+    message = str(failure.value)
+    counts = [int(c) for c in re.findall(r"(\d+) (?:outside|repeated|residual above)", message)]
+    assert sum(counts) == 24
+    assert f"{len(skipped)} cleared by the zero-exclusion bound without a solve" in message
+
+
+def test_lift_without_the_screen_assembles_every_rung(dim3_cert, monkeypatch):
+    stacks, assembled = _appended_rungs(monkeypatch)
+    monkeypatch.setattr(zerofind, "fiber_zero_free", _clear_nothing)
+    monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)
+    with pytest.raises(CertificationFailure, match="0 cleared by the zero-exclusion bound"):
+        lift_zero(dim3_cert)
+    assert stacks == [LADDER]
+    assert assembled == LADDER
+
+
+def _search_radius(cert) -> float:
+    """The radius of the search disc of a lift from cert, around lambda_1."""
+    lam1 = cert.lam[0]
+    return min(0.4 * (1 - abs(lam1)), 0.45 * min(abs(lam1 - c) for c in cert.lam[1:]))
+
+
+def _hex_chain(cert):
+    """Every float of a certificate chain, in hex."""
+    return [
+        (
+            _hex_pairs((*node.lam, *node.mu, node.fn_witness.point)),
+            node.residual_rel.hex(),
+            node.kernel_abs.hex(),
+            node.fn_witness.value_abs.hex(),
+        )
+        for node in _nodes(cert)
+    ]
+
+
+def test_cleared_rungs_have_no_root_within_twice_the_search_radius(chain10, monkeypatch):
+    # np.roots would have to move a root by more than the search radius to
+    # put it in the search disc of a cleared rung: the loop rejects it too
+    lifts, screens = [], _screens(monkeypatch)
+    lift = zerofind.lift_zero
+
+    def spy_lift(cert):
+        lifts.append(cert)
+        return lift(cert)
+
+    monkeypatch.setattr(zerofind, "lift_zero", spy_lift)
+    # the certify band of the benchmark: rho in [0.992, 0.9945] and
+    # mu_1 - rho in [0.003, 0.0045]
+    rng = np.random.default_rng(18)
+    draws = [(0.992 + 0.0025 * a, 0.003 + 0.0015 * b) for a, b in rng.random((4, 2))]
+    for rho, mu1 in (*BAND_EDGES, *((rho, rho + gap) for rho, gap in draws)):
+        build_certificate_chain(7, rho=rho, mu1_modulus=mu1)
+    for node in _nodes(chain10):
+        if node.n < 10:
+            spy_lift(node)
+    assert len(lifts) == len(screens) == 6 * 4 + 7
+    for parent, (pers, mus, center, out) in zip(lifts, screens):
+        assert center == parent.lam[0] and len(out) == 24
+        # the lift to n = 4 accepts its 8th rung and solves 2
+        assert out.sum() >= 6
+        reach = 2 * _search_radius(parent)
+        for minors, mu in zip(pers[out], np.asarray(mus)[out]):
+            roots = np.roots(kernel.fiber_coefficients(minors, mu))
+            assert np.abs(roots - center).min() > reach
+
+
+def test_the_screen_changes_no_certificate(chain10, monkeypatch):
+    edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
+    monkeypatch.setattr(zerofind, "fiber_zero_free", _clear_nothing)
+    unscreened = lift_zero(lift_zero(lift_zero(build_certificate_chain(7))))
+    assert _hex_chain(unscreened) == _hex_chain(chain10)
+    for edge, (rho, mu1) in zip(edges, BAND_EDGES):
+        assert _hex_chain(build_certificate_chain(7, rho, mu1)) == _hex_chain(edge)
+
+
+def test_find_zero_7_solves_at_most_16_fiber_polynomials(tmp_path, monkeypatch):
+    # a count, not a time: without the screen the lifts to n = 4..7 solve
+    # 8 + 9 + 10 + 11 fiber polynomials, and those to n = 8..10 12-14 each
+    stacks, assembled = _appended_rungs(monkeypatch)
+    path = tmp_path / "c7.json"
+    assert main(["find-zero", "7", "--out", str(path)]) == 0
+    assert len(stacks) == 4 and len(assembled) <= 16
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    for n in (8, 9, 10):
+        before = len(assembled)
+        cert = lift_zero(cert)
+        assert cert.n == n and len(assembled) - before <= 8
 
 
 def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
@@ -533,12 +653,17 @@ def test_find_zero_7_and_its_read_back_take_no_exact_sum(tmp_path, monkeypatch):
         node.validate()
         assert recertify(node)["residual_rel"] <= node.tolerances["residual_rel"]
     assert calls == []
-    # the spy does see a fallback: a real pair's imaginary part is exactly 0
-    assert kernel.permanent_exact([0, 0.5], [0, 0.5]) == 7 / 3 and calls == [2]
+    # a real pair takes none either: its imaginary part is exactly +0.0
+    assert kernel.permanent_exact([0, 0.5], [0, 0.5]) == 7 / 3 and calls == []
+    # the spy does see a fallback: the schema-1 file's n = 7 zero cancels
+    # further than the enclosure's bits decide
+    v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
+    kernel.permanent_exact(v1.lam, v1.mu)
+    assert calls == [7]
 
 
 def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10):
-    edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in ((0.995, 0.9995), (0.9955, 0.99925))]
+    edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
     for cert in (chain10, *edges):
         for node in _nodes(cert):
             fast = kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu))
@@ -547,7 +672,7 @@ def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10)
             assert _hex_pairs([kernel.permanent_exact(node.lam, node.mu)]) == _hex_pairs([fast])
     # the schema-1 file's zeros were polished exactly and cancel further:
     # its n = 5, 6 and 7 nodes need 149-171 bits and take the exact sum
-    v1 = ZeroCertificate.from_dict(json.loads((Path(__file__).parent / "data" / "chain7_v1.json").read_text()))
+    v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
     decided = []
     for node in _nodes(v1):
         decided.append(kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu)) is not None)
