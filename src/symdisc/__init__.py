@@ -21,8 +21,6 @@ from .kernel import (
     kernel_gn_stable,
 )
 from .symcore import (
-    PolyPoint,
-    SymPoint,
     elem_sym,
     in_gn,
     roots_from_sym,
@@ -44,10 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KernelEval",
-    "PolyPoint",
     "QuadraticData",
     "SamplingReport",
-    "SymPoint",
     "SymdiscError",
     "ZeroCertificate",
     "abc_coeffs",

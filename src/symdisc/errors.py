@@ -38,7 +38,7 @@ class InvalidScaling(SymdiscError):
 
 
 class WitnessNotFound(SymdiscError):
-    """Sampling cap reached without a nonvanishing witness (suspicious input)."""
+    """The slice ratio at the origin is not decisively nonzero (suspicious input)."""
 
 
 class ContourTooClose(SymdiscError):
@@ -51,7 +51,3 @@ class NonIntegerWinding(SymdiscError):
 
 class CertificationFailure(SymdiscError):
     """Residual of a constructed zero exceeded the certification tolerance."""
-
-
-class DivisionByZero(SymdiscError):
-    """Inversion of the zero element of the coefficient field."""

@@ -8,10 +8,11 @@ with rational coefficients, so ExactPoly works over Q alone.  An
 integral coordinate or coefficient is kept as an int and only a true
 fraction as a Fraction, so identities with integer coefficients run on
 ints, without a gcd per product.  The three types share one set of
-derived ring operations (_Ring).  Signs of nonzero elements are
-decided by interval arithmetic with escalating precision (exact-zero
-short circuit first), so every verification below is
-precision-independent.
+derived ring operations (_Ring): they are rings, with no division, as no
+identity of the suite divides by an irrational element.  Signs of
+nonzero elements are decided by interval arithmetic with escalating
+precision (exact-zero short circuit first), so every verification below
+is precision-independent.
 
 The two verification entry points re-derive, with zero tolerance:
 
@@ -33,7 +34,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
 
-from .errors import DivisionByZero
 from .kernel import bracket_expr, bracket_raw_displays, elem_sym3, quadratic_sym_coeffs
 
 _Rat = Union[int, Fraction]
@@ -52,10 +52,11 @@ class _Ring:
     """The derived operations of a commutative ring, for one type.
 
     A subclass provides `of` (coercion of an operand into the type, which
-    raises TypeError for anything else), __add__, __neg__, __mul__, inv,
-    _key (the value that decides equality) and _plain (the simpler value
-    the element equals, or None); subtraction, the reflected operations,
-    division, integer powers, == and hash follow from those.
+    raises TypeError for anything else), __add__, __neg__, __mul__, _key
+    (the value that decides equality) and _plain (the simpler value the
+    element equals, or None); subtraction, the reflected operations,
+    powers with a nonnegative integer exponent, == and hash follow from
+    those.  There is no division, so a negative power raises ValueError.
     """
 
     __slots__ = ()
@@ -85,15 +86,9 @@ class _Ring:
     def __rmul__(self, other):
         return self * other
 
-    def __truediv__(self, other):
-        return self * self.of(other).inv()
-
-    def __rtruediv__(self, other):
-        return self.of(other) * self.inv()
-
     def __pow__(self, k: int):
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError(f"negative power {k} of a ring element")
         out = self.of(1)
         base = self
         while k:
@@ -155,23 +150,6 @@ class AlgNum(_Ring):
             a0 * b3 + a3 * b0 + 2 * (a2 * b6 + a6 * b2),
             a0 * b6 + a6 * b0 + a2 * b3 + a3 * b2,
         )
-
-    def _conj2(self) -> "AlgNum":
-        # sqrt2 -> -sqrt2 (and hence sqrt6 -> -sqrt6)
-        return AlgNum(self.q0, -self.q2, self.q3, -self.q6)
-
-    def _conj3(self) -> "AlgNum":
-        return AlgNum(self.q0, self.q2, -self.q3, -self.q6)
-
-    def inv(self) -> "AlgNum":
-        if self.is_zero():
-            raise DivisionByZero("inverse of 0 in Q(sqrt2, sqrt3)")
-        partial = self * self._conj2()          # lands in Q(sqrt3)
-        norm = partial * partial._conj3()       # lands in Q
-        assert norm.is_rational() and norm.q0 != 0
-        mult = self._conj2() * partial._conj3()
-        r = Fraction(1, norm.q0)
-        return AlgNum(mult.q0 * r, mult.q2 * r, mult.q3 * r, mult.q6 * r)
 
     def __float__(self) -> float:
         return (
@@ -274,13 +252,6 @@ class AlgComplex(_Ring):
     def conj(self) -> "AlgComplex":
         return AlgComplex(self.re, -self.im)
 
-    def inv(self) -> "AlgComplex":
-        if self.is_zero():
-            raise DivisionByZero("inverse of 0")
-        nrm = self.re * self.re + self.im * self.im
-        inv_n = nrm.inv()
-        return AlgComplex(self.re * inv_n, -(self.im * inv_n))
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -378,9 +349,6 @@ class ExactPoly(_Ring):
                 expo = tuple(a + b for a, b in zip(e1, e2))
                 out[expo] = out.get(expo, 0) + c1 * c2
         return ExactPoly(out)
-
-    def inv(self):
-        raise ValueError("polynomials have no inverses: negative powers are not polynomial")
 
     def coeff_in(self, name: str, power: int) -> "ExactPoly":
         """Coefficient of name**power, as a polynomial in the other variables."""

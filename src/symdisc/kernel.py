@@ -58,7 +58,6 @@ import numpy as np
 
 from .errors import MuOneZero, NotInDomain, SingularEntry
 from .symcore import (
-    SymPoint,
     _coords,
     classify_roots,
     roots_from_sym,
@@ -643,8 +642,8 @@ def numerator_error(size: np.ndarray, scale: float) -> float:
 
 
 def kernel_gn_stable(
-    s: SymPoint | Sequence[complex],
-    t: SymPoint | Sequence[complex],
+    s: Sequence[complex],
+    t: Sequence[complex],
 ) -> KernelEval:
     """Kernel on the symmetrized domain, at symmetric coordinates.
 

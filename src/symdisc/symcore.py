@@ -5,94 +5,30 @@ n-tuple of its elementary symmetric polynomial values; its image is the
 symmetrized polydisc.  This module provides the map, its inversion by
 the eigenvalues of the companion matrix (np.roots, the root finder the
 lift in zerofind also uses), open-domain membership tests, and the
-paired Vandermonde product that appears in the kernel denominator.
+paired Vandermonde product.  Points are plain sequences of complex
+numbers; symmetric values and roots come back as tuples.
 
-All operations are pure functions over immutable values and are safe to
-call concurrently.
+All operations are pure functions and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NotInDomain, SolverFailure
+from .errors import SolverFailure
 
 # Membership guard: open-set membership is undecidable at machine precision,
 # so roots within this distance of the unit circle are flagged indeterminate.
 BOUNDARY_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class PolyPoint:
-    """An n-tuple of complex coordinates, prior to symmetrization.
-
-    Use :meth:`in_domain` for points that must lie in the open unit
-    polydisc; the plain constructor accepts arbitrary complex tuples
-    (identities are tested on unimodular and exterior points too).
-    """
-
-    coords: tuple[complex, ...]
-
-    def __init__(self, coords: Iterable[complex]):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in coords))
-        if not self.coords:
-            raise ValueError("PolyPoint needs at least one coordinate")
-
-    @classmethod
-    def in_domain(cls, coords: Iterable[complex]) -> "PolyPoint":
-        p = cls(coords)
-        bad = [c for c in p.coords if abs(c) >= 1.0]
-        if bad:
-            raise NotInDomain(f"coordinates not in the open unit disc: {bad}")
-        return p
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
-
-
-@dataclass(frozen=True)
-class SymPoint:
-    """Symmetrized coordinates: the k-th entry is the k-th elementary
-    symmetric value of some preimage tuple."""
-
-    coords: tuple[complex, ...]
-
-    def __init__(self, coords: Iterable[complex]):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in coords))
-        if not self.coords:
-            raise ValueError("SymPoint needs at least one coordinate")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
-def _coords(p) -> tuple[complex, ...]:
-    if isinstance(p, (PolyPoint, SymPoint)):
-        return p.coords
+def _coords(p: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(complex(c) for c in p)
 
 
-def elem_sym(p: PolyPoint | Sequence[complex]) -> SymPoint:
+def elem_sym(p: Sequence[complex]) -> tuple[complex, ...]:
     """Symmetrize a tuple: return all elementary symmetric values.
 
     Computed by expanding prod_j (x - lambda_j) incrementally, so the
@@ -110,10 +46,10 @@ def elem_sym(p: PolyPoint | Sequence[complex]) -> SymPoint:
     for k in range(1, len(lam) + 1):
         out.append(sign * poly[k])
         sign = -sign
-    return SymPoint(out)
+    return tuple(out)
 
 
-def monic_coefficients(s: SymPoint | Sequence[complex]) -> list[complex]:
+def monic_coefficients(s: Sequence[complex]) -> list[complex]:
     """Coefficients [1, c_1, ..., c_n] of x^n + c_1 x^(n-1) + ... with
     roots inverting the symmetrization: c_k = (-1)^k s_k."""
     sk = _coords(s)
@@ -125,7 +61,7 @@ def monic_coefficients(s: SymPoint | Sequence[complex]) -> list[complex]:
     return coeffs
 
 
-def roots_from_sym(s: SymPoint | Sequence[complex]) -> tuple[complex, ...]:
+def roots_from_sym(s: Sequence[complex]) -> tuple[complex, ...]:
     """Invert the symmetrization: the multiset of roots of
     x^n - s_1 x^(n-1) + s_2 x^(n-2) - ...
 
@@ -168,19 +104,19 @@ def classify_roots(roots: Sequence[complex]) -> str:
     return "boundary-indeterminate"
 
 
-def classify_gn(s: SymPoint | Sequence[complex]) -> str:
+def classify_gn(s: Sequence[complex]) -> str:
     """Membership of s in the symmetrized polydisc: classify_roots of
     its preimage roots."""
     return classify_roots(roots_from_sym(s))
 
 
-def in_gn(s: SymPoint | Sequence[complex]) -> bool:
+def in_gn(s: Sequence[complex]) -> bool:
     """True iff every preimage root lies strictly inside the unit disc
     (with the boundary guard); indeterminate boundary points count as out."""
     return classify_gn(s) == "inside"
 
 
-def vandermonde_pair(lam: PolyPoint | Sequence[complex], mu: PolyPoint | Sequence[complex]) -> complex:
+def vandermonde_pair(lam: Sequence[complex], mu: Sequence[complex]) -> complex:
     """prod_{j<k} (lambda_j - lambda_k) * conj(mu_j - mu_k).
 
     Vanishes exactly when either tuple has a repeated coordinate; the

@@ -20,9 +20,10 @@ an emitted certificate stores the cancellation ratio |per C| / per |C|
 at its points, with per C exact at the stored float coordinates
 (kernel.permanent_exact) and per |C| in floats.  The ratio is at most 1
 and does not change when the matrix C is scaled, so one tolerance
-serves every n.  The slice witness only has to show per C != 0, far from
-a zero: it takes the float ratio, less a forward-error bound on Glynn's
-sum (kernel.numerator_error), so the exact permanent runs once per
+serves every n.  The slice witness only has to show per C != 0 at one
+point of the first slot's slice, x = 0, far from a zero: it takes the
+float ratio there, less a forward-error bound on Glynn's sum
+(kernel.numerator_error), so the exact permanent runs once per
 certificate, for its residual.  count_zeros_disc, a winding-number zero
 count, is a standalone tool; the lift does not use it.
 """
@@ -81,7 +82,6 @@ def reference_root() -> complex:
 DEFAULT_TOL_DIM3 = 1e-10
 DEFAULT_TOL_LIFT = 1e-8
 WITNESS_FACTOR = 1e3
-_WITNESS_CAP = 4096  # disc samples fn_nontrivial tries before it gives up
 _MOMENT_RADIUS, _MOMENT_SAMPLES = 0.3, 64  # the contour of moment_identity_check
 
 # rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
@@ -95,15 +95,14 @@ _SCREEN_MARGIN = 2.0
 
 @dataclass(frozen=True)
 class FnWitness:
-    """A point where the one-variable determinant slice is decisively
-    nonzero, certifying the slice is not identically zero.
-
-    The sample count is provenance only (not serialized, not compared).
+    """A point of the first slot's slice where per C is decisively
+    nonzero, certifying the slice is not identically zero: value_abs is
+    the float cancellation ratio there.  fn_nontrivial takes the point
+    x = 0; a certificate read from a file may hold another one.
     """
 
     point: complex
     value_abs: float
-    samples: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,11 @@ class ZeroCertificate:
     tolerances: dict = field(default_factory=dict)
     parent: Optional["ZeroCertificate"] = None
 
+    @property
+    def tolerance(self) -> float:
+        """The residual tolerance the certificate was certified against."""
+        return self.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
+
     def validate(self) -> None:
         if len(self.lam) != self.n or len(self.mu) != self.n:
             raise CertificationFailure("certificate dimension mismatch")
@@ -138,10 +142,9 @@ class ZeroCertificate:
                 raise CertificationFailure(f"coordinate {c} not in the unit disc")
         if len(set(self.lam)) != self.n or len(set(self.mu)) != self.n:
             raise CertificationFailure("coordinates are not pairwise distinct")
-        tol = self.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
-        if not self.residual_rel <= tol:
+        if not self.residual_rel <= self.tolerance:
             raise CertificationFailure(
-                f"residual {self.residual_rel:.3e} exceeds tolerance {tol:.1e}"
+                f"residual {self.residual_rel:.3e} exceeds tolerance {self.tolerance:.1e}"
             )
         if self.construction == "lift" and self.lam[-1] != self.mu[-1]:
             raise CertificationFailure("lifted certificate must share its appended coordinate")
@@ -253,6 +256,17 @@ def recertify(cert: ZeroCertificate) -> dict:
     return {"residual_rel": residual, "kernel_abs": kernel_abs}
 
 
+def recheck(cert: ZeroCertificate) -> None:
+    """validate() the certificate, then require the residual recertify()
+    recomputes to lie within its tolerance; raises CertificationFailure."""
+    cert.validate()
+    residual = recertify(cert)["residual_rel"]
+    if not residual <= cert.tolerance:
+        raise CertificationFailure(
+            f"residual recomputes to {residual:.3e}, above its tolerance {cert.tolerance:.1e}"
+        )
+
+
 # --- quadratic ----------------------------------------------------------------
 
 
@@ -279,23 +293,6 @@ def solve_abc_quadratic(q: QuadraticData) -> list[complex]:
 
 
 # --- dimension 3 ---------------------------------------------------------------
-
-
-def _van_der_corput(k: int, base: int) -> float:
-    v, denom = 0.0, 1.0
-    while k:
-        denom *= base
-        k, digit = divmod(k, base)
-        v += digit / denom
-    return v
-
-
-def disc_sequence(count: int, radius: float = 0.95):
-    """Deterministic low-discrepancy points in the disc of given radius."""
-    for k in range(count):
-        r = radius * math.sqrt(_van_der_corput(k, 2))
-        theta = 2 * math.pi * _van_der_corput(k, 3)
-        yield r * cmath.exp(1j * theta)
 
 
 def moment_identity_check(lam, mu) -> dict:
@@ -328,27 +325,26 @@ def moment_identity_check(lam, mu) -> dict:
 
 
 def fn_nontrivial(cert: ZeroCertificate) -> FnWitness:
-    """Find a decisive nonvanishing witness for the first-slot slice.
+    """A decisive nonvanishing witness for the first-slot slice, at x = 0.
 
-    Samples a deterministic low-discrepancy sequence in the disc, starting
-    at 0, until the float cancellation ratio |per C| / per |C| at
-    (x, lambda_2..lambda_n), less its error bound B (_witness_ratio),
-    exceeds WITNESS_FACTOR times the certification tolerance.  The float
-    ratio then proves per C != 0 there, with no exact permanent: it is
-    about 0.68 at the witnesses of the default chains, against a B of
-    2e-9 at n = 7 and 6e-4 at n = 12.
+    The float cancellation ratio |per C| / per |C| at
+    (0, lambda_2..lambda_n), less its error bound B (_witness_ratio),
+    has to exceed WITNESS_FACTOR times the certification tolerance; the
+    float ratio then proves per C != 0 there, with no exact permanent.
+    It is about 0.68 at the witnesses of the default chains, against a B
+    of 2e-9 at n = 7 and 6e-4 at n = 12.  Where it is not decisive (a nan
+    included), WitnessNotFound is raised.
     """
     if len(set(cert.mu)) != cert.n:
         raise WitnessNotFound("mu coordinates must be pairwise distinct")
-    tol = cert.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
-    rest = cert.lam[1:]
-    for idx, x in enumerate(disc_sequence(_WITNESS_CAP), start=1):
-        ratio, bound = _witness_ratio((x, *rest), cert.mu)
-        if ratio - bound > WITNESS_FACTOR * tol:
-            return FnWitness(point=x, value_abs=ratio, samples=idx)
-    raise WitnessNotFound(
-        f"no witness after {_WITNESS_CAP} samples; the slice may be degenerate"
-    )
+    ratio, bound = _witness_ratio((0j, *cert.lam[1:]), cert.mu)
+    threshold = WITNESS_FACTOR * cert.tolerance
+    if not ratio - bound > threshold:
+        raise WitnessNotFound(
+            f"slice ratio {ratio:.3e} at x = 0, less its bound {bound:.1e}, "
+            f"is not above {threshold:.1e}"
+        )
+    return FnWitness(point=0j, value_abs=ratio)
 
 
 def construct_zero_dim3(
@@ -482,10 +478,10 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     the next, so the screen clears all but the last few rungs below the
     accepted one.  Any other rung's polynomial is assembled and solved
     only when the loop reaches it.  A failure says how many rungs failed
-    for which reason and how many of them the bound cleared.
+    for which reason and how many of them the bound cleared.  The input
+    has to pass validate(), so a failing node never becomes a parent.
     """
-    if not cert.fn_witness.value_abs > 0:  # fails closed on nan
-        raise CertificationFailure("lift requires a certificate with a slice witness")
+    cert.validate()
     lam, mu, n = cert.lam, cert.mu, cert.n
     lam1 = lam[0]
     tol = DEFAULT_TOL_LIFT

@@ -267,8 +267,6 @@ def test_eval_subcommand(tmp_path):
     code = run(
         [
             "eval",
-            "--n",
-            "2",
             "--lambda",
             "0,0",
             "0.5,0",
@@ -291,7 +289,7 @@ def test_eval_reports_the_error_bound_of_the_float_permanent(tmp_path):
     lam, mu = (tuple((0.95 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))).tolist()) for _ in range(2))
     coords = [f"{c.real!r},{c.imag!r}" for c in (*lam, *mu)]
     out = tmp_path / "eval.json"
-    argv = ["eval", "--n", "5", "--lambda", *coords[:5], "--mu", *coords[5:]]
+    argv = ["eval", "--lambda", *coords[:5], "--mu", *coords[5:]]
     assert run([*argv, "--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     size = np.abs(1.0 / (1.0 - np.multiply.outer(lam, np.conj(mu))))
@@ -303,13 +301,18 @@ def test_eval_reports_the_error_bound_of_the_float_permanent(tmp_path):
     assert f"|per C - exact per C| <= {payload['permanent_error']:.6e}" in text.read_text()
 
 
-def test_eval_dimension_mismatch():
-    assert run(["eval", "--n", "3", "--lambda", "0,0", "--mu", "0,0"]) == 2
+def test_eval_dimension_mismatch(capsys):
+    # the dimension is the number of --lambda values; --mu has to match it
+    assert run(["eval", "--lambda", "0,0", "0.5,0", "--mu", "0,0"]) == 2
+    assert "got 2 and 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--n", "2", "--lambda", "0,0", "0.5,0", "--mu", "0,0", "0.5,0"])
+    assert exc.value.code == 2
 
 
 def test_eval_negative_coordinates_parse(tmp_path):
     out = tmp_path / "eval.json"
-    args = ["--n", "2", "--format", "json", "--out", str(out)]
+    args = ["--format", "json", "--out", str(out)]
     assert run(["eval", "--lambda", "-0.3,0", "0.5,0", "--mu", "0,-0.2", "-.5,-0.1", *args]) == 0
     payload = json.loads(out.read_text())
     expected = kernel_gn((-0.3, 0.5), (-0.2j, -0.5 - 0.1j)).value
@@ -319,21 +322,21 @@ def test_eval_negative_coordinates_parse(tmp_path):
 @pytest.mark.parametrize("bad", ["nan,0", "0,inf", "-inf,0"])
 def test_eval_rejects_non_finite_coordinates(bad, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["eval", "--n", "2", "--lambda", bad, "0.5,0", "--mu", "0,0", "0.5,0"])
+        run(["eval", "--lambda", bad, "0.5,0", "--mu", "0,0", "0.5,0"])
     assert exc.value.code == 2
     assert "non-finite coordinate" in capsys.readouterr().err
 
 
 def test_eval_rejects_coordinates_outside_disc(capsys):
-    assert run(["eval", "--n", "2", "--lambda", "1,0", "0.5,0", "--mu", "0,0", "0.5,0"]) == 2
-    assert run(["eval", "--n", "2", "--lambda", "0,0", "0.5,0", "--mu", "0,0", "0.6,-0.8"]) == 2
+    assert run(["eval", "--lambda", "1,0", "0.5,0", "--mu", "0,0", "0.5,0"]) == 2
+    assert run(["eval", "--lambda", "0,0", "0.5,0", "--mu", "0,0", "0.6,-0.8"]) == 2
     assert "not in the open unit disc" in capsys.readouterr().err
 
 
 def test_eval_repeated_coordinate_matches_oracle(tmp_path):
     out = tmp_path / "eval.json"
     code = run(
-        ["eval", "--n", "2", "--lambda", "0.3,0", "0.3,0", "--mu", "0,0", "0.5,0",
+        ["eval", "--lambda", "0.3,0", "0.3,0", "--mu", "0,0", "0.5,0",
          "--format", "json", "--out", str(out)]
     )
     assert code == 0

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdisc import exactfield, kernel
-from symdisc.errors import DivisionByZero
 from symdisc.exactfield import (
     NU1,
     NU2,
@@ -51,14 +50,6 @@ def test_basis_multiplication_table():
     assert SQRT3 * SQRT6 == SQRT2 * 3
 
 
-def test_inverse_of_small_surd():
-    x = SQRT3 * 3 - 5
-    # (3 sqrt3 - 5)(3 sqrt3 + 5) = 27 - 25 = 2, so the inverse is (3 sqrt3 + 5)/2
-    assert x * (SQRT3 * 3 + 5) == AlgNum(2)
-    assert x.inv() == (SQRT3 * 3 + 5) / AlgNum(2)
-    assert x * x.inv() == AlgNum(1)
-
-
 def test_unit_circle_conjugate_pair():
     assert PHASE_30 * PHASE_30.conj() == AlgComplex(1)
     assert PHASE_60 * PHASE_60.conj() == AlgComplex(1)
@@ -84,8 +75,6 @@ def test_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    if not x.is_zero():
-        assert x * x.inv() == AlgNum(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,13 +100,6 @@ def test_sign_escalates_from_low_precision():
     # loop must still land on the right sign
     assert alg_sign(p_at_1, start_bits=4) == -1
     assert alg_sign(p_at_1, start_bits=512) == -1
-
-
-def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        AlgNum(0).inv()
-    with pytest.raises(DivisionByZero):
-        AlgComplex(0).inv()
 
 
 def test_exact_quadratic_matches_float_route():
@@ -214,15 +196,6 @@ def test_integral_coordinates_are_ints():
     assert x == AlgNum(2, 4, Fraction(1, 2)) and hash(x) == hash(AlgNum(Fraction(2), 4, Fraction(1, 2)))
 
 
-def test_inverses_of_integral_elements_are_exact():
-    third = AlgNum(3).inv()
-    assert third.q0 == Fraction(1, 3) and isinstance(third.q0, Fraction)
-    assert AlgNum(3).inv() * 3 == 1
-    w = AlgComplex(3, 1)
-    assert w * w.inv() == 1
-    assert (SQRT3 * 2 + 7).inv() * (SQRT3 * 2 + 7) == 1
-
-
 def test_base_quadratic_is_computed_once():
     assert exact_base_quadratic() is exact_base_quadratic()
 
@@ -265,9 +238,12 @@ def test_derived_ring_operations(pair):
     assert x**3 == x * x * x and x**0 == 1
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
     assert x * y == y * x and hash(x * y) == hash(y * x)
-    if not isinstance(x, ExactPoly) and not x.is_zero():
-        assert 2 / x * x == 2
-        assert x**-2 * x * x == 1
+    # the types are rings: no division, and a negative power fails at once
+    # instead of looping
+    with pytest.raises(ValueError, match="negative power"):
+        x**-1
+    with pytest.raises(TypeError):
+        1 / x
 
 
 @pytest.mark.parametrize("coef", [AlgNum(1), AlgComplex(1), 1.0, 1j], ids=repr)

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdisc import symcore
-from symdisc.errors import NotInDomain, SolverFailure
+from symdisc.errors import SolverFailure
 from symdisc.symcore import (
-    PolyPoint,
     classify_gn,
     classify_roots,
     elem_sym,
@@ -33,20 +32,20 @@ disc_complex = st.builds(
 def test_elem_sym_unimodular_base_triple():
     s = elem_sym(TORUS)
     r3 = math.sqrt(3.0)
-    assert s.coords[0] == pytest.approx(complex((1 + 2 * r3) / 2, r3 / 2), abs=1e-15)
-    assert s.coords[1] == pytest.approx(complex((2 + r3) / 2, 1.5), abs=1e-15)
-    assert s.coords[2] == pytest.approx(cmath.exp(1j * math.pi / 3), abs=1e-15)
+    assert s[0] == pytest.approx(complex((1 + 2 * r3) / 2, r3 / 2), abs=1e-15)
+    assert s[1] == pytest.approx(complex((2 + r3) / 2, 1.5), abs=1e-15)
+    assert s[2] == pytest.approx(cmath.exp(1j * math.pi / 3), abs=1e-15)
 
 
 def test_elem_sym_zeros_and_small_integers():
-    assert elem_sym([0, 0, 0]).coords == (0j, 0j, 0j)
-    assert elem_sym([2, 3]).coords == ((5 + 0j), (6 + 0j))
+    assert elem_sym([0, 0, 0]) == (0j, 0j, 0j)
+    assert elem_sym([2, 3]) == ((5 + 0j), (6 + 0j))
 
 
 def test_elem_sym_matches_subset_enumeration(rng):
     for n in (1, 2, 4, 6):
         pts = draw_disc_tuple(rng, n, min_gap=0.0 if n == 1 else 0.01)
-        got = elem_sym(pts).coords
+        got = elem_sym(pts)
         want = brute_elem_sym(pts)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-13)
@@ -57,8 +56,8 @@ def test_elem_sym_matches_subset_enumeration(rng):
 def test_elem_sym_permutation_invariant(points, pyrandom):
     shuffled = list(points)
     pyrandom.shuffle(shuffled)
-    a = elem_sym(points).coords
-    b = elem_sym(shuffled).coords
+    a = elem_sym(points)
+    b = elem_sym(shuffled)
     for x, y in zip(a, b):
         assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
 
@@ -152,16 +151,3 @@ def test_vandermonde_pair_same_permutation_invariant(lam, pyrandom):
 def test_vandermonde_dimension_mismatch():
     with pytest.raises(ValueError):
         vandermonde_pair([1, 2], [1, 2, 3])
-
-
-def test_polypoint_domain_constructor():
-    PolyPoint.in_domain([0.5, -0.5j])
-    with pytest.raises(NotInDomain):
-        PolyPoint.in_domain([1.0, 0.0])
-    raw = PolyPoint([2.0, 3.0])  # raw points are allowed for identity tests
-    assert raw.n == 2
-
-
-def test_polypoint_rejects_empty():
-    with pytest.raises(ValueError):
-        PolyPoint([])

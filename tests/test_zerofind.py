@@ -124,7 +124,7 @@ def _float_ratio(lam, mu):
 
 def test_dim3_witness(dim3_cert):
     wit = dim3_cert.fn_witness
-    assert wit.samples <= 64
+    assert wit.point == 0j
     assert wit.value_abs > 1e3 * dim3_cert.tolerances["residual_rel"] / 10
     # away from a zero the float ratio is accurate
     ratio = _float_ratio((wit.point, *dim3_cert.lam[1:]), dim3_cert.mu)
@@ -603,6 +603,14 @@ def test_lift_zero_is_the_fiber_root_nearest_lam1(chain6):
     assert chain6.lam[0] == min(roots, key=lambda r: abs(r - parent.lam[0]))
 
 
+def test_lift_validates_its_input(chain6):
+    # a record whose stored residual fails its tolerance is no parent
+    data = chain6.to_dict()
+    data["residual_rel"] = 1.0
+    with pytest.raises(CertificationFailure, match="exceeds tolerance"):
+        lift_zero(ZeroCertificate.from_dict(data))
+
+
 def test_lift_requires_witness(dim3_cert):
     # a nan value_abs fails the gate too
     for witness in (FnWitness(0j, 0.0), FnWitness(complex(math.nan, 0), math.nan)):
@@ -687,7 +695,7 @@ def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
         lam = (node.fn_witness.point, *node.lam[1:])
         ratio, bound = zerofind._witness_ratio(lam, node.mu)
         exact, _ = zerofind._cancellation(lam, node.mu)
-        assert ratio == node.fn_witness.value_abs and node.fn_witness.samples == 1
+        assert ratio == node.fn_witness.value_abs and node.fn_witness.point == 0j
         assert abs(ratio - exact) <= bound < 1e-5
         assert ratio - bound > zerofind.WITNESS_FACTOR * node.tolerances["residual_rel"]
 
@@ -695,13 +703,11 @@ def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
 def test_witness_threshold_inside_the_bound_rejects_the_point(chain7, monkeypatch):
     # with a threshold between ratio - B and ratio, the float ratio alone
     # would pass; less its bound it does not
-    first = next(zerofind.disc_sequence(1))
-    ratio, bound = zerofind._witness_ratio((first, *chain7.lam[1:]), chain7.mu)
-    assert fn_nontrivial(chain7).point == first
+    ratio, bound = zerofind._witness_ratio((0j, *chain7.lam[1:]), chain7.mu)
+    assert fn_nontrivial(chain7) == FnWitness(0j, ratio)
     tol = chain7.tolerances["residual_rel"]
     monkeypatch.setattr(zerofind, "WITNESS_FACTOR", (ratio - bound / 2) / tol)
-    monkeypatch.setattr(zerofind, "_WITNESS_CAP", 1)
-    with pytest.raises(WitnessNotFound):
+    with pytest.raises(WitnessNotFound, match="x = 0"):
         fn_nontrivial(chain7)
 
 
@@ -714,9 +720,16 @@ def test_witness_fails_closed_on_a_bad_scale(dim3_cert, monkeypatch, value):
 
 def test_witness_skips_a_nan_numerator(dim3_cert, monkeypatch):
     monkeypatch.setattr(zerofind, "kernel_gn_with_error", _broken_with_error("numerator", complex(math.nan, 0)))
-    monkeypatch.setattr(zerofind, "_WITNESS_CAP", 8)
-    with pytest.raises(WitnessNotFound):
+    with pytest.raises(WitnessNotFound, match="nan"):
         fn_nontrivial(dim3_cert)
+
+
+def test_every_witness_of_the_default_band_edge_and_v1_chains_is_at_the_origin(chain10):
+    edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
+    v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
+    for cert in (chain10, *edges, v1):
+        points = [node.fn_witness.point for node in _nodes(cert)]
+        assert points == [0j] * (cert.n - 2)
 
 
 # --- serialization ------------------------------------------------------------------
