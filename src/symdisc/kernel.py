@@ -89,10 +89,8 @@ class KernelEval:
 
 @dataclass(frozen=True)
 class QuadraticData:
-    """The quadratic a z^2 - b z + 2 c of the dimension-3 closed form,
-    tagged with the nu triple it came from."""
+    """The quadratic a z^2 - b z + 2 c of the dimension-3 closed form."""
 
-    nu: tuple[complex, complex, complex]
     a: complex
     b: complex
     c: complex
@@ -689,7 +687,7 @@ def abc_coeffs(nu: Sequence[complex]) -> QuadraticData:
     """QuadraticData for a numeric nu triple."""
     n1, n2, n3 = (complex(v) for v in nu)
     a, b, c = quadratic_sym_coeffs(*elem_sym3(n1, n2, n3))
-    return QuadraticData(nu=(n1, n2, n3), a=a, b=b, c=c)
+    return QuadraticData(a=a, b=b, c=c)
 
 
 def kernel_g3_mu3zero(lam, mu12) -> complex | np.ndarray:

@@ -25,7 +25,12 @@ BOUNDARY_GUARD = 1e-12
 
 
 def _coords(p: Sequence[complex]) -> tuple[complex, ...]:
-    return tuple(complex(c) for c in p)
+    """The coordinates of a point as complex numbers; a point without
+    coordinates is a usage error (ValueError)."""
+    out = tuple(complex(c) for c in p)
+    if not out:
+        raise ValueError("a point needs at least one coordinate")
+    return out
 
 
 def elem_sym(p: Sequence[complex]) -> tuple[complex, ...]:

@@ -1,16 +1,20 @@
 import cmath
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc import exactfield, kernel
+from symdisc import exactfield, kernel, zerofind
 from symdisc.exactfield import (
+    HALF,
     NU1,
     NU2,
     NU3,
+    ONE,
     PHASE_15,
     PHASE_30,
     PHASE_60,
@@ -21,21 +25,30 @@ from symdisc.exactfield import (
     SQRT6,
     TORUS_BASE,
     Z,
-    AlgComplex,
-    AlgNum,
     ExactPoly,
+    I,
     alg_sign,
     exact_base_quadratic,
     verify_bracket_identities,
     verify_base_point_identities,
 )
-from symdisc.kernel import abc_coeffs, bracket_expr, elem_sym3, quadratic_sym_coeffs
+from symdisc.kernel import (
+    abc_coeffs,
+    bracket_expr,
+    bracket_raw_displays,
+    elem_sym3,
+    quadratic_sym_coeffs,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
-algnums = st.builds(AlgNum, rationals, rationals, rationals, rationals)
-algcomplexes = st.builds(AlgComplex, algnums, algnums)
+# real constants q0 + q2 sqrt2 + q3 sqrt3 + q6 sqrt6, complex ones re + i im,
+# and polynomials whose exponents, generators included, run up to 2
+reals = st.tuples(rationals, rationals, rationals, rationals).map(
+    lambda q: sum(map(operator.mul, q, (ONE, SQRT2, SQRT3, SQRT6)))
+)
+complexes = st.builds(lambda re, im: re + im * I, reals, reals)
 exactpolys = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * len(exactfield.VARS)), rationals, max_size=4
 ).map(ExactPoly)
@@ -43,18 +56,24 @@ exactpolys = st.dictionaries(
 
 def test_basis_multiplication_table():
     assert SQRT2 * SQRT3 == SQRT6
-    assert SQRT2 * SQRT2 == AlgNum(2)
-    assert SQRT3 * SQRT3 == AlgNum(3)
-    assert SQRT6 * SQRT6 == AlgNum(6)
+    assert SQRT2 * SQRT2 == 2
+    assert SQRT3 * SQRT3 == 3
+    assert SQRT6 * SQRT6 == 6
+    assert I * I == -1
     assert SQRT2 * SQRT6 == SQRT3 * 2
     assert SQRT3 * SQRT6 == SQRT2 * 3
+    # the constructor reduces exponents above 1 as the products do
+    assert ExactPoly({(0, 0, 0, 0, 3, 0, 0): 1}) == SQRT2 * 2
+    assert ExactPoly({(1, 0, 0, 0, 0, 2, 3): Fraction(1, 3)}) == -NU1 * I
+    assert ExactPoly({(0, 0, 0, 0, 2, 0, 0): 1, (0,) * 7: -2}).is_zero()
 
 
 def test_unit_circle_conjugate_pair():
-    assert PHASE_30 * PHASE_30.conj() == AlgComplex(1)
-    assert PHASE_60 * PHASE_60.conj() == AlgComplex(1)
-    assert PHASE_NEG_45 * PHASE_NEG_45.conj() == AlgComplex(1)
-    assert PHASE_15 * PHASE_15.conj() == AlgComplex(1)
+    assert PHASE_30 * PHASE_30.conj() == 1
+    assert PHASE_60 * PHASE_60.conj() == 1
+    assert PHASE_NEG_45 * PHASE_NEG_45.conj() == 1
+    assert PHASE_15 * PHASE_15.conj() == 1
+    assert I.conj() == -I and (NU1 * I + Z).conj() == Z - NU1 * I
 
 
 def test_phase_constants_match_floats():
@@ -70,15 +89,16 @@ def test_phase_constants_match_floats():
 
 
 @settings(max_examples=60, deadline=None)
-@given(algnums, algnums, algnums)
+@given(complexes, complexes, complexes)
 def test_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+    assert (x * y).conj() == x.conj() * y.conj()
 
 
 @settings(max_examples=60, deadline=None)
-@given(algnums)
+@given(reals)
 def test_sign_matches_float(x):
     f = float(x)
     if abs(f) > 1e-12:
@@ -91,7 +111,42 @@ def test_sign_examples():
     p_at_1 = SQRT3 * 7 + SQRT6 * 3 - SQRT2 * 6 - 11
     assert alg_sign(p_at_1) == -1
     assert float(p_at_1) == pytest.approx(-0.0124565, abs=1e-6)
-    assert alg_sign(AlgNum(0)) == 0
+    assert alg_sign(ExactPoly()) == 0 and alg_sign(HALF) == 1 and alg_sign(-HALF) == -1
+    # a sign needs a real constant
+    for x in (PHASE_30, SQRT2 + NU1):
+        with pytest.raises(ValueError):
+            alg_sign(x)
+
+
+def test_float_conversion_is_per_part_in_basis_order():
+    assert float(SQRT2) == math.sqrt(2.0) and float(SQRT6) == math.sqrt(6.0)
+    # each part is float(q0) + float(q2)*sqrt(2.0) + float(q3)*sqrt(3.0) +
+    # float(q6)*sqrt(6.0), added in that order: every other order of the
+    # four terms (not merely swapping the first two) rounds at least one of
+    # these two parts differently
+    re = Fraction(1, 3) + SQRT2 * Fraction(1, 7) - SQRT3 * Fraction(1, 5) + SQRT6 * Fraction(1, 11)
+    im = 1 + SQRT2 + SQRT3 + SQRT6
+    assert float(re).hex() == "0x1.a583882302868p-2"
+    assert float(im).hex() == "0x1.a620d5dba72b5p+2"
+    assert complex(re + im * I) == complex(float(re), float(im))
+    with pytest.raises(ValueError):
+        float(PHASE_30)
+    with pytest.raises(ValueError):
+        complex(NU1 + 1)
+
+
+def test_torus_base_and_quadratic_float_bits_are_pinned():
+    # every certificate starts from these floats
+    assert [(w.real.hex(), w.imag.hex()) for w in zerofind.TORUS_BASE] == [
+        ("0x1.bb67ae8584caap-1", "0x1.0000000000000p-1"),
+        ("0x1.0000000000000p-1", "0x1.bb67ae8584caap-1"),
+        ("0x1.bb67ae8584caap-1", "-0x1.0000000000000p-1"),
+    ]
+    assert [(complex(v).real.hex(), complex(v).imag.hex()) for v in exact_base_quadratic()] == [
+        ("0x1.91b85c8473000p-4", "0x1.5be65d91a02c0p-3"),
+        ("0x1.191b85c847300p+0", "0x1.2d4a4563563f0p-2"),
+        ("0x1.9b91e8dee3400p-2", "-0x1.db3d742c26550p-3"),
+    ]
 
 
 def test_sign_escalates_from_low_precision():
@@ -153,18 +208,16 @@ def test_bracket_numeric_spot_check(rng=None):
     import numpy as np
 
     gen = np.random.default_rng(31415)
-    bracket = bracket_expr(NU1, NU2, NU3, Z)
-    big_a = bracket.coeff_in("z", 3)
-    big_c_times_m2 = bracket.coeff_in("z", 0)
-    big_b = bracket.coeff_in("z", 1) + bracket.coeff_in("z", 0)
     for _ in range(100):
-        pt = tuple(gen.uniform(-0.8, 0.8, 4) + 1j * gen.uniform(-0.8, 0.8, 4))
-        lhs = bracket.evaluate(pt)
+        pt = tuple(complex(v) for v in gen.uniform(-0.8, 0.8, 4) + 1j * gen.uniform(-0.8, 0.8, 4))
+        lhs = bracket_expr(*pt)
+        big_a, big_c_times_m2, big_b_plus_2c = bracket_raw_displays(*pt[:3])
+        big_b = big_b_plus_2c + big_c_times_m2
         z = pt[3]
         rhs = (z - 1) * (
-            big_a.evaluate(pt) * z * z
-            - big_b.evaluate(pt) * z
-            - big_c_times_m2.evaluate(pt)  # z^0 coefficient is -2C
+            big_a * z * z
+            - big_b * z
+            - big_c_times_m2  # z^0 coefficient is -2C
         )
         assert rhs == pytest.approx(lhs, rel=1e-10, abs=1e-12)
 
@@ -189,11 +242,15 @@ def test_report_serialization():
 
 
 def test_integral_coordinates_are_ints():
-    x = AlgNum(Fraction(6, 3), 4, Fraction(1, 2))
-    assert type(x.q0) is int and x.q0 == 2
-    assert type(x.q2) is int and isinstance(x.q3, Fraction)
-    assert type((x * 2).q3) is int  # 2 * 1/2 normalises back to an int
-    assert x == AlgNum(2, 4, Fraction(1, 2)) and hash(x) == hash(AlgNum(Fraction(2), 4, Fraction(1, 2)))
+    x = Fraction(6, 3) + SQRT2 * 4 + SQRT3 * Fraction(1, 2)
+    q0, q2, q3, q6 = x.real_coords()
+    assert type(q0) is int and q0 == 2
+    assert type(q2) is int and isinstance(q3, Fraction)
+    assert type((x * 2).real_coords()[2]) is int  # 2 * 1/2 normalises back to an int
+    assert x.coords() == (2, 4, Fraction(1, 2), 0, 0, 0, 0, 0)
+    assert (x * I).coords() == (0, 0, 0, 0, 2, 4, Fraction(1, 2), 0)
+    y = Fraction(2) + SQRT2 * 4 + SQRT3 * Fraction(1, 2)
+    assert x == 2 + SQRT2 * 4 + SQRT3 * Fraction(1, 2) and hash(x) == hash(y)
 
 
 def test_base_quadratic_is_computed_once():
@@ -230,7 +287,7 @@ def test_float_bracket_coefficients_come_from_the_proved_displays(monkeypatch):
 
 
 @settings(max_examples=90, deadline=None)
-@given(st.one_of(st.tuples(s, s) for s in (algnums, algcomplexes, exactpolys)))
+@given(st.one_of(st.tuples(s, s) for s in (reals, complexes, exactpolys)))
 def test_derived_ring_operations(pair):
     x, y = pair
     assert x - y == x + (-y)
@@ -246,11 +303,15 @@ def test_derived_ring_operations(pair):
         1 / x
 
 
-@pytest.mark.parametrize("coef", [AlgNum(1), AlgComplex(1), 1.0, 1j], ids=repr)
+@pytest.mark.parametrize("coef", [Decimal(1), 1.0, 1j], ids=repr)
 def test_exactpoly_coefficients_are_rational(coef):
     for make in (ExactPoly.const, lambda c: NU1 * c, lambda c: NU1 + c, lambda c: c - NU1):
         with pytest.raises(TypeError):
             make(coef)
+    # a coefficient is a rational number: field elements enter as polynomials
+    # in the generators, not as coefficients
+    with pytest.raises(TypeError):
+        ExactPoly.const(SQRT2)
     bracket = bracket_expr(NU1, NU2, NU3, Z)
     half = ExactPoly.const(Fraction(1, 2)) * bracket + Fraction(3, 2)
     coefs = [*bracket.terms.values(), *half.terms.values()]
@@ -260,10 +321,77 @@ def test_exactpoly_coefficients_are_rational(coef):
 
 def test_equal_values_of_different_types_hash_equal():
     # == crosses types, so a set must not hold two equal values
-    assert len({AlgNum(2), 2}) == 1
-    assert len({AlgNum(1), AlgComplex(1)}) == 1
+    assert len({SQRT2 * SQRT2, 2}) == 1
+    assert len({PHASE_30 * PHASE_30.conj(), ONE, 1}) == 1
     assert len({ExactPoly.const(3), 3}) == 1
-    assert len({AlgComplex(Fraction(1, 2)), AlgNum(Fraction(1, 2)), Fraction(1, 2)}) == 1
-    assert len({AlgComplex(SQRT2), SQRT2}) == 1 and len({ExactPoly(), 0}) == 1
+    assert len({(I * HALF) * -I, HALF, Fraction(1, 2)}) == 1
+    assert len({SQRT2 + I - I, SQRT2}) == 1 and len({ExactPoly(), 0}) == 1
     # values that differ stay apart
-    assert len({AlgNum(2), AlgComplex(2, 1), ExactPoly.const(3) + NU1, 3}) == 4
+    assert len({ExactPoly.const(2), I + 2, ExactPoly.const(3) + NU1, 3}) == 4
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(st.tuples(s, s) for s in (reals, complexes, exactpolys)))
+def test_ring_operations_return_reduced_values(pair):
+    x, y = pair
+    results = [x, x + y, x - y, -x, x * y, x**2, x * y * y, 3 * x, x + 1, 1 - x, x.conj()]
+    for r in results:
+        for expo, coef in r.terms.items():
+            assert len(expo) == len(exactfield.VARS)
+            assert all(e <= 1 for e in expo[4:]), expo  # sqrt2, sqrt3, i
+            assert coef != 0
+
+
+_BASE_POINT_CHECKS = [
+    ("sym-1", "first symmetric value equals (1 + 2*sqrt3 + i*sqrt3)/2", ""),
+    ("sym-2", "second symmetric value equals (2 + sqrt3 + 3i)/2", ""),
+    ("sym-3", "third symmetric value equals e^{i pi/3}", ""),
+    ("abc-a", "a equals (3*sqrt3 - 5) e^{i pi/3}", ""),
+    ("abc-b", "b equals (6*sqrt2 - 3*sqrt6) e^{i pi/12}", ""),
+    ("abc-c", "c equals (2*sqrt3 - 3) e^{-i pi/6}", ""),
+    (
+        "p-subst",
+        "e^{i pi/6}(a z^2 - b z + 2c) with z = e^{-i pi/4} x equals p(x) as a polynomial",
+        "x^2 ok=True x ok=True const ok=True",
+    ),
+    ("p-disc", "discriminant of p equals 80*sqrt3 - 138", ""),
+    ("p-disc-pos", "discriminant is positive", ""),
+    ("p-at-0", "p(0) > 0", ""),
+    ("p-at-1", "p(1) < 0", ""),
+    ("p-root-in-01", "p has a real root strictly between 0 and 1", ""),
+]
+
+_BRACKET_CHECKS = [
+    ("bracket-degree", "the bracket is a cubic in z", ""),
+    ("extract-z3", "z^3 coefficient matches its direct expansion", ""),
+    ("extract-z0", "z^0 coefficient matches its direct expansion (-2C form)", ""),
+    ("extract-z1", "z coefficient matches its direct expansion (B + 2C form)", ""),
+    ("factor-A", "A = (nu2 - nu1) * a", ""),
+    ("factor-B", "B = (nu2 - nu1) * b", ""),
+    ("factor-C", "C = (nu2 - nu1) * c", ""),
+    ("bracket-factored", "bracket = (z - 1)(A z^2 - B z + 2C) as polynomials", ""),
+]
+
+
+def _report(title, checks, failed=()):
+    rows = [
+        {"name": name, "statement": statement, "passed": name not in failed, "detail": detail}
+        for name, statement, detail in checks
+    ]
+    return {"title": title, "passed": not failed, "checks": rows}
+
+
+def test_exact_reports_are_pinned():
+    assert verify_base_point_identities().to_dict() == _report(
+        "exact base-point identities", _BASE_POINT_CHECKS
+    )
+    assert verify_bracket_identities().to_dict() == _report(
+        "exact bracket identities", _BRACKET_CHECKS
+    )
+    faulted = [
+        (n, s, "x^2 ok=True x ok=False const ok=True" if n == "p-subst" else d)
+        for n, s, d in _BASE_POINT_CHECKS
+    ]
+    assert verify_base_point_identities(fault="p-coeff").to_dict() == _report(
+        "exact base-point identities", faulted, failed=("p-subst",)
+    )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdisc import symcore
+from symdisc import kernel, symcore
 from symdisc.errors import SolverFailure
 from symdisc.symcore import (
     classify_gn,
@@ -84,6 +84,36 @@ def test_roots_from_sym_maps_an_eigenvalue_failure(monkeypatch):
     monkeypatch.setattr(symcore.np, "roots", fail)
     with pytest.raises(SolverFailure):
         roots_from_sym(elem_sym([0.3, -0.2j]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        elem_sym,
+        roots_from_sym,
+        classify_gn,
+        in_gn,
+        lambda p: vandermonde_pair(p, p),
+        lambda p: kernel.kernel_gn(p, p),
+        lambda p: kernel.kernel_gn_stable(p, p),
+        lambda p: kernel.kernel_gn_with_error(p, p),
+        lambda p: kernel.permanent_exact(p, p),
+    ],
+    ids=[
+        "elem_sym",
+        "roots_from_sym",
+        "classify_gn",
+        "in_gn",
+        "vandermonde_pair",
+        "kernel_gn",
+        "kernel_gn_stable",
+        "kernel_gn_with_error",
+        "permanent_exact",
+    ],
+)
+def test_a_point_without_coordinates_is_a_usage_error(call):
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        call(())
 
 
 @pytest.mark.parametrize("s", [[math.nan, 0.1], [math.inf, 0], [0.2, complex(0, math.inf)], [math.nan]])

@@ -56,7 +56,7 @@ coeff = st.builds(complex, component, component)
 def test_quadratic_integer_example():
     from symdisc.kernel import QuadraticData
 
-    q = QuadraticData(nu=(0, 0, 0), a=1, b=3, c=1)
+    q = QuadraticData(a=1, b=3, c=1)
     roots = solve_abc_quadratic(q)
     assert sorted(r.real for r in roots) == pytest.approx([1, 2])
 
@@ -64,7 +64,7 @@ def test_quadratic_integer_example():
 def test_quadratic_linear_degeneration():
     from symdisc.kernel import QuadraticData
 
-    q = QuadraticData(nu=(0, 0, 0), a=0, b=1, c=1)
+    q = QuadraticData(a=0, b=1, c=1)
     assert solve_abc_quadratic(q) == [2 + 0j]
 
 
@@ -72,7 +72,7 @@ def test_quadratic_no_solution():
     from symdisc.kernel import QuadraticData
 
     with pytest.raises(NoSolution):
-        solve_abc_quadratic(QuadraticData(nu=(0, 0, 0), a=0, b=0, c=3))
+        solve_abc_quadratic(QuadraticData(a=0, b=0, c=3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,7 +82,7 @@ def test_quadratic_residuals(a, b, c):
 
     if a == 0 and b == 0:
         return
-    roots = solve_abc_quadratic(QuadraticData(nu=(0, 0, 0), a=a, b=b, c=c))
+    roots = solve_abc_quadratic(QuadraticData(a=a, b=b, c=c))
     budget = (abs(a) + abs(b) + abs(c)) * 1e-12
     for z in roots:
         assert abs(a * z * z - b * z + 2 * c) < budget * max(1.0, abs(z) ** 2)
