@@ -42,10 +42,6 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _write_output(out: str | None, text: str) -> None:
-    _write_chunks(out, [text])
-
-
 def _write_chunks(out: str | None, chunks) -> None:
     """Write the strings of an iterable one after another, to the file out
     or to stdout, and end with a newline; a generator's chunks are not all
@@ -119,13 +115,13 @@ def cmd_verify_paper(args) -> int:
             "passed": all_passed,
             "reports": [r.to_dict() for r in reports],
         }
-        _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
+        _write_chunks(args.out, [json.dumps(payload, indent=2, sort_keys=True)])
     else:
         blocks = [r.to_text() for r in reports]
         total = sum(len(r.checks) for r in reports)
         failed = sum(len(r.failures()) for r in reports)
         blocks.append(f"# {total - failed}/{total} checks passed")
-        _write_output(args.out, "\n\n".join(blocks))
+        _write_chunks(args.out, ["\n\n".join(blocks)])
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -137,12 +133,7 @@ def _emit_certificate(cert: ZeroCertificate, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    chain = []
-    node = cert
-    while node is not None:
-        chain.append(node)
-        node = node.parent
-    for node in reversed(chain):
+    for node in reversed(list(cert.nodes())):
         print(
             f"n={node.n} construction={node.construction} "
             f"residual_rel={node.residual_rel:.3e} kernel_abs={node.kernel_abs:.3e} "
@@ -206,20 +197,16 @@ def cmd_eval(args) -> int:
             "scale": ev.scale,
             "permanent_rel": abs(ev.numerator) / ev.scale,
         }
-        _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True))
+        _write_chunks(args.out, [json.dumps(payload, indent=2, sort_keys=True)])
     else:
-        _write_output(
-            args.out,
-            "\n".join(
-                [
-                    f"K        = {_fmt_complex(ev.value)}  (|K| = {abs(ev.value):.6e})",
-                    f"per C    = {_fmt_complex(ev.numerator)}",
-                    f"|per C - exact per C| <= {error:.6e}",
-                    f"per |C|  = {ev.scale:.6e}",
-                    f"|per C| / per |C| = {abs(ev.numerator) / ev.scale:.6e}",
-                ]
-            ),
-        )
+        lines = [
+            f"K        = {_fmt_complex(ev.value)}  (|K| = {abs(ev.value):.6e})",
+            f"per C    = {_fmt_complex(ev.numerator)}",
+            f"|per C - exact per C| <= {error:.6e}",
+            f"per |C|  = {ev.scale:.6e}",
+            f"|per C| / per |C| = {abs(ev.numerator) / ev.scale:.6e}",
+        ]
+        _write_chunks(args.out, ["\n".join(lines)])
     return EXIT_OK
 
 
@@ -229,7 +216,7 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     report = zerofind.sample_nonvanishing(args.mode, args.count, seed=args.seed, n=args.n)
     if args.fmt == "json":
-        _write_output(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _write_chunks(args.out, [json.dumps(report.to_dict(), indent=2, sort_keys=True)])
     else:
         lines = [
             f"mode={report.mode} samples={report.samples} seed={report.seed}",
@@ -243,7 +230,7 @@ def cmd_sample(args) -> int:
                 f"diagonal: min real part {report.diag_min_real:.6e}, "
                 f"max |imag|/real {report.diag_max_imag_ratio:.3e}"
             )
-        _write_output(args.out, "\n".join(lines))
+        _write_chunks(args.out, ["\n".join(lines)])
     return EXIT_OK
 
 
@@ -258,7 +245,7 @@ def cmd_grid(args) -> int:
         print(f"grid: --width must be finite and positive, got {args.width}", file=sys.stderr)
         return EXIT_USAGE
     # validate() only: the grid certifies nothing, and a recheck would add
-    # an exact permanent to every grid job
+    # an exact permanent per node of the chain to every grid job
     cert = _load_certificate(args.around)
     cert.validate()
     lam = np.asarray(cert.lam, dtype=complex)
@@ -274,11 +261,8 @@ def cmd_grid(args) -> int:
         center = mu[1].conjugate() / mu[0].conjugate()
     elif args.axis == "lambda1":
         center = lam[0]
-    elif args.axis == "mu2":
-        center = mu[1]
     else:
-        print(f"grid: unknown axis {args.axis!r}", file=sys.stderr)
-        return EXIT_USAGE
+        center = mu[1]
 
     half = res // 2
     step = width / max(half, 1)

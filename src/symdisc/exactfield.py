@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import add
@@ -349,19 +349,7 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "statement": c.statement,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 # --- the exact quadratic data at the base triple ------------------------------

@@ -54,18 +54,6 @@ def elem_sym(p: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def monic_coefficients(s: Sequence[complex]) -> list[complex]:
-    """Coefficients [1, c_1, ..., c_n] of x^n + c_1 x^(n-1) + ... with
-    roots inverting the symmetrization: c_k = (-1)^k s_k."""
-    sk = _coords(s)
-    coeffs = [complex(1.0)]
-    sign = -1.0
-    for v in sk:
-        coeffs.append(sign * v)
-        sign = -sign
-    return coeffs
-
-
 def roots_from_sym(s: Sequence[complex]) -> tuple[complex, ...]:
     """Invert the symmetrization: the multiset of roots of
     x^n - s_1 x^(n-1) + s_2 x^(n-2) - ...
@@ -83,7 +71,7 @@ def roots_from_sym(s: Sequence[complex]) -> tuple[complex, ...]:
     if n == 1:
         return (sk[0],)
     try:
-        roots = np.roots(monic_coefficients(sk))
+        roots = np.roots([complex(1.0), *((-1.0) ** k * v for k, v in enumerate(sk, 1))])
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"companion eigenvalues failed (degree {n}): {exc}") from exc
     ordered = sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import exactfield
+from . import exactfield, kernel
 from .errors import (
     CertificationFailure,
     ContourTooClose,
@@ -133,6 +133,13 @@ class ZeroCertificate:
     def tolerance(self) -> float:
         """The residual tolerance the certificate was certified against."""
         return self.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
+
+    def nodes(self):
+        """The certificate and its ancestors, from it to the root."""
+        node = self
+        while node is not None:
+            yield node
+            node = node.parent
 
     def validate(self) -> None:
         if len(self.lam) != self.n or len(self.mu) != self.n:
@@ -257,14 +264,19 @@ def recertify(cert: ZeroCertificate) -> dict:
 
 
 def recheck(cert: ZeroCertificate) -> None:
-    """validate() the certificate, then require the residual recertify()
-    recomputes to lie within its tolerance; raises CertificationFailure."""
-    cert.validate()
-    residual = recertify(cert)["residual_rel"]
-    if not residual <= cert.tolerance:
-        raise CertificationFailure(
-            f"residual recomputes to {residual:.3e}, above its tolerance {cert.tolerance:.1e}"
-        )
+    """validate() every node of the certificate's chain and require the
+    residual recertify() recomputes at each to lie within its tolerance;
+    raises CertificationFailure naming the first node that fails."""
+    for node in cert.nodes():
+        try:
+            node.validate()
+            residual = recertify(node)["residual_rel"]
+            if not residual <= node.tolerance:
+                raise CertificationFailure(
+                    f"residual recomputes to {residual:.3e}, above its tolerance {node.tolerance:.1e}"
+                )
+        except CertificationFailure as exc:
+            raise CertificationFailure(f"node n={node.n}: {exc}") from exc
 
 
 # --- quadratic ----------------------------------------------------------------
@@ -583,25 +595,14 @@ class SamplingReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "min_scaled_abs": self.min_scaled_abs,
+            **asdict(self),
             "argmin_lambda": [[c.real, c.imag] for c in self.argmin_lambda],
             "argmin_mu": [[c.real, c.imag] for c in self.argmin_mu],
-            "zero_found": self.zero_found,
-            "diag_min_real": self.diag_min_real,
-            "diag_max_imag_ratio": self.diag_max_imag_ratio,
         }
 
 
 SAMPLING_MODES = ("g2_full", "g3_equal_third", "diagonal")
 _EDGE_SHRINK = 1e-3  # samples are drawn from (1 - this) * unit polydisc
-
-
-# pairs drawn and scored per slab of sample_nonvanishing, as many as in a
-# slab of the batch evaluators: a job's memory does not grow with its count
-_SAMPLE_CHUNK = 1024
 
 
 def _disc_points(radial: np.ndarray, angular: np.ndarray) -> np.ndarray:
@@ -614,9 +615,10 @@ def _draw_disc(rng, shape) -> np.ndarray:
 
 
 def _disc_slabs(seed: int, tuples: int, samples: int, width: int):
-    """Slabs of _SAMPLE_CHUNK rows of the `tuples` arrays that consecutive
-    _draw_disc(rng, (samples, width)) calls on rng = default_rng(seed)
-    return, none of them held whole.
+    """Slabs of kernel._BATCH_CHUNK rows of the `tuples` arrays that
+    consecutive _draw_disc(rng, (samples, width)) calls on
+    rng = default_rng(seed) return, none of them held whole, so a job's
+    memory does not grow with its count.
 
     Each call takes samples * width radial uniforms and then as many
     angular ones; every such run gets its own generator, advanced to the
@@ -628,8 +630,9 @@ def _disc_slabs(seed: int, tuples: int, samples: int, width: int):
         bits = np.random.PCG64(seed)
         bits.advance(k * size)
         runs.append(np.random.Generator(bits))
-    for lo in range(0, samples, _SAMPLE_CHUNK):
-        shape = (min(_SAMPLE_CHUNK, samples - lo), width)
+    chunk = kernel._BATCH_CHUNK
+    for lo in range(0, samples, chunk):
+        shape = (min(chunk, samples - lo), width)
         yield [
             _disc_points(radial.random(shape), angular.random(shape))
             for radial, angular in zip(runs[0::2], runs[1::2])

@@ -153,6 +153,22 @@ def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):
     assert not (tmp_path / "c4.json").exists()
 
 
+def test_lift_rechecks_every_ancestor(tmp_path, capsys):
+    # the n = 3 parent of an n = 5 file, with lambda_1 moved: every node
+    # still passes validate(), and the top two still recertify
+    c5, c6 = tmp_path / "c5.json", tmp_path / "c6.json"
+    assert run(["find-zero", "5", "--out", str(c5)]) == 0
+    data = json.loads(c5.read_text())
+    data["parent"]["parent"]["lambda"][0] = [0.5, 0.5]
+    c5.write_text(json.dumps(data))
+    for node in ZeroCertificate.from_dict(data).nodes():
+        node.validate()
+    capsys.readouterr()
+    assert run(["lift", "--cert", str(c5), "--out", str(c6)]) == 3
+    assert "node n=3: residual recomputes to" in capsys.readouterr().err
+    assert not c6.exists()
+
+
 def test_lift_validates_the_loaded_certificate(tmp_path, capsys):
     def outside(data):
         data["mu"][0] = [1.0, 0.0]
@@ -434,6 +450,13 @@ def test_grid_z_axis_rejects_mu_one_zero(tmp_path, capsys):
     assert not out.exists()
     # the other axes do not divide by mu_1
     assert run(["grid", "--around", str(path), "--axis", "mu2", "--res", "5", "--out", str(out)]) == 0
+
+
+def test_grid_rejects_an_unknown_axis(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["grid", "--around", str(tmp_path / "c3.json"), "--axis", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def _grid_around(tmp_path, which):

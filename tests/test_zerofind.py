@@ -34,6 +34,7 @@ from symdisc.zerofind import (
     fn_nontrivial,
     lift_zero,
     recertify,
+    recheck,
     reference_root,
     sample_nonvanishing,
     solve_abc_quadratic,
@@ -255,14 +256,6 @@ def _hex_pairs(coords):
     return [(c.real.hex(), c.imag.hex()) for c in coords]
 
 
-def _nodes(cert):
-    """The certificate and its ancestors, top down."""
-    node = cert
-    while node is not None:
-        yield node
-        node = node.parent
-
-
 def test_default_chain7_is_pinned(chain7):
     # the n = 7 certificate at the defaults, bit for bit
     assert _hex_pairs(chain7.lam) == [
@@ -303,7 +296,7 @@ def test_delta_matches_bareiss_along_chain8(chain8):
 def test_residual_is_the_cancellation_ratio_along_chain10(chain10):
     # per C = det * prod B / (V(lambda) V(conj mu)) with det from Bareiss
     # elimination, and |K| = |det| / (pi^n |V(lambda) V(conj mu)|)
-    for node in _nodes(chain10):
+    for node in chain10.nodes():
         lam, mu = np.array(node.lam), np.array(node.mu)
         prod_b = np.prod(1 - np.multiply.outer(lam, np.conj(mu)))
         det = bareiss_delta(node.lam, node.mu)
@@ -315,7 +308,7 @@ def test_residual_is_the_cancellation_ratio_along_chain10(chain10):
 
 def test_lift_keeps_the_parent_mu(chain10):
     # no coordinate moves after the fiber root: mu is the parent's plus t
-    for node in _nodes(chain10):
+    for node in chain10.nodes():
         if node.parent is not None:
             assert node.mu == (*node.parent.mu, node.lam[-1])
 
@@ -349,12 +342,24 @@ def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
         recertify(dim3_cert)
 
 
+def test_recheck_names_the_first_failing_node_from_the_top(chain7):
+    data = chain7.to_dict()
+    data["parent"]["residual_rel"] = 1.0  # the n = 6 node fails validate()
+    data["parent"]["parent"]["parent"]["parent"]["lambda"][0] = [0.5, 0.5]  # n = 3
+    with pytest.raises(CertificationFailure, match=r"^node n=6: residual 1\.000e\+00 exceeds"):
+        recheck(ZeroCertificate.from_dict(data))
+    data["parent"]["residual_rel"] = chain7.parent.residual_rel
+    with pytest.raises(CertificationFailure, match=r"^node n=3: residual recomputes to 4\.0"):
+        recheck(ZeroCertificate.from_dict(data))
+
+
 def test_chain7_written_before_the_cancellation_residual_still_checks():
     # certificate schema 1 as written when residual_rel was |det| over the
     # max row norm of the Cauchy-power matrix and mu was polished
     cert = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
-    assert [node.n for node in _nodes(cert)] == [7, 6, 5, 4, 3]
+    assert [node.n for node in cert.nodes()] == [7, 6, 5, 4, 3]
     _assert_every_node_checks(cert)
+    recheck(cert)
 
 
 def test_lift_one_step(dim3_cert):
@@ -403,11 +408,9 @@ def test_lift_certificates_recertify(chain6):
 
 
 def _assert_every_node_checks(cert):
-    node = cert
-    while node is not None:
+    for node in cert.nodes():
         node.validate()
         assert recertify(node)["residual_rel"] <= node.tolerances["residual_rel"]
-        node = node.parent
 
 
 def test_lift_reaches_n8(chain7, chain8):
@@ -418,6 +421,7 @@ def test_lift_reaches_n8(chain7, chain8):
 def test_lift_reaches_n10(chain8, chain10):
     assert chain10.n == 10 and chain10.parent.parent == chain8
     _assert_every_node_checks(chain10)
+    recheck(chain10)
 
 
 @pytest.mark.parametrize("rho, mu1", BAND_EDGES)
@@ -517,7 +521,7 @@ def _hex_chain(cert):
             node.kernel_abs.hex(),
             node.fn_witness.value_abs.hex(),
         )
-        for node in _nodes(cert)
+        for node in cert.nodes()
     ]
 
 
@@ -538,7 +542,7 @@ def test_cleared_rungs_have_no_root_within_twice_the_search_radius(chain10, monk
     draws = [(0.992 + 0.0025 * a, 0.003 + 0.0015 * b) for a, b in rng.random((4, 2))]
     for rho, mu1 in (*BAND_EDGES, *((rho, rho + gap) for rho, gap in draws)):
         build_certificate_chain(7, rho=rho, mu1_modulus=mu1)
-    for node in _nodes(chain10):
+    for node in chain10.nodes():
         if node.n < 10:
             spy_lift(node)
     assert len(lifts) == len(screens) == 6 * 4 + 7
@@ -657,7 +661,7 @@ def test_find_zero_7_and_its_read_back_take_no_exact_sum(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "_cleared_permanent", spy)
     path = tmp_path / "c7.json"
     assert main(["find-zero", "7", "--out", str(path)]) == 0
-    for node in _nodes(ZeroCertificate.from_dict(json.loads(path.read_text()))):
+    for node in ZeroCertificate.from_dict(json.loads(path.read_text())).nodes():
         node.validate()
         assert recertify(node)["residual_rel"] <= node.tolerances["residual_rel"]
     assert calls == []
@@ -673,7 +677,7 @@ def test_find_zero_7_and_its_read_back_take_no_exact_sum(tmp_path, monkeypatch):
 def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10):
     edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
     for cert in (chain10, *edges):
-        for node in _nodes(cert):
+        for node in cert.nodes():
             fast = kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu))
             assert fast is not None, f"n = {node.n} not decided at {kernel._FIXED_BITS} bits"
             assert _hex_pairs([fast]) == _hex_pairs([kernel._exact_rounded(node.lam, node.mu)])
@@ -682,7 +686,7 @@ def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10)
     # its n = 5, 6 and 7 nodes need 149-171 bits and take the exact sum
     v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
     decided = []
-    for node in _nodes(v1):
+    for node in v1.nodes():
         decided.append(kernel._rounded(*kernel._fixed_enclosure(node.lam, node.mu)) is not None)
         assert _hex_pairs([kernel.permanent_exact(node.lam, node.mu)]) == _hex_pairs(
             [kernel._exact_rounded(node.lam, node.mu)]
@@ -691,7 +695,7 @@ def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10)
 
 
 def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
-    for node in _nodes(chain10):
+    for node in chain10.nodes():
         lam = (node.fn_witness.point, *node.lam[1:])
         ratio, bound = zerofind._witness_ratio(lam, node.mu)
         exact, _ = zerofind._cancellation(lam, node.mu)
@@ -728,7 +732,7 @@ def test_every_witness_of_the_default_band_edge_and_v1_chains_is_at_the_origin(c
     edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
     v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
     for cert in (chain10, *edges, v1):
-        points = [node.fn_witness.point for node in _nodes(cert)]
+        points = [node.fn_witness.point for node in cert.nodes()]
         assert points == [0j] * (cert.n - 2)
 
 
@@ -801,7 +805,7 @@ def _sampled_pairs(mode, samples, seed, n=3):
 @pytest.mark.parametrize("mode", zerofind.SAMPLING_MODES)
 def test_sampling_scores_by_the_one_pair_kernel(mode, monkeypatch):
     # slabs of 64 pairs, so 200 samples cross slab boundaries
-    monkeypatch.setattr(zerofind, "_SAMPLE_CHUNK", 64)
+    monkeypatch.setattr(kernel, "_BATCH_CHUNK", 64)
     report = sample_nonvanishing(mode, 200, seed=21)
     lams, mus = _sampled_pairs(mode, 200, 21)
     evals = [kernel_gn(lam, mu) for lam, mu in zip(lams, mus)]
@@ -818,7 +822,7 @@ def test_sampling_scores_by_the_one_pair_kernel(mode, monkeypatch):
 
 def test_sampling_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # the 4e4 diagonal n = 6 tuples alone would take 3.84 MB drawn whole
-    monkeypatch.setattr(zerofind, "_SAMPLE_CHUNK", 256)
+    monkeypatch.setattr(kernel, "_BATCH_CHUNK", 256)
     tracemalloc.start()
     try:
         report = sample_nonvanishing("diagonal", 40_000, seed=1, n=6)
