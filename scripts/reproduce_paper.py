@@ -44,11 +44,13 @@ def main() -> int:
         return code
 
     print("\n== certified kernel zeros ==")
-    written = [out / "certificate_n3.json", out / f"certificate_n{args.max_n}.json"]
-    for n, path in zip((3, args.max_n), written):
+    written = []
+    for n in dict.fromkeys((3, args.max_n)):  # one file when --max-n is 3
+        path = out / f"certificate_n{n}.json"
         code = cli.main(["find-zero", str(n), "--out", str(path)])
         if code != 0:
             return code
+        written.append(path)
     back_start = time.perf_counter()
     nodes = 0
     for path in written:

@@ -10,17 +10,20 @@ and Cauchy's determinant cancel the Vandermonde product:
 
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
-Gray-code order.  At a certified zero the float per C is rounding
-noise, so the residual of a certificate takes per C correctly rounded
-at the stored float coordinates (permanent_exact).  They are dyadic
-Gaussian rationals, so the rows of C scaled to fixed point and truncated
-give, through Glynn's loop over Python ints, an enclosure of per C with
-a proved radius; when both ends of the enclosure round to the same
-double, that is the value.  Otherwise the rows of C are cleared of their
-denominators, Glynn's loop runs exactly and the value is rounded once,
-at the end.  That exact sum times the Vandermonde products gives the
-exact Cauchy-power determinant, det = V(lambda) V(conj mu) per C /
-prod B (delta_n), which the tests compare against elimination.
+Gray-code order (permanent): a single pair or fiber walks every step at
+once, as one cumsum over the gathered updates, and the batch slabs walk
+step by step; both make the same additions, so they give the same bits.
+At a certified zero the float per C is rounding noise, so the residual
+of a certificate takes per C correctly rounded at the stored float
+coordinates (permanent_exact).  They are dyadic Gaussian rationals, so
+the rows of C scaled to fixed point and truncated give, through Glynn's
+loop over Python ints, an enclosure of per C with a proved radius; when
+both ends of the enclosure round to the same double, that is the value.
+Otherwise the rows of C are cleared of their denominators, Glynn's loop
+runs exactly and the value is rounded once, at the end.  That exact
+sum times the Vandermonde products gives the exact Cauchy-power
+determinant, det = V(lambda) V(conj mu) per C / prod B (delta_n), which
+the tests compare against elimination.
 Away from a zero the float per C suffices where its forward-error bound
 (numerator_error, which kernel_gn_with_error returns with the value) is
 small against |per C|, as at a slice witness.
@@ -50,6 +53,7 @@ complex128.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -108,34 +112,110 @@ def _base_matrix(lam, mu) -> np.ndarray:
     return base
 
 
+# the widest stack, in positions c[0].size, that permanent() walks stacked
+_STACKED_POSITIONS = 128
+# steps per block of the stacked walk: bounds its gathered array to 8 MiB
+# at 128 complex positions, whatever n is
+_WALK_STEPS = 4096
+
+
 def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     """Permanents of c over its first two axes, shape (n, n, *batch).
 
     Glynn's formula per c = 2^(1-n) sum_d (prod_j d_j) prod_k sum_j d_j c_jk
     over sign vectors d with d_0 = +1, visited in Gray-code order: each
     step flips one sign, which updates the column sums in O(n) and
-    alternates the sign of prod_j d_j.  `empty(shape, dtype)` provides
-    the work arrays (the batch evaluators pass a _SlabBuffers).  A strided
-    c is copied to a contiguous one first: numpy's reductions may round in
-    another order on a strided array, and the bits of the result should
-    depend on the values of c alone.
+    alternates the sign of prod_j d_j.  The walk is taken one of two ways,
+    chosen by the shape of c alone, by its positions c[0].size = n * batch:
+
+    * stacked, for at most _STACKED_POSITIONS positions (a single pair, a
+      single fiber's minors, a short last slab): every step's update
+      +-2 c_j, gathered into one array behind the column sums, and one
+      cumsum over it give every running sum at once.  The gathered array
+      holds 2^(n-1) x positions values (16 B each when complex), in blocks
+      of at most _WALK_STEPS steps.
+    * stepwise, for wider stacks (the batch slabs, the lift's rung stack):
+      one in-place update and one column product per step, in Python.
+
+    Both make the same additions in the same order, so they give the same
+    bits: cumsum adds sequentially along its axis, and a subtracting step
+    adds np.negative(2 c_j), which is s - 2 c_j bit for bit, zero signs
+    included (a product by -2.0 need not be).  Per call on a 2-vCPU x86
+    host, stacked against stepwise: one [C, |C|] pair (2n positions) takes
+    17 against 16 us at n = 3, 21 against 41 us at n = 5, 52 against
+    228 us at n = 7 and 0.28 against 1.82 ms at n = 10; with four steps
+    or fewer, at n <= 3, stepwise is no slower (12 against 16.5 us at
+    n = 2).  128 positions take 1.3-2.3x less stacked at n = 5..8 and 384
+    positions 1.25x less at n = 6, 7, but a cumsum along the first axis is
+    slow over many positions: the lift's 24-rung stack at n = 7 (1008
+    positions) takes 283 against 193 us and a 1024-pair slab at n = 6
+    1810 against 426 us.  The crossover moves with the host and n (a
+    first measurement put it between 156 and 384 positions), so the limit
+    of 128 keeps below it.  `empty(shape, dtype)` provides the work arrays
+    (the batch evaluators pass a _SlabBuffers).  A strided c is copied to a
+    contiguous one first: numpy's reductions may round in another order on
+    a strided array, and the bits of the result should depend on the
+    values of c alone.
     """
     c = np.ascontiguousarray(c)
     n = c.shape[0]
     twice = np.multiply(c, 2.0, out=empty(c.shape, c.dtype))
     sums = c.sum(axis=0, out=empty(c.shape[1:], c.dtype))
     prods = empty((2 ** (n - 1), *c.shape[2:]), c.dtype)
-    sums.prod(axis=0, out=prods[0, ...])
+    walk = _stacked_walk if c[0].size <= _STACKED_POSITIONS else _stepwise_walk
+    walk(twice, sums, prods)
+    return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
+
+
+@functools.cache
+def _gray_schedule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, negate, updates), read-only int arrays over the 2^(n-1) steps
+    of Glynn's Gray walk: step t >= 1 flips the sign of row rows[t], which
+    takes 2 c_j off the column sums when negate[t] is 1 and adds it back
+    when it is 0; updates[t] = rows[t] + n negate[t] is that update's row
+    in the stack (2c, -2c).  Step 0, the column sums themselves, has all
+    three 0."""
+    rows = np.zeros(2 ** (n - 1), dtype=np.intp)
+    negate = np.zeros(2 ** (n - 1), dtype=np.intp)
     flipped = [False] * n
     for step in range(1, 2 ** (n - 1)):
-        j = (step & -step).bit_length()  # the sign flipped at this step, 1..n-1
-        if flipped[j]:
-            sums += twice[j]
-        else:
-            sums -= twice[j]
+        j = (step & -step).bit_length()
+        rows[step], negate[step] = j, not flipped[j]
         flipped[j] = not flipped[j]
+    updates = rows + n * negate
+    for a in (rows, negate, updates):
+        a.flags.writeable = False
+    return rows, negate, updates
+
+
+def _stepwise_walk(twice, sums, prods) -> None:
+    """Fill prods[t] with the column product after step t, one step at a
+    time, updating sums in place."""
+    rows, negate, _ = _gray_schedule(len(twice))
+    sums.prod(axis=0, out=prods[0, ...])
+    for step, j, sub in zip(range(1, len(prods)), rows[1:].tolist(), negate[1:].tolist()):
+        if sub:
+            sums -= twice[j]
+        else:
+            sums += twice[j]
         sums.prod(axis=0, out=prods[step, ...])
-    return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
+
+
+def _stacked_walk(twice, sums, prods) -> None:
+    """Fill prods as _stepwise_walk does, from cumsums over the gathered
+    signed updates, _WALK_STEPS steps at a time."""
+    *_, updates = _gray_schedule(len(twice))
+    signed = np.concatenate((twice, np.negative(twice)))
+    for lo in range(0, len(prods), _WALK_STEPS):
+        block = slice(lo, lo + _WALK_STEPS)
+        steps = signed[updates[block]]
+        if lo:
+            np.add(sums, steps[0], out=steps[0])
+        else:
+            steps[0] = sums
+        np.cumsum(steps, axis=0, out=steps)
+        steps.prod(axis=1, out=prods[block])
+        sums = steps[-1]
 
 
 def fiber_minors(rests, mus) -> tuple[np.ndarray, np.ndarray]:
@@ -364,24 +444,23 @@ def _vandermonde_int(points) -> tuple[int, int]:
 
 def _glynn_sum(rows) -> tuple[int, int]:
     """2^(n-1) per E for a square matrix of Gaussian integers given as
-    rows of (re, im) pairs: the exact form of permanent()'s loop."""
+    rows of (re, im) pairs: the exact form of permanent()'s walk, on the
+    same _gray_schedule."""
     n = len(rows)
     sr = [sum(row[k][0] for row in rows) for k in range(n)]
     si = [sum(row[k][1] for row in rows) for k in range(n)]
     twice = [([2 * x for x, _ in row], [2 * y for _, y in row]) for row in rows]
-    flipped = [False] * n
+    flips, negate, _ = _gray_schedule(n)
     tr = ti = 0
-    for step in range(1 << (n - 1)):
+    for step, j, sub in zip(range(1 << (n - 1)), flips.tolist(), negate.tolist()):
         if step:
-            j = (step & -step).bit_length()  # the sign flipped at this step, 1..n-1
             dr, di = twice[j]
-            if flipped[j]:
-                sr = [s + d for s, d in zip(sr, dr)]
-                si = [s + d for s, d in zip(si, di)]
-            else:
+            if sub:
                 sr = [s - d for s, d in zip(sr, dr)]
                 si = [s - d for s, d in zip(si, di)]
-            flipped[j] = not flipped[j]
+            else:
+                sr = [s + d for s, d in zip(sr, dr)]
+                si = [s + d for s, d in zip(si, di)]
         pr, pi = sr[0], si[0]
         for xr, xi in zip(sr[1:], si[1:]):
             k = xr * (pr + pi)
@@ -614,12 +693,14 @@ def numerator_error(size: np.ndarray, scale: float) -> float:
     * Glynn's sum.  With S_k = sum_j |C_jk|, every running column sum of
       the Gray walk in permanent() is at most S_k in modulus, and it is off
       by at most (n - 1 + t) u S_k after the column sum and t steps,
-      t < T = 2^(n-1).  So each of the T terms, a product of n such sums,
-      is off by at most (n (n + T - 2) + 3 (n - 1)) u prod S_k; the terms
-      sum, in any order, with error at most (T / 2 + 1) u T prod S_k; and
-      the division by T is exact.  The error is at most gamma_k prod S_k
-      with k = (n + 1) T + n (n + 3), and n (n + 1) more cover the rounding
-      of prod S_k itself.
+      t < T = 2^(n-1), in the stacked and the stepwise walk alike: both
+      make the same additions in the same order.  So each of the T terms,
+      a product of n such sums, is off by at most
+      (n (n + T - 2) + 3 (n - 1)) u prod S_k; the terms sum, in any order,
+      with error at most (T / 2 + 1) u T prod S_k; and the division by T
+      is exact.  The error is at most gamma_k prod S_k with
+      k = (n + 1) T + n (n + 3), and n (n + 1) more cover the rounding of
+      prod S_k itself.
     * The entries.  B_jk = 1 - lambda_j conj(mu_k) rounds to within
       3u + u |B_jk|, so the float C_jk is within e_jk = g / (1 - g),
       g = 3u |C_jk| + 7u, of the exact 1 / B_jk, relatively.  per is linear
@@ -770,7 +851,8 @@ def batch_cauchy_power(lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
 
 class _SlabBuffers:
     """np.empty for a stream of slabs of one n: the i-th request of each
-    slab gets the same flat buffer, its leading segment reshaped, so the
+    slab gets the same flat buffer, its leading segment reshaped (a new
+    one when the buffer is too small or of another dtype), so the
     stream allocates its working set once and every array it hands out is
     C-contiguous (a shorter last slab gets no strided view, which
     permanent() would copy).  Arrays allocated anew per slab go back to
@@ -793,7 +875,7 @@ class _SlabBuffers:
             self.buffers.append(None)
         buf = self.buffers[i]
         size = math.prod(shape)
-        if buf is None or buf.size < size:
+        if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self.buffers[i] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 

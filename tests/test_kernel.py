@@ -614,6 +614,128 @@ def test_slab_buffers_hand_out_one_working_set():
     assert [a.dtype for a in again] == [complex, float]
 
 
+def test_slab_buffers_honour_the_requested_dtype():
+    # a slab may make its requests in another order than the one before
+    # it; a buffer big enough but of another dtype must not be handed out
+    empty = kernel._SlabBuffers()
+    first = [empty((4, 8), complex), empty((4, 8), float)]
+    empty.next_slab()
+    again = [empty((4, 2), float), empty((4, 2), complex), empty((4, 2), complex)]
+    assert [a.dtype for a in first] == [complex, float]
+    assert [a.dtype for a in again] == [float, complex, complex]
+    empty.next_slab()
+    assert empty((3,), np.float64).dtype == float and empty((3,), np.complex128).dtype == complex
+
+
+def _bits(x):
+    """Hex of the real and imaginary parts of every element of x, which
+    keeps the sign of a zero."""
+    x = np.asarray(x, dtype=complex)
+    return [(z.real.hex(), z.imag.hex()) for z in x.ravel().tolist()]
+
+
+def _walk_inputs(rng, n, batch):
+    """Real, complex and zero-rich (parts of +0.0 and -0.0) stacks of shape
+    (n, n, *batch), and a strided view of one."""
+    shape = (n, n, *batch)
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    cplx = np.empty(shape, dtype=complex)
+    cplx.real, cplx.imag = real, imag
+    zeros = cplx.copy()
+    for part in (zeros.real, zeros.imag):
+        signed_zero = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        part[...] = np.where(rng.random(shape) < 0.5, signed_zero, part)
+    wide = np.repeat(cplx[..., None], 3, axis=-1)
+    strided = wide[..., 1]
+    assert strided.size == 1 or not strided.flags.c_contiguous
+    return [real, cplx, zeros.real.copy(), zeros, strided]
+
+
+def _both_walks(monkeypatch, f, *args):
+    """f(*args) with permanent() forced to the stepwise and to the stacked
+    walk, by the width that selects them."""
+    out = []
+    for width in (0, 10**9):
+        monkeypatch.setattr(kernel, "_STACKED_POSITIONS", width)
+        out.append(f(*args))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_and_stepwise_walks_give_the_same_bits(n, monkeypatch):
+    rng = np.random.default_rng(200 + n)
+    for batch in ((), (2,), (3, 2)):
+        for c in _walk_inputs(rng, n, batch):
+            stepwise, stacked = _both_walks(monkeypatch, kernel.permanent, c)
+            assert stepwise.shape == stacked.shape == batch
+            assert stepwise.dtype == stacked.dtype == c.dtype
+            assert _bits(stepwise) == _bits(stacked)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 8])
+def test_stacked_walk_in_blocks_gives_the_same_bits(steps, monkeypatch):
+    rng = np.random.default_rng(steps)
+    for n in range(1, 8):
+        for c in _walk_inputs(rng, n, (2,)):
+            whole = kernel.permanent(c)
+            monkeypatch.setattr(kernel, "_WALK_STEPS", steps)
+            assert _bits(kernel.permanent(c)) == _bits(whole)
+            monkeypatch.undo()
+
+
+def test_permanent_walks_stacks_of_at_most_128_positions_stacked(monkeypatch):
+    assert kernel._STACKED_POSITIONS == 128
+    taken = []
+    for name in ("_stacked_walk", "_stepwise_walk"):
+        walk = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, name=name, walk=walk: (taken.append(name), walk(*a)))
+    rng = np.random.default_rng(7)
+    # 8 x 16 = 128 positions, then 3 x 43 = 129
+    cases = [(8, (16,), "_stacked_walk"), (3, (43,), "_stepwise_walk")]
+    inputs = [(c, name) for n, batch, name in cases for c in _walk_inputs(rng, n, batch)]
+    values = []
+    for c, name in inputs:
+        taken.clear()
+        values.append(kernel.permanent(c))
+        assert taken == [name]
+    for (c, _), value in zip(inputs, values):
+        stepwise, stacked = _both_walks(monkeypatch, kernel.permanent, c)
+        assert _bits(stepwise) == _bits(stacked) == _bits(value)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_at_real_coordinates_has_the_same_bits_on_both_walks(n, monkeypatch):
+    # every B_jk is real, so C holds imaginary parts of +0.0 and -0.0
+    rng = np.random.default_rng(300 + n)
+    lam, mu = rng.uniform(-0.95, 0.95, n), rng.uniform(-0.95, 0.95, n)
+    stepwise, stacked = _both_walks(monkeypatch, kernel.kernel_gn, lam, mu)
+    for field in ("value", "numerator", "denominator", "scale"):
+        assert _bits(getattr(stepwise, field)) == _bits(getattr(stacked, field))
+
+
+def test_sample_whose_last_slab_walks_stacked_matches_the_stepwise_walk(tmp_path, monkeypatch):
+    # 1034 pairs are a slab of 1024 and one of 10; at n = 2 the last has
+    # 20 positions and walks stacked
+    from symdisc.cli import main
+
+    walked = []
+    stacked = kernel._stacked_walk
+    monkeypatch.setattr(kernel, "_stacked_walk", lambda *a: (walked.append(len(a[0])), stacked(*a)))
+    texts = []
+    for width in (kernel._STACKED_POSITIONS, 0):
+        monkeypatch.setattr(kernel, "_STACKED_POSITIONS", width)
+        for mode in ("g2_full", "diagonal"):
+            out = tmp_path / f"{mode}_{width}.json"
+            argv = ["sample", mode, "--count", "1034", "--seed", "3", "--format", "json"]
+            assert main([*argv, "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        if width:
+            assert walked == [2, 2, 3, 3]  # C and |C| of each mode's last slab
+            walked.clear()
+    assert walked == []
+    assert texts[:2] == texts[2:]
+
+
 def test_closed_form_and_bracket_coefficients_on_stacks():
     lam = [0.31 + 0.2j, -0.45, 0.18 - 0.37j]
     mu12 = [0.53 - 0.11j, 0.2 + 0.4j]

@@ -39,10 +39,32 @@ def test_reproduce_paper_smoke(tmp_path):
         assert report["mode"] == mode and report["samples"] == 2000
 
 
-def test_reproduce_paper_exits_nonzero_when_a_read_back_fails(tmp_path, monkeypatch, capsys):
+def _load_script():
     spec = importlib.util.spec_from_file_location("reproduce_paper", ROOT / "scripts" / "reproduce_paper.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_paper_writes_and_reads_one_file_at_max_n_3(tmp_path, monkeypatch, capsys):
+    script = _load_script()
+    calls = []
+    main = script.cli.main
+    monkeypatch.setattr(script.cli, "main", lambda argv: (calls.append(argv[0]), main(argv))[1])
+    argv = ["reproduce_paper.py", "--max-n", "3", "--samples", "10", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 0
+    assert calls.count("find-zero") == 1
+    assert sorted(p.name for p in tmp_path.glob("certificate_*")) == ["certificate_n3.json"]
+    assert re.search(
+        r"^read-back: 1 nodes of 1 certificate files validated and recertified in \d+\.\d{3}s$",
+        capsys.readouterr().out,
+        re.MULTILINE,
+    )
+
+
+def test_reproduce_paper_exits_nonzero_when_a_read_back_fails(tmp_path, monkeypatch, capsys):
+    script = _load_script()
     recertify = zerofind.recertify
 
     def loose_at_n4(cert):
