@@ -3,8 +3,9 @@
 
 Runs the exact/numeric identity suite, constructs certified kernel
 zeros for n = 3 and n = --max-n, reads every certificate file back
-(zerofind.recheck: validate() and a recomputed residual within its
-stored tolerance, at every node of the chain), and scans the
+(zerofind.recheck: validate(), a recomputed residual within its
+stored tolerance and the slice witness test at that tolerance, at
+every node of the chain), and scans the
 nonvanishing families, writing all artifacts into an output directory
 through the symdisc CLI.  Exits nonzero when a check or a read-back
 fails.

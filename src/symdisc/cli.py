@@ -144,18 +144,7 @@ def _emit_certificate(cert: ZeroCertificate, out: str | None) -> None:
 
 
 def cmd_find_zero(args) -> int:
-    if args.n < 3:
-        print("find-zero: kernel zeros exist for n >= 3 only", file=sys.stderr)
-        return EXIT_USAGE
-    # only the given shrink factors are passed: n = 3 and the chains have
-    # their own defaults
-    given = {"rho": args.rho, "mu1_modulus": args.mu1}
-    kwargs = {name: value for name, value in given.items() if value is not None}
-    if args.n == 3:
-        cert = zerofind.construct_zero_dim3(**kwargs)
-    else:
-        cert = zerofind.build_certificate_chain(args.n, **kwargs)
-    _emit_certificate(cert, args.out)
+    _emit_certificate(zerofind.build_certificate_chain(args.n, args.rho, args.mu1), args.out)
     return EXIT_OK
 
 
@@ -321,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-zero", help="construct a certified kernel zero", parents=[out])
     p.add_argument("n", type=int)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--mu1", type=float, default=None)
+    p.add_argument("--rho", type=float, default=zerofind.DEFAULT_RHO)
+    p.add_argument("--mu1", type=float, default=zerofind.DEFAULT_MU1)
     p.set_defaults(func=cmd_find_zero)
 
     p = sub.add_parser("lift", help="lift a certificate one dimension up", parents=[out])

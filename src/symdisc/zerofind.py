@@ -24,15 +24,16 @@ serves every n.  The slice witness only has to show per C != 0 at one
 point of the first slot's slice, x = 0, far from a zero: it takes the
 float ratio there, less a forward-error bound on Glynn's sum
 (kernel.numerator_error), so the exact permanent runs once per
-certificate, for its residual.  count_zeros_disc, a winding-number zero
-count, is a standalone tool; the lift does not use it.
+certificate, for its residual.  recheck re-runs both tests on a chain
+read back.  count_zeros_disc, a winding-number zero count, is a
+standalone tool; the lift does not use it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,6 +80,8 @@ def reference_root() -> complex:
     return cmath.exp(-1j * math.pi / 4) * base_root_x()
 
 
+# (rho, |mu_1|) at the root of every chain, as far from the torus as the lifts need
+DEFAULT_RHO, DEFAULT_MU1 = 0.9945, 0.9985
 DEFAULT_TOL_DIM3 = 1e-10
 DEFAULT_TOL_LIFT = 1e-8
 WITNESS_FACTOR = 1e3
@@ -113,10 +116,11 @@ class ZeroCertificate:
     With B_jk = 1 - lambda_j conj(mu_k) and C = 1/B, residual_rel is the
     cancellation ratio |per C| / per |C| at the pair (per C exact at the
     stored coordinates, rounded once; per |C| in floats) and kernel_abs
-    is |per C| / |pi^n prod B| = |K|; both are re-checkable via
-    recertify().  The witness value_abs is the same ratio at the
-    witness point with per C in floats (fn_nontrivial), which exceeds
-    WITNESS_FACTOR times the tolerance by more than its error bound.
+    is |per C| / |pi^n prod B| = |K| (inf where it overflows, null in
+    JSON); both are re-checkable via recertify().  The witness value_abs
+    is the same ratio at the witness point with per C in floats
+    (fn_nontrivial), which exceeds WITNESS_FACTOR times the tolerance by
+    more than its error bound.
     """
 
     n: int
@@ -169,7 +173,8 @@ class ZeroCertificate:
             "lambda": [[c.real, c.imag] for c in self.lam],
             "mu": [[c.real, c.imag] for c in self.mu],
             "residual_rel": self.residual_rel,
-            "kernel_abs": self.kernel_abs,
+            # |K| overflows to inf near n = 12; JSON has no inf
+            "kernel_abs": self.kernel_abs if math.isfinite(self.kernel_abs) else None,
             "construction": self.construction,
             "parent": self.parent.to_dict() if self.parent else None,
             "fn_witness": {
@@ -188,6 +193,7 @@ class ZeroCertificate:
         if data.get("version") != 1:
             raise ValueError(f"unsupported certificate version: {data.get('version')}")
         wit = _field(data, "fn_witness", dict)
+        kernel_abs = _field(data, "kernel_abs", (*_NUMBER, type(None)))
         tolerances = data.get("tolerances", {})
         if not (isinstance(tolerances, dict) and all(isinstance(t, _NUMBER) for t in tolerances.values())):
             raise ValueError(f"certificate field 'tolerances' is not a map to numbers: {tolerances!r}")
@@ -196,7 +202,7 @@ class ZeroCertificate:
             lam=tuple(_point(p, "lambda") for p in _field(data, "lambda", list)),
             mu=tuple(_point(p, "mu") for p in _field(data, "mu", list)),
             residual_rel=_field(data, "residual_rel", _NUMBER),
-            kernel_abs=_field(data, "kernel_abs", _NUMBER),
+            kernel_abs=math.inf if kernel_abs is None else kernel_abs,
             construction=_field(data, "construction", str),
             fn_witness=FnWitness(
                 point=_point(_field(wit, "point", list), "fn_witness.point"),
@@ -245,18 +251,6 @@ def _cancellation(lam, mu) -> tuple[float, float]:
     return per / ev.scale, per / den
 
 
-def _witness_ratio(lam, mu) -> tuple[float, float]:
-    """(ratio, bound): the float |per C| / per |C| of kernel_gn at a pair and
-    a bound on its distance to the same ratio with per C exact
-    (kernel.numerator_error over per |C|).  Where ratio > bound, per C is
-    not zero.  Fails closed as _cancellation does: a zero or non-finite
-    per |C| raises."""
-    ev, error = kernel_gn_with_error(lam, mu)
-    if not 0 < ev.scale < math.inf:
-        raise CertificationFailure(f"per |C| = {ev.scale:.3e} must be finite and nonzero")
-    return abs(ev.numerator) / ev.scale, error / ev.scale
-
-
 def recertify(cert: ZeroCertificate) -> dict:
     """Recompute the certificate's residual and kernel modulus from scratch."""
     residual, kernel_abs = _cancellation(cert.lam, cert.mu)
@@ -264,9 +258,10 @@ def recertify(cert: ZeroCertificate) -> dict:
 
 
 def recheck(cert: ZeroCertificate) -> None:
-    """validate() every node of the certificate's chain and require the
-    residual recertify() recomputes at each to lie within its tolerance;
-    raises CertificationFailure naming the first node that fails."""
+    """validate() every node of the certificate's chain, then recompute its
+    residual and re-run fn_nontrivial at its stored tolerance, so a node
+    passes exactly when the construction would certify it; raises
+    CertificationFailure naming the first node that fails."""
     for node in cert.nodes():
         try:
             node.validate()
@@ -275,7 +270,8 @@ def recheck(cert: ZeroCertificate) -> None:
                 raise CertificationFailure(
                     f"residual recomputes to {residual:.3e}, above its tolerance {node.tolerance:.1e}"
                 )
-        except CertificationFailure as exc:
+            fn_nontrivial(node.lam, node.mu, node.tolerance)
+        except (CertificationFailure, WitnessNotFound) as exc:
             raise CertificationFailure(f"node n={node.n}: {exc}") from exc
 
 
@@ -336,21 +332,24 @@ def moment_identity_check(lam, mu) -> dict:
     return {"max_rel_diff": float(gaps.max())}
 
 
-def fn_nontrivial(cert: ZeroCertificate) -> FnWitness:
-    """A decisive nonvanishing witness for the first-slot slice, at x = 0.
+def fn_nontrivial(lam, mu, tol: float) -> FnWitness:
+    """A decisive nonvanishing witness for the first-slot slice of the
+    pair (lam, mu), at x = 0.
 
-    The float cancellation ratio |per C| / per |C| at
-    (0, lambda_2..lambda_n), less its error bound B (_witness_ratio),
-    has to exceed WITNESS_FACTOR times the certification tolerance; the
-    float ratio then proves per C != 0 there, with no exact permanent.
-    It is about 0.68 at the witnesses of the default chains, against a B
-    of 2e-9 at n = 7 and 6e-4 at n = 12.  Where it is not decisive (a nan
-    included), WitnessNotFound is raised.
+    The float cancellation ratio |per C| / per |C| of kernel_gn at
+    (0, lam_2..lam_n; mu), less a bound B on its distance to the same
+    ratio with per C exact (kernel.numerator_error over per |C|), has to
+    exceed WITNESS_FACTOR times the tolerance tol; the float ratio then
+    proves per C != 0 there, with no exact permanent.  It is about 0.68
+    at the witnesses of the default chains, against a B of 2e-9 at n = 7
+    and 6e-4 at n = 12.  Where it is not decisive (a nan included),
+    WitnessNotFound is raised.
     """
-    if len(set(cert.mu)) != cert.n:
-        raise WitnessNotFound("mu coordinates must be pairwise distinct")
-    ratio, bound = _witness_ratio((0j, *cert.lam[1:]), cert.mu)
-    threshold = WITNESS_FACTOR * cert.tolerance
+    ev, error = kernel_gn_with_error((0j, *lam[1:]), mu)
+    if not 0 < ev.scale < math.inf:
+        raise CertificationFailure(f"per |C| = {ev.scale:.3e} must be finite and nonzero")
+    ratio, bound = abs(ev.numerator) / ev.scale, error / ev.scale
+    threshold = WITNESS_FACTOR * tol
     if not ratio - bound > threshold:
         raise WitnessNotFound(
             f"slice ratio {ratio:.3e} at x = 0, less its bound {bound:.1e}, "
@@ -359,11 +358,30 @@ def fn_nontrivial(cert: ZeroCertificate) -> FnWitness:
     return FnWitness(point=0j, value_abs=ratio)
 
 
+def _certified(lam, mu, residual, kernel_abs, construction, tol, parent=None) -> ZeroCertificate:
+    """The certificate of a pair, with its slice witness at tolerance tol;
+    validate() rejects it unless the residual lies within tol."""
+    cert = ZeroCertificate(
+        n=len(lam),
+        lam=lam,
+        mu=mu,
+        residual_rel=residual,
+        kernel_abs=kernel_abs,
+        construction=construction,
+        fn_witness=fn_nontrivial(lam, mu, tol),
+        tolerances={"residual_rel": tol},
+        parent=parent,
+    )
+    cert.validate()
+    return cert
+
+
 def construct_zero_dim3(
-    rho: float = 0.999,
-    mu1_modulus: float = 0.9995,
+    rho: float = DEFAULT_RHO,
+    mu1_modulus: float = DEFAULT_MU1,
 ) -> ZeroCertificate:
-    """Certified dimension-3 kernel zero near the unimodular base triple.
+    """Certified dimension-3 kernel zero near the unimodular base triple,
+    by default the root of every chain build_certificate_chain makes.
 
     nu = rho * base triple; the quadratic root nearest the reference
     root and inside the unit disc fixes mu_2/mu_1; mu_1 is placed on the
@@ -391,23 +409,7 @@ def construct_zero_dim3(
     mu = (mu1, z.conjugate() * mu1, 0j)
 
     residual, kernel_abs = _cancellation(lam, mu)
-    if not residual <= DEFAULT_TOL_DIM3:
-        raise CertificationFailure(
-            f"dimension-3 residual {residual:.3e} exceeds tolerance {DEFAULT_TOL_DIM3:.1e}"
-        )
-    cert = ZeroCertificate(
-        n=3,
-        lam=lam,
-        mu=mu,
-        residual_rel=residual,
-        kernel_abs=kernel_abs,
-        construction="dim3",
-        fn_witness=FnWitness(0j, 0.0),
-        tolerances={"residual_rel": DEFAULT_TOL_DIM3},
-    )
-    cert = replace(cert, fn_witness=fn_nontrivial(cert))
-    cert.validate()
-    return cert
+    return _certified(lam, mu, residual, kernel_abs, "dim3", DEFAULT_TOL_DIM3)
 
 
 # --- winding counts ------------------------------------------------------------
@@ -530,20 +532,7 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
             rejected["residual above tolerance"] += 1
             best = min(best, residual)
             continue
-        lifted = ZeroCertificate(
-            n=n + 1,
-            lam=new_lam,
-            mu=new_mu,
-            residual_rel=residual,
-            kernel_abs=kernel_abs,
-            construction="lift",
-            fn_witness=FnWitness(0j, 0.0),
-            tolerances={"residual_rel": tol},
-            parent=cert,
-        )
-        lifted = replace(lifted, fn_witness=fn_nontrivial(lifted))
-        lifted.validate()
-        return lifted
+        return _certified(new_lam, new_mu, residual, kernel_abs, "lift", tol, parent=cert)
     reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
     raise CertificationFailure(
         f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "
@@ -554,13 +543,12 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
 
 def build_certificate_chain(
     n: int,
-    rho: float = 0.9945,
-    mu1_modulus: float = 0.9985,
+    rho: float = DEFAULT_RHO,
+    mu1_modulus: float = DEFAULT_MU1,
 ) -> ZeroCertificate:
-    """Certificate for dimension n >= 3: the dimension-3 construction
-    followed by n - 3 lifts.  The default shrink factors sit farther
-    from the torus than the dimension-3 defaults because chained lifts
-    need the extra conditioning margin."""
+    """Certificate for dimension n >= 3: the dimension-3 construction at
+    (rho, mu1_modulus) followed by n - 3 lifts, so every n at the same
+    point shares its nodes below n."""
     if n < 3:
         raise ValueError("kernel zeros are constructed for n >= 3 only")
     cert = construct_zero_dim3(rho=rho, mu1_modulus=mu1_modulus)

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,37 @@ def test_find_zero_three(tmp_path, capsys):
 
 def test_find_zero_rejects_small_dimension(capsys):
     assert run(["find-zero", "2"]) == 2
+
+
+def test_find_zero_three_is_the_root_of_every_chain(tmp_path):
+    c3, c4 = tmp_path / "c3.json", tmp_path / "c4.json"
+    assert run(["find-zero", "3", "--out", str(c3)]) == 0
+    assert run(["find-zero", "4", "--out", str(c4)]) == 0
+    root = json.loads(c4.read_text())
+    while root["parent"] is not None:
+        root = root["parent"]
+    assert json.loads(c3.read_text()) == root
+
+
+def _readme_commands():
+    """The symdisc lines of the README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("symdisc ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        expected = 1 if "--fault-inject" in argv else 0
+        assert run(argv) == expected, argv
+    capsys.readouterr()
+    # the lift of find-zero 3's file is find-zero 4's, byte for byte
+    assert run(["find-zero", "4", "--out", "c4-direct.json"]) == 0
+    assert Path("c4.json").read_bytes() == Path("c4-direct.json").read_bytes()
 
 
 @pytest.mark.parametrize("scaling", [["--rho", "1.5"], ["--rho", "0.9999", "--mu1", "0.999"]])
@@ -167,6 +199,20 @@ def test_lift_rechecks_every_ancestor(tmp_path, capsys):
     assert run(["lift", "--cert", str(c5), "--out", str(c6)]) == 3
     assert "node n=3: residual recomputes to" in capsys.readouterr().err
     assert not c6.exists()
+
+
+def test_lift_reruns_the_witness_test_at_the_stored_tolerance(tmp_path, capsys):
+    # a raised tolerance passes validate() and the residual check, but the
+    # n = 6 witness ratio, 0.68, is not above 1e3 times 1e-3
+    c7, c8 = tmp_path / "c7.json", tmp_path / "c8.json"
+    assert run(["find-zero", "7", "--out", str(c7)]) == 0
+    data = json.loads(c7.read_text())
+    data["parent"]["tolerances"]["residual_rel"] = 1e-3
+    c7.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["lift", "--cert", str(c7), "--out", str(c8)]) == 3
+    assert "node n=6: slice ratio" in capsys.readouterr().err
+    assert not c8.exists()
 
 
 def test_lift_validates_the_loaded_certificate(tmp_path, capsys):

@@ -156,19 +156,10 @@ def test_abc_origin_has_no_quadratic_root():
         solve_abc_quadratic(q)
 
 
-def test_witness_requires_distinct_mu(dim3_cert):
-    broken = ZeroCertificate(
-        n=3,
-        lam=dim3_cert.lam,
-        mu=(0.5, 0.5, 0.1),
-        residual_rel=0.0,
-        kernel_abs=0.0,
-        construction="dim3",
-        fn_witness=FnWitness(0j, 0.0),
-        tolerances={"residual_rel": 1e-10},
-    )
-    with pytest.raises(WitnessNotFound):
-        fn_nontrivial(broken)
+def test_validate_requires_distinct_mu(dim3_cert):
+    broken = replace(dim3_cert, mu=(0.5, 0.5, 0.1))
+    with pytest.raises(CertificationFailure, match="pairwise distinct"):
+        broken.validate()
 
 
 # --- winding counts ---------------------------------------------------------------
@@ -694,10 +685,17 @@ def test_fixed_point_residuals_are_the_exact_route_on_every_certificate(chain10)
     assert decided == [False, False, False, True, True]
 
 
+def _ratio_and_bound(lam, mu):
+    """The float |per C| / per |C| of kernel_gn_with_error at a pair and
+    its error bound over per |C|: the two numbers fn_nontrivial compares."""
+    ev, error = kernel.kernel_gn_with_error(lam, mu)
+    return abs(ev.numerator) / ev.scale, error / ev.scale
+
+
 def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
     for node in chain10.nodes():
         lam = (node.fn_witness.point, *node.lam[1:])
-        ratio, bound = zerofind._witness_ratio(lam, node.mu)
+        ratio, bound = _ratio_and_bound(lam, node.mu)
         exact, _ = zerofind._cancellation(lam, node.mu)
         assert ratio == node.fn_witness.value_abs and node.fn_witness.point == 0j
         assert abs(ratio - exact) <= bound < 1e-5
@@ -707,25 +705,25 @@ def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
 def test_witness_threshold_inside_the_bound_rejects_the_point(chain7, monkeypatch):
     # with a threshold between ratio - B and ratio, the float ratio alone
     # would pass; less its bound it does not
-    ratio, bound = zerofind._witness_ratio((0j, *chain7.lam[1:]), chain7.mu)
-    assert fn_nontrivial(chain7) == FnWitness(0j, ratio)
+    ratio, bound = _ratio_and_bound((0j, *chain7.lam[1:]), chain7.mu)
     tol = chain7.tolerances["residual_rel"]
+    assert fn_nontrivial(chain7.lam, chain7.mu, tol) == FnWitness(0j, ratio)
     monkeypatch.setattr(zerofind, "WITNESS_FACTOR", (ratio - bound / 2) / tol)
     with pytest.raises(WitnessNotFound, match="x = 0"):
-        fn_nontrivial(chain7)
+        fn_nontrivial(chain7.lam, chain7.mu, tol)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_witness_fails_closed_on_a_bad_scale(dim3_cert, monkeypatch, value):
     monkeypatch.setattr(zerofind, "kernel_gn_with_error", _broken_with_error("scale", value))
     with pytest.raises(CertificationFailure, match="finite and nonzero"):
-        fn_nontrivial(dim3_cert)
+        fn_nontrivial(dim3_cert.lam, dim3_cert.mu, dim3_cert.tolerance)
 
 
 def test_witness_skips_a_nan_numerator(dim3_cert, monkeypatch):
     monkeypatch.setattr(zerofind, "kernel_gn_with_error", _broken_with_error("numerator", complex(math.nan, 0)))
     with pytest.raises(WitnessNotFound, match="nan"):
-        fn_nontrivial(dim3_cert)
+        fn_nontrivial(dim3_cert.lam, dim3_cert.mu, dim3_cert.tolerance)
 
 
 def test_every_witness_of_the_default_band_edge_and_v1_chains_is_at_the_origin(chain10):
@@ -747,6 +745,17 @@ def test_certificate_round_trip(chain6):
     assert data["parent"]["n"] == 5
     with pytest.raises(ValueError):
         ZeroCertificate.from_dict({**data, "version": 2})
+
+
+def test_overflowed_kernel_abs_is_written_as_null(dim3_cert):
+    # |K| overflows to inf near n = 12; strict JSON has no Infinity
+    cert = replace(dim3_cert, kernel_abs=math.inf)
+    data = cert.to_dict()
+    assert data["kernel_abs"] is None
+    assert ZeroCertificate.from_dict(json.loads(json.dumps(data, allow_nan=False))) == cert
+    # finite values keep their bits
+    again = json.loads(json.dumps(dim3_cert.to_dict(), allow_nan=False))
+    assert ZeroCertificate.from_dict(again).kernel_abs.hex() == dim3_cert.kernel_abs.hex()
 
 
 def test_certificate_validation_catches_tampering(dim3_cert):
