@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -283,7 +284,12 @@ def cmd_grid(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: main runs
+    many times in one process under the benchmark, the paper script and
+    the tests, and each parse makes a fresh namespace, so no option of
+    one call carries over into the next."""
     # the common options, each declared on the subcommands that read it
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")

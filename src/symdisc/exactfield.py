@@ -13,14 +13,25 @@ which is the identity test of the suite (full expansion, not randomized
 evaluation).  A constant converts to float or complex part by part, each
 part as float(q0) + float(q2)*sqrt(2.0) + float(q3)*sqrt(3.0) +
 float(q6)*sqrt(6.0) added in that order, so the float base triple that
-every certificate starts from has fixed bits.  An integral coefficient
-is kept as an int and only a true fraction as a Fraction, so identities
-with integer coefficients run on ints, without a gcd per product.
-ExactPoly is a ring, with no division, as no identity of the suite
-divides by an irrational element.  Signs of nonzero real constants are
-decided by interval arithmetic with escalating precision (exact-zero
-short circuit first), so every verification below is
-precision-independent.
+every certificate starts from has fixed bits.
+
+A polynomial is stored packed: each monomial is one int, with a bit
+field per variable, and maps to an int numerator over one positive
+denominator common to the whole polynomial.  The generators take 2-bit
+fields at the low end, in VARS order, and the unknowns _FIELD_BITS-bit
+fields above them, in VARS order.  A monomial product is then one int
+addition: a generator field that reaches 2 sets its high bit, which one
+mask test finds and one table lookup turns into its square 2, 3 or -1.
+The top bit of an unknown's field is a guard that no stored exponent
+sets, so the sum of two stored exponents never carries into the next
+field; a product, power or constructor input that sets it raises
+OverflowError instead.  Each result is normalized once, by one gcd of
+its denominator and numerators, and integer polynomials, whose
+denominator is 1, skip even that.  ExactPoly is a ring, with no
+division, as no identity of the suite divides by an irrational element.
+Signs of nonzero real constants are decided on the integer numerators by
+interval arithmetic with escalating precision (exact-zero short circuit
+first), so every verification below is precision-independent.
 
 The two verification entry points re-derive, with zero tolerance:
 
@@ -36,11 +47,11 @@ The two verification entry points re-derive, with zero tolerance:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import isqrt
-from operator import add
+from math import gcd, isqrt, lcm
 from typing import Union
 
 from .kernel import bracket_expr, bracket_raw_displays, elem_sym3, quadratic_sym_coeffs
@@ -48,25 +59,64 @@ from .kernel import bracket_expr, bracket_raw_displays, elem_sym3, quadratic_sym
 _Rat = Union[int, Fraction]
 
 VARS = ("nu1", "nu2", "nu3", "z", "sqrt2", "sqrt3", "i")
-_NV = len(VARS)
 _NU = 4  # VARS[:_NU] are the unknowns, VARS[_NU:] the generators
 _SQUARES = (2, 3, -1)  # the squares of sqrt2, sqrt3 and i
-_CONST = (0,) * _NV
-# generator exponents of the basis 1, sqrt2, sqrt3, sqrt6 of the real part,
-# then of i, i sqrt2, i sqrt3, i sqrt6
+_FIELD_BITS = 8  # per unknown, its top bit the overflow guard: exponents up to 127
+
+# packed layout: the generators' 2-bit fields from bit 0, then the unknowns'
+_GEN_SHIFTS = tuple(range(0, 2 * len(_SQUARES), 2))
+_SHIFTS = tuple(2 * len(_SQUARES) + _FIELD_BITS * k for k in range(_NU)) + _GEN_SHIFTS
+_FIELD_MASKS = ((1 << _FIELD_BITS) - 1,) * _NU + (0b11,) * len(_SQUARES)
+_UNKNOWNS = sum(m << s for m, s in zip(_FIELD_MASKS[:_NU], _SHIFTS))
+_GUARDS = sum(1 << (s + _FIELD_BITS - 1) for s in _SHIFTS[:_NU])
+_CARRIES = sum(2 << s for s in _GEN_SHIFTS)  # a generator exponent of 2
+_HIGH = _CARRIES | _GUARDS
+_I_BIT = 1 << _SHIFTS[VARS.index("i")]
+# every nonzero set of carried generators -> the product of their squares
+_SQUARE_PRODUCTS = {
+    sum(2 << s for s, bit in zip(_GEN_SHIFTS, bits) if bit): math.prod(
+        sq for sq, bit in zip(_SQUARES, bits) if bit
+    )
+    for bits in itertools.product((0, 1), repeat=len(_SQUARES))
+    if any(bits)
+}
+# packed basis 1, sqrt2, sqrt3, sqrt6 of the real part, then of i, i sqrt2,
+# i sqrt3, i sqrt6
 _BASIS = tuple(
-    (0,) * _NU + (b2, b3, bi) for bi in (0, 1) for b2, b3 in ((0, 0), (1, 0), (0, 1), (1, 1))
+    b2 << _GEN_SHIFTS[0] | b3 << _GEN_SHIFTS[1] | bi << _GEN_SHIFTS[2]
+    for bi in (0, 1)
+    for b2, b3 in ((0, 0), (1, 0), (0, 1), (1, 1))
 )
 
 
-def _reduced(expo: tuple, coef: _Rat) -> tuple[tuple, _Rat]:
-    """The term coef * x^expo with each generator's square replaced by its value."""
-    gens = expo[_NU:]
-    if max(gens) < 2:
-        return expo, coef
-    for g, square in zip(gens, _SQUARES):
-        coef *= square ** (g >> 1)
-    return expo[:_NU] + tuple(g & 1 for g in gens), coef
+def _pack(expo) -> tuple[int, int]:
+    """The packed monomial of an exponent tuple over VARS, with each
+    generator's square replaced by its value: (key, the product of those
+    values)."""
+    if len(expo) != len(VARS):
+        raise ValueError(f"an exponent tuple has {len(VARS)} entries, got {len(expo)}")
+    key, factor = 0, 1
+    for k, (e, shift) in enumerate(zip(expo, _SHIFTS)):
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {VARS[k]}")
+        if k >= _NU:
+            factor *= _SQUARES[k - _NU] ** (e >> 1)
+            e &= 1
+        elif e >> (_FIELD_BITS - 1):
+            raise OverflowError(f"exponent {e} of {VARS[k]} overflows its {_FIELD_BITS}-bit field")
+        key |= e << shift
+    return key, factor
+
+
+def _carry_factor(carried: int) -> int:
+    """The factor of the generator squares carried in a monomial sum; a
+    set guard bit is an unknown's exponent past its field."""
+    try:
+        return _SQUARE_PRODUCTS[carried]
+    except KeyError:
+        raise OverflowError(
+            f"an exponent reaches 2**{_FIELD_BITS - 1} and overflows its packed field"
+        ) from None
 
 
 def _rational(x) -> _Rat:
@@ -76,11 +126,12 @@ def _rational(x) -> _Rat:
     raise TypeError(f"cannot coerce {type(x).__name__} into Q")
 
 
-def _frac(x: _Rat) -> _Rat:
-    """A rational coefficient: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    return x.numerator if x.denominator == 1 else x
+def _quotient(num: int, den: int) -> _Rat:
+    """num / den: an int when integral, else a Fraction."""
+    if den == 1:
+        return num
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _float(q0: _Rat, q2: _Rat, q3: _Rat, q6: _Rat) -> float:
@@ -96,93 +147,133 @@ def _float(q0: _Rat, q2: _Rat, q3: _Rat, q6: _Rat) -> float:
 class ExactPoly:
     """Sparse polynomial in (nu1, nu2, nu3, z) over Q(sqrt2, sqrt3, i).
 
-    The terms map an exponent tuple over VARS to a nonzero rational
-    coefficient: an int, or a Fraction when it is not integral.  The
+    The value is num / den: num maps a packed monomial (see the module
+    docstring) to a nonzero int numerator, and den is the one positive
+    denominator of all of them, coprime to the numerators together.  The
     generators sqrt2, sqrt3 and i are variables too, kept reduced by
     sqrt2^2 = 2, sqrt3^2 = 3 and i^2 = -1, so their exponents are 0 or 1
-    and equal values have equal terms; the constructor reduces whatever
-    it is given.  A constant converts to float and complex part by part,
-    each part as float(q0) + float(q2)*sqrt(2.0) + float(q3)*sqrt(3.0)
-    + float(q6)*sqrt(6.0), added in that order.
+    and equal values have equal (num, den).  The constructor takes a dict
+    from exponent tuples over VARS to int or Fraction coefficients and
+    reduces whatever it is given; `terms` gives that dict back, reduced,
+    with an int for each integral coefficient and a Fraction for the
+    rest.  An unknown's exponent is below 2**(_FIELD_BITS - 1); one that
+    reaches it raises OverflowError.  A constant converts to float and
+    complex part by part, each part as float(q0) + float(q2)*sqrt(2.0) +
+    float(q3)*sqrt(3.0) + float(q6)*sqrt(6.0), added in that order.
 
-    The ring operations accept int and Fraction operands, and == and hash
-    cross types: a rational constant equals and hashes as its int or
-    Fraction.  There is no division, so a negative power raises
-    ValueError.
+    The ring operations accept int and Fraction operands and compute in
+    ints alone, and == and hash cross types: a rational constant equals
+    and hashes as its int or Fraction.  There is no division, so a
+    negative power raises ValueError.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict | None = None):
-        merged: dict = {}
-        for expo, coef in (terms or {}).items():
-            expo, coef = _reduced(tuple(expo), _rational(coef))
-            merged[expo] = merged.get(expo, 0) + coef
-        self.terms = {e: _frac(c) for e, c in merged.items() if c}
+        coefs = [(_pack(tuple(expo)), _rational(c)) for expo, c in (terms or {}).items()]
+        den = lcm(*(c.denominator for _, c in coefs))
+        num: dict = {}
+        for (key, factor), c in coefs:
+            num[key] = num.get(key, 0) + c.numerator * factor * (den // c.denominator)
+        self._set(num, den)
+
+    def _set(self, num: dict, den: int) -> None:
+        """Store num / den in lowest terms, without zero numerators."""
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: c // g for e, c in num.items()}
+        self._num = num
+        self._den = den
 
     @classmethod
-    def _of_reduced(cls, terms: dict) -> "ExactPoly":
-        """The value of terms that are already reduced, with rational
-        coefficients: the ring operations' constructor."""
+    def _of(cls, num: dict, den: int) -> "ExactPoly":
+        """num / den: the ring operations' constructor."""
         out = object.__new__(cls)
-        out.terms = {e: _frac(c) for e, c in terms.items() if c}
+        out._set(num, den)
         return out
 
     @classmethod
     def const(cls, c: _Rat) -> "ExactPoly":
-        return cls({_CONST: c})
+        c = _rational(c)
+        return cls._of({0: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "ExactPoly":
-        expo = [0] * _NV
-        expo[VARS.index(name)] = 1
-        return cls({tuple(expo): 1})
+        return cls._of({1 << _SHIFTS[VARS.index(name)]: 1}, 1)
 
     @classmethod
     def of(cls, x) -> "ExactPoly":
         return x if isinstance(x, ExactPoly) else cls.const(x)
 
+    @property
+    def terms(self) -> dict:
+        """The coefficient of each monomial, keyed by its exponent tuple over VARS."""
+        return {
+            tuple(e >> s & m for s, m in zip(_SHIFTS, _FIELD_MASKS)): _quotient(c, self._den)
+            for e, c in self._num.items()
+        }
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other) -> bool:
         try:
             o = ExactPoly.of(other)
         except TypeError:
             return NotImplemented
-        return self.terms == o.terms
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # == crosses types, so a rational constant hashes as its int or Fraction
-        if self.terms.keys() <= {_CONST}:
-            return hash(self.terms.get(_CONST, 0))
-        return hash(frozenset(self.terms.items()))
+        if self._num.keys() <= {0}:
+            return hash(_quotient(self._num.get(0, 0), self._den))
+        return hash((frozenset(self._num.items()), self._den))
+
+    def _plus(self, other, sign: int) -> "ExactPoly":
+        """self + sign * other, over the least common denominator."""
+        o = ExactPoly.of(other)
+        den = lcm(self._den, o._den)
+        scale, o_scale = den // self._den, sign * (den // o._den)
+        out = dict(self._num) if scale == 1 else {e: c * scale for e, c in self._num.items()}
+        get = out.get
+        for e, c in o._num.items():
+            out[e] = get(e, 0) + c * o_scale
+        return ExactPoly._of(out, den)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for expo, coef in ExactPoly.of(other).terms.items():
-            out[expo] = out.get(expo, 0) + coef
-        return ExactPoly._of_reduced(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPoly._of_reduced({e: -c for e, c in self.terms.items()})
+        return ExactPoly._of({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-ExactPoly.of(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return ExactPoly.of(other) + (-self)
+        return ExactPoly.of(other)._plus(self, -1)
 
     def __mul__(self, other):
         o = ExactPoly.of(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                expo, coef = _reduced(tuple(map(add, e1, e2)), c1 * c2)
-                out[expo] = out.get(expo, 0) + coef
-        return ExactPoly._of_reduced(out)
+        get = out.get
+        high, carry_factor = _HIGH, _carry_factor
+        o_items = o._num.items()
+        for e1, c1 in self._num.items():
+            for e2, c2 in o_items:
+                e = e1 + e2
+                carried = e & high
+                if carried:
+                    e ^= carried
+                    out[e] = get(e, 0) + c1 * c2 * carry_factor(carried)
+                else:
+                    out[e] = get(e, 0) + c1 * c2
+        return ExactPoly._of(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -194,29 +285,40 @@ class ExactPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the last bit, which could overflow for nothing
+                base = base * base
         return out
 
     def conj(self) -> "ExactPoly":
         """The complex conjugate of the coefficients: i -> -i."""
-        return ExactPoly._of_reduced({e: -c if e[-1] else c for e, c in self.terms.items()})
+        return ExactPoly._of({e: -c if e & _I_BIT else c for e, c in self._num.items()}, self._den)
+
+    def _constant_numerators(self) -> tuple:
+        """The numerators over den of the eight coordinates of a constant;
+        a polynomial that is not constant raises ValueError."""
+        if any(e & _UNKNOWNS for e in self._num):
+            raise ValueError(f"{self!r} is not a constant")
+        return tuple(self._num.get(e, 0) for e in _BASIS)
 
     def coords(self) -> tuple:
         """The eight rational coordinates of a constant: (q0, q2, q3, q6) of
         its real part on the basis 1, sqrt2, sqrt3, sqrt6, then of its
         imaginary part.  A polynomial that is not constant raises ValueError."""
-        if any(any(e[:_NU]) for e in self.terms):
-            raise ValueError(f"{self!r} is not a constant")
-        return tuple(self.terms.get(e, 0) for e in _BASIS)
+        return tuple(_quotient(c, self._den) for c in self._constant_numerators())
+
+    def _real_numerators(self) -> tuple:
+        """(n0, n2, n3, n6) of a real constant (n0 + n2 sqrt2 + n3 sqrt3 +
+        n6 sqrt6) / den; anything else raises ValueError."""
+        n = self._constant_numerators()
+        if any(n[4:]):
+            raise ValueError(f"{self!r} is not real")
+        return n[:4]
 
     def real_coords(self) -> tuple:
         """(q0, q2, q3, q6) of a real constant q0 + q2 sqrt2 + q3 sqrt3 +
         q6 sqrt6; anything else raises ValueError."""
-        c = self.coords()
-        if any(c[4:]):
-            raise ValueError(f"{self!r} is not real")
-        return c[:4]
+        return tuple(_quotient(c, self._den) for c in self._real_numerators())
 
     def __float__(self) -> float:
         return _float(*self.real_coords())
@@ -227,21 +329,19 @@ class ExactPoly:
 
     def coeff_in(self, name: str, power: int) -> "ExactPoly":
         """Coefficient of name**power, as a polynomial in the other variables."""
-        idx = VARS.index(name)
-        out = {}
-        for expo, coef in self.terms.items():
-            if expo[idx] == power:
-                reduced = list(expo)
-                reduced[idx] = 0
-                out[tuple(reduced)] = coef
-        return ExactPoly(out)
+        k = VARS.index(name)
+        shift, mask = _SHIFTS[k], _FIELD_MASKS[k]
+        clear = ~(mask << shift)
+        out = {e & clear: c for e, c in self._num.items() if e >> shift & mask == power}
+        return ExactPoly._of(out, self._den)
 
     def degree_in(self, name: str) -> int:
-        idx = VARS.index(name)
-        return max((e[idx] for e in self.terms), default=0)
+        k = VARS.index(name)
+        shift, mask = _SHIFTS[k], _FIELD_MASKS[k]
+        return max((e >> shift & mask for e in self._num), default=0)
 
     def __repr__(self):
-        return f"ExactPoly({len(self.terms)} terms)"
+        return f"ExactPoly({len(self._num)} terms)"
 
 
 NU1 = ExactPoly.var("nu1")
@@ -257,44 +357,34 @@ SQRT6 = SQRT2 * SQRT3
 HALF = ExactPoly.const(Fraction(1, 2))
 
 
-def _sqrt_interval(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of sqrt(n) with ~bits fractional bits."""
-    shifted = n << (2 * bits)
-    lo = isqrt(shifted)
-    hi = lo if lo * lo == shifted else lo + 1
-    denom = 1 << bits
-    return Fraction(lo, denom), Fraction(hi, denom)
-
-
-def _scaled_interval(q: Fraction, lo: Fraction, hi: Fraction):
-    return (q * lo, q * hi) if q >= 0 else (q * hi, q * lo)
-
-
 def alg_sign(x: ExactPoly, start_bits: int = 64) -> int:
     """Exact sign (-1, 0, +1) of a real constant x.
 
-    x is q0 + q2*sqrt2 + q3*sqrt3 + q6*sqrt6 in reduced form, with the
-    four rational coordinates of x.real_coords() (ValueError for a
-    constant with an imaginary part or a polynomial that is not
-    constant); float(x) sums the same four terms in that order, and can
-    round a small x to the wrong sign, which this function never does.
-    Zero and rational values are decided by the coordinates; otherwise
-    dyadic intervals for the radicals are refined (doubling precision)
-    until the enclosure of x excludes zero, which always terminates for
-    nonzero elements.
+    x is (n0 + n2*sqrt2 + n3*sqrt3 + n6*sqrt6) / den in reduced form,
+    with int numerators over the positive common denominator of x
+    (ValueError for a constant with an imaginary part or a polynomial
+    that is not constant), so its sign is the sign of the numerator sum.
+    float(x) sums the four terms of x.real_coords() in that order, and
+    can round a small x to the wrong sign, which this function never
+    does.  Zero and rational values are decided by the numerators;
+    otherwise each radical gets integer bounds
+    isqrt(r << 2b) <= 2^b sqrt(r) <= that + 1, and b doubles until the
+    enclosure of 2^b times the numerator sum excludes zero, which always
+    terminates for nonzero elements.
     """
-    q0, q2, q3, q6 = x.real_coords()
-    if not (q2 or q3 or q6):
-        return (q0 > 0) - (q0 < 0)
+    n0, n2, n3, n6 = x._real_numerators()
+    if not (n2 or n3 or n6):
+        return (n0 > 0) - (n0 < 0)
     bits = max(4, start_bits)
     while True:
-        lo = hi = q0
-        for q, radicand in ((q2, 2), (q3, 3), (q6, 6)):
-            if q:
-                rlo, rhi = _sqrt_interval(radicand, bits)
-                add_lo, add_hi = _scaled_interval(q, rlo, rhi)
-                lo += add_lo
-                hi += add_hi
+        lo = hi = n0 << bits
+        for n, radicand in ((n2, 2), (n3, 3), (n6, 6)):
+            if n:
+                shifted = radicand << (2 * bits)
+                rlo = isqrt(shifted)
+                rhi = rlo if rlo * rlo == shifted else rlo + 1
+                lo += n * (rlo if n > 0 else rhi)
+                hi += n * (rhi if n > 0 else rlo)
         if lo > 0:
             return 1
         if hi < 0:

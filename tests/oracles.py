@@ -10,10 +10,16 @@ The exact determinant itself is checked against pivoted elimination
 over Fractions and against Bareiss elimination over dyadic Gaussian
 integers (the route it replaced), and the stacked dimension-3
 cross-checks against their per-sample loops.
+The packed exact ring of exactfield is checked against a tuple-keyed
+ring with int-or-Fraction coefficients that reduces every term pair
+(the representation it replaced), and its integer sign decision against
+the same interval refinement over Fractions.
 """
 
 import itertools
+import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from symdisc.kernel import (
     kernel_g3_mu3zero,
     kernel_gn,
 )
+from symdisc.exactfield import VARS
 from symdisc.symcore import vandermonde_pair
 
 
@@ -315,3 +322,127 @@ def loop_reduction_chain_check(samples=200, seed=1):
             worst = max(worst, abs(v - vals[0]) / ref)
         stages.append(vals)
     return {"samples": samples, "max_rel_diff": worst, "stages": np.array(stages).T}
+
+
+# --- the tuple-keyed exact ring ------------------------------------------------
+
+_NU = 4  # VARS[:_NU] are the unknowns, VARS[_NU:] the generators sqrt2, sqrt3, i
+_SQUARES = (2, 3, -1)
+_CONST = (0,) * len(VARS)
+_BASIS = tuple(
+    (0,) * _NU + (b2, b3, bi) for bi in (0, 1) for b2, b3 in ((0, 0), (1, 0), (0, 1), (1, 1))
+)
+
+
+def _reduced(expo, coef):
+    """The term coef * x^expo with each generator's square replaced by its value."""
+    gens = expo[_NU:]
+    if max(gens) < 2:
+        return expo, coef
+    for g, square in zip(gens, _SQUARES):
+        coef *= square ** (g >> 1)
+    return expo[:_NU] + tuple(g & 1 for g in gens), coef
+
+
+def _frac(x):
+    """A rational coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+class TuplePoly:
+    """Polynomial over Q(sqrt2, sqrt3, i) as a map from an exponent tuple
+    over VARS to a nonzero int or Fraction, reduced term by term."""
+
+    def __init__(self, terms=None):
+        merged = {}
+        for expo, coef in (terms or {}).items():
+            if not isinstance(coef, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(coef).__name__} into Q")
+            expo, coef = _reduced(tuple(expo), coef)
+            merged[expo] = merged.get(expo, 0) + coef
+        self.terms = {e: _frac(c) for e, c in merged.items() if c}
+
+    @classmethod
+    def of(cls, x):
+        return x if isinstance(x, TuplePoly) else cls({_CONST: x})
+
+    def __eq__(self, other):
+        return self.terms == TuplePoly.of(other).terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for expo, coef in TuplePoly.of(other).terms.items():
+            out[expo] = out.get(expo, 0) + coef
+        return TuplePoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TuplePoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-TuplePoly.of(other))
+
+    def __rsub__(self, other):
+        return TuplePoly.of(other) + (-self)
+
+    def __mul__(self, other):
+        out = {}
+        other = TuplePoly.of(other)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                expo, coef = _reduced(tuple(map(add, e1, e2)), c1 * c2)
+                out[expo] = out.get(expo, 0) + coef
+        return TuplePoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = TuplePoly({_CONST: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conj(self):
+        return TuplePoly({e: -c if e[-1] else c for e, c in self.terms.items()})
+
+    def coords(self):
+        if any(any(e[:_NU]) for e in self.terms):
+            raise ValueError("not a constant")
+        return tuple(self.terms.get(e, 0) for e in _BASIS)
+
+    def coeff_in(self, name, power):
+        idx = VARS.index(name)
+        return TuplePoly(
+            {e[:idx] + (0,) + e[idx + 1 :]: c for e, c in self.terms.items() if e[idx] == power}
+        )
+
+    def degree_in(self, name):
+        idx = VARS.index(name)
+        return max((e[idx] for e in self.terms), default=0)
+
+
+def fraction_alg_sign(q0, q2, q3, q6, start_bits=64):
+    """Sign of q0 + q2 sqrt2 + q3 sqrt3 + q6 sqrt6 for rational q, from
+    dyadic Fraction enclosures of the radicals whose precision doubles
+    until the enclosure excludes zero."""
+    if not (q2 or q3 or q6):
+        return (q0 > 0) - (q0 < 0)
+    bits = max(4, start_bits)
+    while True:
+        lo = hi = Fraction(q0)
+        for q, radicand in ((q2, 2), (q3, 3), (q6, 6)):
+            if q:
+                shifted = radicand << (2 * bits)
+                rlo = math.isqrt(shifted)
+                rhi = rlo if rlo * rlo == shifted else rlo + 1
+                bounds = (q * Fraction(rlo, 1 << bits), q * Fraction(rhi, 1 << bits))
+                lo += min(bounds)
+                hi += max(bounds)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2

@@ -173,6 +173,22 @@ def test_common_options_follow_the_subcommand(tmp_path, capsys):
     assert json.loads(a.read_text())["seed"] == 0 and json.loads(b.read_text())["seed"] == 5
 
 
+def test_successive_calls_share_one_parser_and_leak_no_options(tmp_path, capsys):
+    from symdisc import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    # g2_full rejects --n, so an --n kept from the first call would fail it
+    assert run(["sample", "diagonal", "--n", "6", "--count", "10"]) == 0
+    assert run(["sample", "g2_full", "--count", "10"]) == 0
+    # and a fault target kept from the first call would fail the second
+    assert run(["verify-paper", "--fault-inject", "p-coeff", "--samples", "50"]) == 1
+    assert run(["verify-paper", "--samples", "50"]) == 0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["sample", "g2_full", "--count", "10", "--seed", "5", "--format", "json", "--out", str(a)]) == 0
+    assert run(["sample", "g2_full", "--count", "10", "--out", str(b)]) == 0
+    assert json.loads(a.read_text())["seed"] == 5 and b.read_text().startswith("mode=g2_full samples=10 seed=0\n")
+
+
 def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):
     # a moved coordinate passes validate() but not recertify()
     def move(data):

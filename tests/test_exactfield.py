@@ -1,7 +1,8 @@
 import cmath
 import math
 import operator
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,8 @@ from symdisc.kernel import (
     quadratic_sym_coeffs,
 )
 
+from .oracles import TuplePoly, fraction_alg_sign
+
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
@@ -49,9 +52,14 @@ reals = st.tuples(rationals, rationals, rationals, rationals).map(
     lambda q: sum(map(operator.mul, q, (ONE, SQRT2, SQRT3, SQRT6)))
 )
 complexes = st.builds(lambda re, im: re + im * I, reals, reals)
-exactpolys = st.dictionaries(
+exactpoly_terms = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * len(exactfield.VARS)), rationals, max_size=4
-).map(ExactPoly)
+)
+exactpolys = exactpoly_terms.map(ExactPoly)
+# constants given by unreduced generator powers, up to 3
+constant_terms = st.dictionaries(
+    st.tuples(*[st.just(0)] * 4, *[st.integers(0, 3)] * 3), rationals, max_size=6
+)
 
 
 def test_basis_multiplication_table():
@@ -395,3 +403,108 @@ def test_exact_reports_are_pinned():
     assert verify_base_point_identities(fault="p-coeff").to_dict() == _report(
         "exact base-point identities", faulted, failed=("p-subst",)
     )
+
+
+def _typed(terms):
+    # an int and an integral Fraction are equal, but terms keeps only the int
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(exactpoly_terms, constant_terms),
+    st.one_of(exactpoly_terms, constant_terms),
+    rationals,
+    st.integers(0, 4),
+    st.sampled_from(exactfield.VARS),
+    st.integers(0, 3),
+)
+def test_packed_ring_matches_the_tuple_keyed_ring(d1, d2, q, k, name, power):
+    x, y = ExactPoly(d1), ExactPoly(d2)
+    ox, oy = TuplePoly(d1), TuplePoly(d2)
+    pairs = [
+        (x, ox),
+        (x + y, ox + oy),
+        (x - y, ox - oy),
+        (x * y, ox * oy),
+        (x**k, ox**k),
+        (x.conj(), ox.conj()),
+        (x + q, ox + q),
+        (q - x, q - ox),
+        (x * q, ox * q),
+        (x.coeff_in(name, power), ox.coeff_in(name, power)),
+    ]
+    for got, want in pairs:
+        assert _typed(got.terms) == _typed(want.terms)
+    assert x.degree_in(name) == ox.degree_in(name)
+    assert (x == y) == (ox == oy)
+    try:
+        want = ox.coords()
+    except ValueError:
+        with pytest.raises(ValueError):
+            x.coords()
+    else:
+        assert [(type(c), c) for c in x.coords()] == [(type(c), c) for c in want]
+
+
+def test_exponent_past_its_field_raises_instead_of_spilling():
+    top = 2 ** (exactfield._FIELD_BITS - 1) - 1
+    for k, v in enumerate((NU1, NU2, NU3, Z)):
+        name = exactfield.VARS[k]
+        x = v**top
+        assert x.degree_in(name) == top
+        assert sum(x.degree_in(other) for other in exactfield.VARS) == top
+        past = tuple(top + 1 if j == k else 0 for j in range(len(exactfield.VARS)))
+        for make in (
+            lambda: x * v,
+            lambda: v ** (top + 1),
+            lambda: (v * SQRT2 + 1) ** (top + 1),
+            lambda: x * x,
+            lambda: ExactPoly({past: 1}),
+        ):
+            with pytest.raises(OverflowError):
+                make()
+    # generator exponents of any size reduce instead of overflowing
+    assert ExactPoly({(0, 0, 0, 0, 2 * top + 3, 0, 0): 1}) == SQRT2 * 2 ** (top + 1)
+    assert I ** (4 * top + 1) == I
+
+
+def _decimal(x):
+    # a float sum of these coordinates is rounding noise; 300 digits are not
+    with localcontext() as ctx:
+        ctx.prec = 300
+        q0, q2, q3, q6 = (Decimal(q.numerator) / q.denominator for q in map(Fraction, x.real_coords()))
+        return q0 + q2 * Decimal(2).sqrt() + q3 * Decimal(3).sqrt() + q6 * Decimal(6).sqrt()
+
+
+def _tiny_elements():
+    # near-cancelling elements, with |x| < 2^-60
+    yield (SQRT2 - 1) ** 50
+    yield -((SQRT3 - SQRT2) ** 40)
+    yield (SQRT6 - 2) ** 55
+    yield (5 - SQRT6 * 2) ** 29
+    rlo = math.isqrt(2 << 160)
+    yield SQRT2 - Fraction(rlo, 1 << 80)
+    yield Fraction(rlo + 1, 1 << 80) - SQRT2
+    yield (SQRT3 - 1) ** 2 - (4 - SQRT3 * 2)  # exactly 0
+
+
+def test_sign_matches_the_fraction_interval_sign():
+    rnd = random.Random(2605)
+
+    def rational():
+        return Fraction(rnd.randint(-60, 60), rnd.randint(1, 40))
+
+    elements = [ExactPoly(), ONE - 1, HALF, -HALF, ExactPoly.const(Fraction(-7, 3)), SQRT2 - SQRT2]
+    tiny = list(_tiny_elements())
+    assert all(abs(_decimal(x)) < Decimal(2) ** -60 for x in tiny)
+    elements += tiny
+    elements += [x * rational() for x in tiny]
+    for _ in range(200):
+        q = [rational() if rnd.random() < 0.7 else 0 for _ in range(4)]
+        elements.append(q[0] + SQRT2 * q[1] + SQRT3 * q[2] + SQRT6 * q[3])
+    assert any(x.is_zero() for x in elements)
+    assert any(x.real_coords()[0] and not any(x.real_coords()[1:]) for x in elements)
+    for x in elements:
+        for start_bits in (4, 64):
+            assert alg_sign(x, start_bits) == fraction_alg_sign(*x.real_coords(), start_bits)
