@@ -155,8 +155,7 @@ def _load_certificate(path: str) -> ZeroCertificate:
 
 
 def cmd_lift(args) -> int:
-    cert = _load_certificate(args.cert)
-    zerofind.recheck(cert)
+    cert = zerofind.recheck(_load_certificate(args.cert))
     _emit_certificate(zerofind.lift_zero(cert), args.out)
     return EXIT_OK
 

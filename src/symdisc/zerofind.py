@@ -3,29 +3,22 @@
 The dimension-3 construction scales a fixed unimodular triple slightly
 into the polydisc, solves the closed-form quadratic for the ratio of the
 two nonzero mu coordinates, and certifies that the kernel vanishes at
-the resulting pair.  Higher dimensions are reached inductively: append
-a common coordinate t = sqrt(1 - s) to both tuples, on the fixed ladder
-s = 2^-1, 2^-2, ..., and move the first lambda coordinate to the nearest
-root of the fiber polynomial (kernel.fiber_coefficients), whose roots are
-exactly the first coordinates at which the lifted kernel vanishes.  The
-minor permanents behind the fiber polynomials of all the rungs come from
-one stacked call (kernel.fiber_minors).  A closed-form zero-exclusion
-bound on the same minors (kernel.fiber_zero_free) clears most rungs below
-the accepted one, whose roots lie far outside the search disc, so only
-the others have their polynomial assembled and solved.  The float root
-certifies as it stands.
+the resulting pair.  Higher dimensions are reached inductively
+(lift_zero): append a common coordinate t near 1 to both tuples and move
+the first lambda coordinate to the nearest root of the fiber polynomial,
+whose roots are exactly the first coordinates at which the lifted kernel
+vanishes.
 
-Certification is post hoc throughout: K = per C / (pi^n prod B), and
-an emitted certificate stores the cancellation ratio |per C| / per |C|
-at its points, with per C exact at the stored float coordinates
+Certification is post hoc throughout: K = per C / (pi^n prod B), and a
+certificate stores the cancellation ratio |per C| / per |C| at its
+points, with per C exact at the stored float coordinates
 (kernel.permanent_exact) and per |C| in floats.  The ratio is at most 1
-and does not change when the matrix C is scaled, so one tolerance
-serves every n.  The slice witness only has to show per C != 0 at one
-point of the first slot's slice, x = 0, far from a zero: it takes the
-float ratio there, less a forward-error bound on Glynn's sum
-(kernel.numerator_error), so the exact permanent runs once per
-certificate, for its residual.  recheck re-runs both tests on a chain
-read back.  count_zeros_disc, a winding-number zero count, is a
+and does not change when C is scaled, so a construction has one
+tolerance for every n.  The slice witness shows per C != 0 at x = 0 of
+the first slot's slice by the float ratio there, less a forward-error
+bound (kernel.numerator_error).  _certified is the one step that makes a
+node; recheck rebuilds a chain read back through it, from the stored
+coordinates alone.  count_zeros_disc, a winding-number zero count, is a
 standalone tool; the lift does not use it.
 """
 
@@ -33,7 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,12 +90,17 @@ _LIFT_CANDIDATES = 24
 _SCREEN_MARGIN = 2.0
 
 
+def _tolerance(construction: str) -> float:
+    """The residual tolerance of a construction, looked up at call time."""
+    return DEFAULT_TOL_DIM3 if construction == "dim3" else DEFAULT_TOL_LIFT
+
+
 @dataclass(frozen=True)
 class FnWitness:
     """A point of the first slot's slice where per C is decisively
     nonzero, certifying the slice is not identically zero: value_abs is
     the float cancellation ratio there.  fn_nontrivial takes the point
-    x = 0; a certificate read from a file may hold another one.
+    x = 0; a file may state another, which recheck does not keep.
     """
 
     point: complex
@@ -120,7 +119,8 @@ class ZeroCertificate:
     JSON); both are re-checkable via recertify().  The witness value_abs
     is the same ratio at the witness point with per C in floats
     (fn_nontrivial), which exceeds WITNESS_FACTOR times the tolerance by
-    more than its error bound.
+    more than its error bound.  The tolerance is the construction's
+    (_tolerance); a file states it but cannot set it.
     """
 
     n: int
@@ -130,13 +130,17 @@ class ZeroCertificate:
     kernel_abs: float
     construction: str
     fn_witness: FnWitness
-    tolerances: dict = field(default_factory=dict)
     parent: Optional["ZeroCertificate"] = None
 
     @property
     def tolerance(self) -> float:
-        """The residual tolerance the certificate was certified against."""
-        return self.tolerances.get("residual_rel", DEFAULT_TOL_LIFT)
+        """The residual tolerance of the node's construction."""
+        return _tolerance(self.construction)
+
+    @property
+    def tolerances(self) -> MappingProxyType:
+        """The tolerance as the file states it: {"residual_rel": tolerance}."""
+        return MappingProxyType({"residual_rel": self.tolerance})
 
     def nodes(self):
         """The certificate and its ancestors, from it to the root."""
@@ -146,6 +150,11 @@ class ZeroCertificate:
             node = node.parent
 
     def validate(self) -> None:
+        """What a record must state, checked without recomputing anything;
+        whether its residual, kernel modulus and witness are true of its
+        coordinates is for recheck, which recomputes them."""
+        if self.construction not in ("dim3", "lift"):
+            raise CertificationFailure(f"unknown construction {self.construction!r}")
         if len(self.lam) != self.n or len(self.mu) != self.n:
             raise CertificationFailure("certificate dimension mismatch")
         for c in (*self.lam, *self.mu):
@@ -194,10 +203,7 @@ class ZeroCertificate:
             raise ValueError(f"unsupported certificate version: {data.get('version')}")
         wit = _field(data, "fn_witness", dict)
         kernel_abs = _field(data, "kernel_abs", (*_NUMBER, type(None)))
-        tolerances = data.get("tolerances", {})
-        if not (isinstance(tolerances, dict) and all(isinstance(t, _NUMBER) for t in tolerances.values())):
-            raise ValueError(f"certificate field 'tolerances' is not a map to numbers: {tolerances!r}")
-        return cls(
+        cert = cls(
             n=_field(data, "n", int),
             lam=tuple(_point(p, "lambda") for p in _field(data, "lambda", list)),
             mu=tuple(_point(p, "mu") for p in _field(data, "mu", list)),
@@ -208,9 +214,12 @@ class ZeroCertificate:
                 point=_point(_field(wit, "point", list), "fn_witness.point"),
                 value_abs=_field(wit, "value_abs", _NUMBER),
             ),
-            tolerances=dict(tolerances),
             parent=cls.from_dict(data["parent"]) if data.get("parent") else None,
         )
+        stated = data.get("tolerances", cert.tolerances)
+        if stated != cert.tolerances:  # the construction sets the bar, not the file
+            raise ValueError(f"certificate field 'tolerances' is {stated}, not {dict(cert.tolerances)}")
+        return cert
 
 
 _NUMBER = (int, float)
@@ -241,7 +250,8 @@ def _cancellation(lam, mu) -> tuple[float, float]:
     Fails closed: a zero or non-finite per |C| or pi^n prod B raises
     instead of giving a ratio of 0.
     """
-    ev = kernel_gn(lam, mu)
+    with np.errstate(over="ignore"):  # K itself overflows near n = 12 and is not read
+        ev = kernel_gn(lam, mu)
     den = abs(ev.denominator)
     if not (0 < ev.scale < math.inf and 0 < den < math.inf):
         raise CertificationFailure(
@@ -257,22 +267,22 @@ def recertify(cert: ZeroCertificate) -> dict:
     return {"residual_rel": residual, "kernel_abs": kernel_abs}
 
 
-def recheck(cert: ZeroCertificate) -> None:
-    """validate() every node of the certificate's chain, then recompute its
-    residual and re-run fn_nontrivial at its stored tolerance, so a node
-    passes exactly when the construction would certify it; raises
-    CertificationFailure naming the first node that fails."""
-    for node in cert.nodes():
+def recheck(cert: ZeroCertificate) -> ZeroCertificate:
+    """The certificate's chain rebuilt from its stored coordinates alone:
+    root first, each node has to pass validate() as stored, and _certified
+    makes it anew from recertify's residual and modulus on the rebuilt
+    parent, so no stored number reaches the result.  Raises
+    CertificationFailure naming the first node, from the root, that fails."""
+    rebuilt = None
+    for node in reversed(list(cert.nodes())):
         try:
             node.validate()
-            residual = recertify(node)["residual_rel"]
-            if not residual <= node.tolerance:
-                raise CertificationFailure(
-                    f"residual recomputes to {residual:.3e}, above its tolerance {node.tolerance:.1e}"
-                )
-            fn_nontrivial(node.lam, node.mu, node.tolerance)
+            again = recertify(node)
+            residual, kernel_abs = again["residual_rel"], again["kernel_abs"]
+            rebuilt = _certified(node.lam, node.mu, residual, kernel_abs, node.construction, rebuilt)
         except (CertificationFailure, WitnessNotFound) as exc:
             raise CertificationFailure(f"node n={node.n}: {exc}") from exc
+    return rebuilt
 
 
 # --- quadratic ----------------------------------------------------------------
@@ -345,7 +355,8 @@ def fn_nontrivial(lam, mu, tol: float) -> FnWitness:
     and 6e-4 at n = 12.  Where it is not decisive (a nan included),
     WitnessNotFound is raised.
     """
-    ev, error = kernel_gn_with_error((0j, *lam[1:]), mu)
+    with np.errstate(over="ignore"):  # as in _cancellation, K is not read
+        ev, error = kernel_gn_with_error((0j, *lam[1:]), mu)
     if not 0 < ev.scale < math.inf:
         raise CertificationFailure(f"per |C| = {ev.scale:.3e} must be finite and nonzero")
     ratio, bound = abs(ev.numerator) / ev.scale, error / ev.scale
@@ -358,20 +369,12 @@ def fn_nontrivial(lam, mu, tol: float) -> FnWitness:
     return FnWitness(point=0j, value_abs=ratio)
 
 
-def _certified(lam, mu, residual, kernel_abs, construction, tol, parent=None) -> ZeroCertificate:
-    """The certificate of a pair, with its slice witness at tolerance tol;
-    validate() rejects it unless the residual lies within tol."""
-    cert = ZeroCertificate(
-        n=len(lam),
-        lam=lam,
-        mu=mu,
-        residual_rel=residual,
-        kernel_abs=kernel_abs,
-        construction=construction,
-        fn_witness=fn_nontrivial(lam, mu, tol),
-        tolerances={"residual_rel": tol},
-        parent=parent,
-    )
+def _certified(lam, mu, residual, kernel_abs, construction, parent=None) -> ZeroCertificate:
+    """The one step that makes a certificate node, new or rebuilt by
+    recheck: the slice witness at the construction's tolerance, and
+    validate(), which rejects a residual above it."""
+    witness = fn_nontrivial(lam, mu, _tolerance(construction))
+    cert = ZeroCertificate(len(lam), lam, mu, residual, kernel_abs, construction, witness, parent)
     cert.validate()
     return cert
 
@@ -408,8 +411,7 @@ def construct_zero_dim3(
     lam = tuple(v / mu1.conjugate() for v in nu)
     mu = (mu1, z.conjugate() * mu1, 0j)
 
-    residual, kernel_abs = _cancellation(lam, mu)
-    return _certified(lam, mu, residual, kernel_abs, "dim3", DEFAULT_TOL_DIM3)
+    return _certified(lam, mu, *_cancellation(lam, mu), "dim3")
 
 
 # --- winding counts ------------------------------------------------------------
@@ -459,11 +461,9 @@ def count_zeros_disc(
     prev = winding(n_samples)
     while n_samples < max_samples:
         n_samples *= 2
-        cur = winding(n_samples)
-        if abs(cur - prev) < 0.01:
-            prev = cur
+        last, prev = prev, winding(n_samples)
+        if abs(prev - last) < 0.01:
             break
-        prev = cur
     count = round(prev.real)
     gap = abs(prev - count)
     if gap > 0.1:
@@ -532,7 +532,7 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
             rejected["residual above tolerance"] += 1
             best = min(best, residual)
             continue
-        return _certified(new_lam, new_mu, residual, kernel_abs, "lift", tol, parent=cert)
+        return _certified(new_lam, new_mu, residual, kernel_abs, "lift", parent=cert)
     reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
     raise CertificationFailure(
         f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "

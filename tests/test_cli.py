@@ -197,7 +197,20 @@ def test_lift_rechecks_the_loaded_residual(tmp_path, capsys):
     path = _tampered(tmp_path, "moved.json", move)
     assert ZeroCertificate.from_dict(json.loads(path.read_text())).validate() is None
     assert run(["lift", "--cert", str(path), "--out", str(tmp_path / "c4.json")]) == 3
-    assert "recomputes" in capsys.readouterr().err
+    assert "node n=3: residual 7.612e-07 exceeds tolerance 1.0e-10" in capsys.readouterr().err
+    assert not (tmp_path / "c4.json").exists()
+
+
+def test_lift_holds_a_node_without_tolerances_to_its_construction(tmp_path, capsys):
+    # 23 times the dim3 tolerance, but within the lift tolerance a missing
+    # field once fell back to
+    def move(data):
+        data["lambda"][0][0] += 3e-9
+        del data["tolerances"]
+
+    path = _tampered(tmp_path, "moved.json", move)
+    assert run(["lift", "--cert", str(path), "--out", str(tmp_path / "c4.json")]) == 3
+    assert "node n=3: residual 2.284e-09 exceeds tolerance 1.0e-10" in capsys.readouterr().err
     assert not (tmp_path / "c4.json").exists()
 
 
@@ -213,22 +226,38 @@ def test_lift_rechecks_every_ancestor(tmp_path, capsys):
         node.validate()
     capsys.readouterr()
     assert run(["lift", "--cert", str(c5), "--out", str(c6)]) == 3
-    assert "node n=3: residual recomputes to" in capsys.readouterr().err
+    assert "node n=3: residual 4.035e-01 exceeds tolerance 1.0e-10" in capsys.readouterr().err
     assert not c6.exists()
 
 
-def test_lift_reruns_the_witness_test_at_the_stored_tolerance(tmp_path, capsys):
-    # a raised tolerance passes validate() and the residual check, but the
-    # n = 6 witness ratio, 0.68, is not above 1e3 times 1e-3
-    c7, c8 = tmp_path / "c7.json", tmp_path / "c8.json"
-    assert run(["find-zero", "7", "--out", str(c7)]) == 0
-    data = json.loads(c7.read_text())
-    data["parent"]["tolerances"]["residual_rel"] = 1e-3
-    c7.write_text(json.dumps(data))
+def test_lift_rejects_a_stored_tolerance_that_is_not_the_constructions(tmp_path, capsys):
+    # the moved n = 6 node recomputes to 7.6e-8, within the raised 1e-5 the
+    # file states but not the lift tolerance 1e-8: the file cannot set it
+    c6, c7 = tmp_path / "c6.json", tmp_path / "c7.json"
+    assert run(["find-zero", "6", "--out", str(c6)]) == 0
+    data = json.loads(c6.read_text())
+    data["lambda"][0][0] += 1e-7
+    data["tolerances"]["residual_rel"] = 1e-5
+    c6.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run(["lift", "--cert", str(c7), "--out", str(c8)]) == 3
-    assert "node n=6: slice ratio" in capsys.readouterr().err
-    assert not c8.exists()
+    assert run(["lift", "--cert", str(c6), "--out", str(c7)]) == 2
+    assert "certificate field 'tolerances' is {'residual_rel': 1e-05}" in capsys.readouterr().err
+    assert not c7.exists()
+
+
+def test_lift_writes_the_rebuilt_chain_not_the_stored_numbers(tmp_path, capsys):
+    # a tampered witness is not checked against anything: recheck replaces it
+    c5, bad, good_out, bad_out = (tmp_path / name for name in ("c5.json", "bad.json", "c6.json", "bad6.json"))
+    assert run(["find-zero", "5", "--out", str(c5)]) == 0
+    data = json.loads(c5.read_text())
+    data["fn_witness"]["value_abs"] = 123
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["lift", "--cert", str(c5), "--out", str(good_out)]) == 0
+    printed = capsys.readouterr().out
+    assert run(["lift", "--cert", str(bad), "--out", str(bad_out)]) == 0
+    assert capsys.readouterr().out == printed and "witness_abs=1.230e+02" not in printed
+    assert bad_out.read_bytes() == good_out.read_bytes()
 
 
 def test_lift_validates_the_loaded_certificate(tmp_path, capsys):
@@ -323,7 +352,7 @@ def _string_tolerance(data):
         (_top_level_list, "a certificate is a JSON object, not list"),
         (_no_witness, "certificate has no 'fn_witness' field"),
         (_string_coordinate, "certificate field 'mu' holds ["),
-        (_string_tolerance, "certificate field 'tolerances' is not a map to numbers"),
+        (_string_tolerance, "certificate field 'tolerances' is {'residual_rel': '1e-8'}, not {'residual_rel': 1e-10}"),
     ],
     ids=["top-level-list", "no-witness", "string-coordinate", "string-tolerance"],
 )

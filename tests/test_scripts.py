@@ -30,7 +30,7 @@ def test_reproduce_paper_smoke(tmp_path):
     assert chain["n"] == 4 and chain["parent"]["n"] == 3
     # the n = 3 file holds one node and the n = 4 file two
     assert re.search(
-        r"^read-back: 3 nodes of 2 certificate files validated and recertified in \d+\.\d{3}s$",
+        r"^read-back: 3 nodes of 2 certificate files rebuilt and matched in \d+\.\d{3}s$",
         proc.stdout,
         re.MULTILINE,
     ), proc.stdout
@@ -57,10 +57,35 @@ def test_reproduce_paper_writes_and_reads_one_file_at_max_n_3(tmp_path, monkeypa
     assert calls.count("find-zero") == 1
     assert sorted(p.name for p in tmp_path.glob("certificate_*")) == ["certificate_n3.json"]
     assert re.search(
-        r"^read-back: 1 nodes of 1 certificate files validated and recertified in \d+\.\d{3}s$",
+        r"^read-back: 1 nodes of 1 certificate files rebuilt and matched in \d+\.\d{3}s$",
         capsys.readouterr().out,
         re.MULTILINE,
     )
+
+
+def test_reproduce_paper_fails_on_a_file_edited_between_write_and_read(tmp_path, monkeypatch, capsys):
+    # a witness set to 123 passes recheck, which replaces it, but the
+    # rebuilt chain no longer writes the file that was read
+    script = _load_script()
+    main = script.cli.main
+
+    def edit_after_find_zero(argv):
+        code = main(argv)
+        if argv[0] == "find-zero" and argv[1] == "4":
+            path = Path(argv[-1])
+            data = json.loads(path.read_text())
+            data["fn_witness"]["value_abs"] = 123
+            path.write_text(json.dumps(data))
+        return code
+
+    monkeypatch.setattr(script.cli, "main", edit_after_find_zero)
+    argv = ["reproduce_paper.py", "--max-n", "4", "--samples", "10", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert script.main() == 1
+    printed = capsys.readouterr().out
+    assert "read-back failed: certificate_n4.json differs from the chain rebuilt from its coordinates" in printed
+    assert "read-back failed: certificate_n3.json" not in printed
+    assert not (tmp_path / "sampling_g2_full.json").exists()
 
 
 def test_reproduce_paper_exits_nonzero_when_a_read_back_fails(tmp_path, monkeypatch, capsys):
@@ -76,5 +101,5 @@ def test_reproduce_paper_exits_nonzero_when_a_read_back_fails(tmp_path, monkeypa
     monkeypatch.setattr(sys, "argv", argv)
     assert script.main() == 1
     printed = capsys.readouterr().out
-    assert "read-back failed: certificate_n4.json, node n=4: residual recomputes to 1.000e+00" in printed
+    assert "read-back failed: certificate_n4.json, node n=4: residual 1.000e+00 exceeds tolerance 1.0e-08" in printed
     assert not (tmp_path / "sampling_g2_full.json").exists()

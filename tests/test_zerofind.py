@@ -333,15 +333,39 @@ def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
         recertify(dim3_cert)
 
 
-def test_recheck_names_the_first_failing_node_from_the_top(chain7):
+def test_recheck_names_the_first_failing_node_from_the_root(chain7):
+    # nodes are rebuilt in the order a chain is built
     data = chain7.to_dict()
     data["parent"]["residual_rel"] = 1.0  # the n = 6 node fails validate()
     data["parent"]["parent"]["parent"]["parent"]["lambda"][0] = [0.5, 0.5]  # n = 3
-    with pytest.raises(CertificationFailure, match=r"^node n=6: residual 1\.000e\+00 exceeds"):
+    with pytest.raises(CertificationFailure, match=r"^node n=3: residual 4\.035e-01 exceeds tolerance 1\.0e-10$"):
         recheck(ZeroCertificate.from_dict(data))
-    data["parent"]["residual_rel"] = chain7.parent.residual_rel
-    with pytest.raises(CertificationFailure, match=r"^node n=3: residual recomputes to 4\.0"):
+    data["parent"]["parent"]["parent"]["parent"]["lambda"] = chain7.to_dict()["parent"]["parent"]["parent"]["parent"]["lambda"]
+    with pytest.raises(CertificationFailure, match=r"^node n=6: residual 1\.000e\+00 exceeds tolerance 1\.0e-08$"):
         recheck(ZeroCertificate.from_dict(data))
+
+
+def test_recheck_rebuilds_the_unchanged_chain(chain7):
+    assert recheck(ZeroCertificate.from_dict(chain7.to_dict())) == chain7
+
+
+def test_validate_rejects_an_unknown_construction(dim3_cert):
+    with pytest.raises(CertificationFailure, match="unknown construction 'polish'"):
+        replace(dim3_cert, construction="polish").validate()
+    data = dim3_cert.to_dict()
+    data["construction"] = "polish"
+    del data["tolerances"]
+    with pytest.raises(CertificationFailure, match="^node n=3: unknown construction 'polish'$"):
+        recheck(ZeroCertificate.from_dict(data))
+
+
+def test_tolerance_is_the_constructions_and_read_only(dim3_cert, chain7, monkeypatch):
+    assert dim3_cert.tolerance == zerofind.DEFAULT_TOL_DIM3 and chain7.tolerance == zerofind.DEFAULT_TOL_LIFT
+    assert chain7.to_dict()["tolerances"] == {"residual_rel": 1e-8}
+    with pytest.raises(TypeError):
+        chain7.tolerances["residual_rel"] = 1.0
+    monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)  # looked up at call time
+    assert chain7.tolerances == {"residual_rel": 1e-300}
 
 
 def test_chain7_written_before_the_cancellation_residual_still_checks():
@@ -351,6 +375,25 @@ def test_chain7_written_before_the_cancellation_residual_still_checks():
     assert [node.n for node in cert.nodes()] == [7, 6, 5, 4, 3]
     _assert_every_node_checks(cert)
     recheck(cert)
+
+
+def test_recheck_rebuilds_the_v1_chain_with_todays_numbers():
+    # the file's residuals and witnesses have schema 1's meaning (witness
+    # values up to 3e20); the rebuilt chain keeps only its coordinates
+    stored = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
+    rebuilt = recheck(stored)
+    assert [node.n for node in rebuilt.nodes()] == [7, 6, 5, 4, 3]
+    for old, new in zip(stored.nodes(), rebuilt.nodes()):
+        assert (new.lam, new.mu, new.construction) == (old.lam, old.mu, old.construction)
+        assert {"residual_rel": new.residual_rel, "kernel_abs": new.kernel_abs} == recertify(old)
+        assert new.fn_witness.value_abs <= 1 < old.fn_witness.value_abs
+
+
+def test_chain12_builds_without_a_runtime_warning():
+    # the suite turns RuntimeWarning into an error: K overflows at n = 12,
+    # and the residual and the witness read per C and per |C| only
+    cert = build_certificate_chain(12)
+    assert cert.n == 12 and cert.kernel_abs == math.inf
 
 
 def test_lift_one_step(dim3_cert):
