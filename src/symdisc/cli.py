@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import exactfield, kernel, zerofind
-from .errors import InvalidScaling, SymdiscError
+from .errors import CertificationFailure, InvalidScaling, SymdiscError
 from .zerofind import ZeroCertificate
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _emit_certificate(cert: ZeroCertificate, out: str | None) -> None:
         print(
             f"n={node.n} construction={node.construction} "
             f"residual_rel={node.residual_rel:.3e} kernel_abs={node.kernel_abs:.3e} "
-            f"witness_abs={node.fn_witness.value_abs:.3e}"
+            f"witness_abs={node.witness_abs:.3e}"
         )
     if not out:
         print(text)
@@ -163,6 +163,11 @@ def cmd_lift(args) -> int:
 # --- eval ----------------------------------------------------------------------
 
 
+def _json_number(x: float) -> float | None:
+    """x, or None (null) where it is not finite: JSON has no inf or nan."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_eval(args) -> int:
     lam = tuple(args.lam)
     mu = tuple(args.mu)
@@ -176,15 +181,17 @@ def cmd_eval(args) -> int:
     if outside:
         print(f"eval: coordinates not in the open unit disc: {outside}", file=sys.stderr)
         return EXIT_USAGE
-    ev, error = kernel.kernel_gn_with_error(lam, mu)
+    # K overflows near n = 12: inf in text, null in JSON, and no warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ev, error = kernel.kernel_gn_with_error(lam, mu)
     if args.fmt == "json":
         payload = {
-            "value": [ev.value.real, ev.value.imag],
-            "abs": abs(ev.value),
-            "permanent": [ev.numerator.real, ev.numerator.imag],
-            "permanent_error": error,
-            "scale": ev.scale,
-            "permanent_rel": abs(ev.numerator) / ev.scale,
+            "value": [_json_number(ev.value.real), _json_number(ev.value.imag)],
+            "abs": _json_number(abs(ev.value)),
+            "permanent": [_json_number(ev.numerator.real), _json_number(ev.numerator.imag)],
+            "permanent_error": _json_number(error),
+            "scale": _json_number(ev.scale),
+            "permanent_rel": _json_number(abs(ev.numerator) / ev.scale),
         }
         _write_chunks(args.out, [json.dumps(payload, indent=2, sort_keys=True)])
     else:
@@ -236,7 +243,10 @@ def cmd_grid(args) -> int:
     # validate() only: the grid certifies nothing, and a recheck would add
     # an exact permanent per node of the chain to every grid job
     cert = _load_certificate(args.around)
-    cert.validate()
+    try:
+        cert.validate()
+    except CertificationFailure as exc:
+        raise CertificationFailure(f"node n={cert.n}: {exc}") from exc
     lam = np.asarray(cert.lam, dtype=complex)
     mu = np.asarray(cert.mu, dtype=complex)
     res = args.res

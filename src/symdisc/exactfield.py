@@ -511,16 +511,11 @@ def verify_base_point_identities(fault: str | None = None) -> VerificationReport
     # discriminant and sign pattern of p (real arithmetic from here on)
     disc = pb * pb - 4 * pa * pc
     rep.add("p-disc", "discriminant of p equals 80*sqrt3 - 138", disc == SQRT3 * 80 - 138)
-    rep.add("p-disc-pos", "discriminant is positive", alg_sign(disc) > 0)
-    p0 = pc
-    p1_val = pa + pb + pc
-    rep.add("p-at-0", "p(0) > 0", alg_sign(p0) > 0)
-    rep.add("p-at-1", "p(1) < 0", alg_sign(p1_val) < 0)
-    rep.add(
-        "p-root-in-01",
-        "p has a real root strictly between 0 and 1",
-        alg_sign(disc) > 0 and alg_sign(p0) > 0 and alg_sign(p1_val) < 0,
-    )
+    disc_pos, p0_pos, p1_neg = alg_sign(disc) > 0, alg_sign(pc) > 0, alg_sign(pa + pb + pc) < 0
+    rep.add("p-disc-pos", "discriminant is positive", disc_pos)
+    rep.add("p-at-0", "p(0) > 0", p0_pos)
+    rep.add("p-at-1", "p(1) < 0", p1_neg)
+    rep.add("p-root-in-01", "p has a real root strictly between 0 and 1", disc_pos and p0_pos and p1_neg)
     return rep
 
 

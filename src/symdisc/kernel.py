@@ -342,12 +342,6 @@ def fiber_zero_free(pers, mus, center, radius) -> np.ndarray:
         return (gap > 0).all(axis=-1) & (np.abs(value) > radius * np.abs(slope) + tail + rounding)
 
 
-def fiber_polynomial(rest, mu) -> np.ndarray:
-    """fiber_coefficients of the single fiber (rest; mu)."""
-    pers, _ = fiber_minors([rest], [mu])
-    return fiber_coefficients(pers[0], mu)
-
-
 def fiber_kernel(x, rest, mu) -> np.ndarray:
     """Kernel values K((x, *rest), mu) for an array x of first coordinates.
 

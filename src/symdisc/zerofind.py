@@ -90,52 +90,46 @@ _LIFT_CANDIDATES = 24
 _SCREEN_MARGIN = 2.0
 
 
-def _tolerance(construction: str) -> float:
-    """The residual tolerance of a construction, looked up at call time."""
-    return DEFAULT_TOL_DIM3 if construction == "dim3" else DEFAULT_TOL_LIFT
-
-
-@dataclass(frozen=True)
-class FnWitness:
-    """A point of the first slot's slice where per C is decisively
-    nonzero, certifying the slice is not identically zero: value_abs is
-    the float cancellation ratio there.  fn_nontrivial takes the point
-    x = 0; a file may state another, which recheck does not keep.
-    """
-
-    point: complex
-    value_abs: float
+def _tolerance(parent) -> float:
+    """The residual tolerance of a node under parent (None at a root), looked up at call time."""
+    return DEFAULT_TOL_DIM3 if parent is None else DEFAULT_TOL_LIFT
 
 
 @dataclass(frozen=True)
 class ZeroCertificate:
-    """Machine-checkable record of a kernel zero.
+    """Machine-checkable record of a kernel zero, one node of a chain.
 
-    lambda/mu are in-domain tuples with pairwise distinct coordinates.
-    With B_jk = 1 - lambda_j conj(mu_k) and C = 1/B, residual_rel is the
-    cancellation ratio |per C| / per |C| at the pair (per C exact at the
-    stored coordinates, rounded once; per |C| in floats) and kernel_abs
-    is |per C| / |pi^n prod B| = |K| (inf where it overflows, null in
-    JSON); both are re-checkable via recertify().  The witness value_abs
-    is the same ratio at the witness point with per C in floats
-    (fn_nontrivial), which exceeds WITNESS_FACTOR times the tolerance by
-    more than its error bound.  The tolerance is the construction's
-    (_tolerance); a file states it but cannot set it.
+    A node stores only facts: lambda/mu are in-domain tuples with pairwise
+    distinct coordinates; with B_jk = 1 - lambda_j conj(mu_k) and C = 1/B,
+    residual_rel is the cancellation ratio |per C| / per |C| at the pair
+    (per C exact at the stored coordinates, rounded once; per |C| in
+    floats) and kernel_abs is |per C| / |pi^n prod B| = |K| (inf where it
+    overflows, null in JSON), both re-checkable via recertify();
+    witness_abs is the same ratio with per C in floats at x = 0 of the
+    first slot's slice (fn_nontrivial).  The rest follows from the chain:
+    n is the coordinate count, the construction is dim3 at a root and
+    lift under a parent, and the tolerance is the construction's.
     """
 
-    n: int
     lam: tuple[complex, ...]
     mu: tuple[complex, ...]
     residual_rel: float
     kernel_abs: float
-    construction: str
-    fn_witness: FnWitness
+    witness_abs: float
     parent: Optional["ZeroCertificate"] = None
+
+    @property
+    def n(self) -> int:
+        return len(self.lam)
+
+    @property
+    def construction(self) -> str:
+        return "dim3" if self.parent is None else "lift"
 
     @property
     def tolerance(self) -> float:
         """The residual tolerance of the node's construction."""
-        return _tolerance(self.construction)
+        return _tolerance(self.parent)
 
     @property
     def tolerances(self) -> MappingProxyType:
@@ -150,30 +144,30 @@ class ZeroCertificate:
             node = node.parent
 
     def validate(self) -> None:
-        """What a record must state, checked without recomputing anything;
-        whether its residual, kernel modulus and witness are true of its
-        coordinates is for recheck, which recomputes them."""
-        if self.construction not in ("dim3", "lift"):
-            raise CertificationFailure(f"unknown construction {self.construction!r}")
-        if len(self.lam) != self.n or len(self.mu) != self.n:
+        """What a record must state, checked without recomputing anything
+        (recheck recomputes the residual, modulus and witness).  A root has 3
+        coordinates; a node with a parent has one more, keeps the parent's
+        lambda_2..lambda_n and shares its appended coordinate.  The mu before
+        it are not compared: schema-1 files polished them between nodes."""
+        n, parent = self.n, self.parent
+        if len(self.mu) != n:
             raise CertificationFailure("certificate dimension mismatch")
+        want = 3 if parent is None else parent.n + 1
+        if n != want:
+            raise CertificationFailure(f"a {self.construction} node has {want} coordinates, not {n}")
+        if parent is not None and self.lam[1:] != (*parent.lam[1:], self.mu[-1]):
+            raise CertificationFailure("a lift keeps lambda_2..lambda_n and shares its new coordinate")
         for c in (*self.lam, *self.mu):
             if not abs(c) < 1.0:  # fails closed on nan
                 raise CertificationFailure(f"coordinate {c} not in the unit disc")
-        if len(set(self.lam)) != self.n or len(set(self.mu)) != self.n:
+        if len(set(self.lam)) != n or len(set(self.mu)) != n:
             raise CertificationFailure("coordinates are not pairwise distinct")
         if not self.residual_rel <= self.tolerance:
             raise CertificationFailure(
                 f"residual {self.residual_rel:.3e} exceeds tolerance {self.tolerance:.1e}"
             )
-        if self.construction == "lift" and self.lam[-1] != self.mu[-1]:
-            raise CertificationFailure("lifted certificate must share its appended coordinate")
-        witness = self.fn_witness
-        if not (0 < witness.value_abs < math.inf and cmath.isfinite(witness.point)):
-            raise CertificationFailure(
-                f"slice witness {witness.value_abs!r} at {witness.point!r} must be finite, "
-                "positive and at a finite point"
-            )
+        if not 0 < self.witness_abs < math.inf:
+            raise CertificationFailure(f"slice witness {self.witness_abs!r} must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
@@ -186,36 +180,40 @@ class ZeroCertificate:
             "kernel_abs": self.kernel_abs if math.isfinite(self.kernel_abs) else None,
             "construction": self.construction,
             "parent": self.parent.to_dict() if self.parent else None,
-            "fn_witness": {
-                "point": [self.fn_witness.point.real, self.fn_witness.point.imag],
-                "value_abs": self.fn_witness.value_abs,
-            },
+            "fn_witness": {"point": [0.0, 0.0], "value_abs": self.witness_abs},
             "tolerances": dict(self.tolerances),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ZeroCertificate":
         """The certificate a to_dict() record holds; a record of another
-        shape raises ValueError naming the field at fault."""
+        shape raises ValueError naming the field at fault, and one whose n or
+        construction contradicts the chain, or whose witness point (otherwise
+        not kept) is not finite, raises CertificationFailure naming the node."""
         if not isinstance(data, dict):
             raise ValueError(f"a certificate is a JSON object, not {type(data).__name__}")
         if data.get("version") != 1:
             raise ValueError(f"unsupported certificate version: {data.get('version')}")
         wit = _field(data, "fn_witness", dict)
         kernel_abs = _field(data, "kernel_abs", (*_NUMBER, type(None)))
+        stated_n, construction = _field(data, "n", int), _field(data, "construction", str)
+        point = _point(_field(wit, "point", list), "fn_witness.point")
         cert = cls(
-            n=_field(data, "n", int),
             lam=tuple(_point(p, "lambda") for p in _field(data, "lambda", list)),
             mu=tuple(_point(p, "mu") for p in _field(data, "mu", list)),
             residual_rel=_field(data, "residual_rel", _NUMBER),
             kernel_abs=math.inf if kernel_abs is None else kernel_abs,
-            construction=_field(data, "construction", str),
-            fn_witness=FnWitness(
-                point=_point(_field(wit, "point", list), "fn_witness.point"),
-                value_abs=_field(wit, "value_abs", _NUMBER),
-            ),
+            witness_abs=_field(wit, "value_abs", _NUMBER),
             parent=cls.from_dict(data["parent"]) if data.get("parent") else None,
         )
+        for bad, fault in (
+            (stated_n != cert.n, f"certificate dimension mismatch: n={stated_n} stated"),
+            (construction not in ("dim3", "lift"), f"unknown construction {construction!r}"),
+            (construction != cert.construction, f"construction {construction!r} contradicts the parent link"),
+            (not cmath.isfinite(point), f"slice witness at {point!r} must be at a finite point"),
+        ):
+            if bad:
+                raise CertificationFailure(f"node n={cert.n}: {fault}")
         stated = data.get("tolerances", cert.tolerances)
         if stated != cert.tolerances:  # the construction sets the bar, not the file
             raise ValueError(f"certificate field 'tolerances' is {stated}, not {dict(cert.tolerances)}")
@@ -278,8 +276,7 @@ def recheck(cert: ZeroCertificate) -> ZeroCertificate:
         try:
             node.validate()
             again = recertify(node)
-            residual, kernel_abs = again["residual_rel"], again["kernel_abs"]
-            rebuilt = _certified(node.lam, node.mu, residual, kernel_abs, node.construction, rebuilt)
+            rebuilt = _certified(node.lam, node.mu, again["residual_rel"], again["kernel_abs"], rebuilt)
         except (CertificationFailure, WitnessNotFound) as exc:
             raise CertificationFailure(f"node n={node.n}: {exc}") from exc
     return rebuilt
@@ -342,11 +339,12 @@ def moment_identity_check(lam, mu) -> dict:
     return {"max_rel_diff": float(gaps.max())}
 
 
-def fn_nontrivial(lam, mu, tol: float) -> FnWitness:
-    """A decisive nonvanishing witness for the first-slot slice of the
-    pair (lam, mu), at x = 0.
+def fn_nontrivial(lam, mu, tol: float) -> float:
+    """A certificate's witness_abs: the float cancellation ratio at x = 0
+    of the first-slot slice of the pair (lam, mu), returned only where it
+    shows decisively that the slice is not identically zero.
 
-    The float cancellation ratio |per C| / per |C| of kernel_gn at
+    The ratio |per C| / per |C| of kernel_gn at
     (0, lam_2..lam_n; mu), less a bound B on its distance to the same
     ratio with per C exact (kernel.numerator_error over per |C|), has to
     exceed WITNESS_FACTOR times the tolerance tol; the float ratio then
@@ -366,15 +364,15 @@ def fn_nontrivial(lam, mu, tol: float) -> FnWitness:
             f"slice ratio {ratio:.3e} at x = 0, less its bound {bound:.1e}, "
             f"is not above {threshold:.1e}"
         )
-    return FnWitness(point=0j, value_abs=ratio)
+    return ratio
 
 
-def _certified(lam, mu, residual, kernel_abs, construction, parent=None) -> ZeroCertificate:
-    """The one step that makes a certificate node, new or rebuilt by
-    recheck: the slice witness at the construction's tolerance, and
-    validate(), which rejects a residual above it."""
-    witness = fn_nontrivial(lam, mu, _tolerance(construction))
-    cert = ZeroCertificate(len(lam), lam, mu, residual, kernel_abs, construction, witness, parent)
+def _certified(lam, mu, residual, kernel_abs, parent=None) -> ZeroCertificate:
+    """The one step that makes a node, new or rebuilt by recheck, a lift of
+    parent or a dim3 root: the slice witness at the construction's
+    tolerance, and validate(), which checks the residual and the link."""
+    witness_abs = fn_nontrivial(lam, mu, _tolerance(parent))
+    cert = ZeroCertificate(lam, mu, residual, kernel_abs, witness_abs, parent)
     cert.validate()
     return cert
 
@@ -411,7 +409,7 @@ def construct_zero_dim3(
     lam = tuple(v / mu1.conjugate() for v in nu)
     mu = (mu1, z.conjugate() * mu1, 0j)
 
-    return _certified(lam, mu, *_cancellation(lam, mu), "dim3")
+    return _certified(lam, mu, *_cancellation(lam, mu))
 
 
 # --- winding counts ------------------------------------------------------------
@@ -493,7 +491,8 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     accepted one.  Any other rung's polynomial is assembled and solved
     only when the loop reaches it.  A failure says how many rungs failed
     for which reason and how many of them the bound cleared.  The input
-    has to pass validate(), so a failing node never becomes a parent.
+    has to pass validate(), so a failing node never becomes a parent, and
+    the new node is its lift: it keeps lam_2..lam_n and shares t.
     """
     cert.validate()
     lam, mu, n = cert.lam, cert.mu, cert.n
@@ -532,7 +531,7 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
             rejected["residual above tolerance"] += 1
             best = min(best, residual)
             continue
-        return _certified(new_lam, new_mu, residual, kernel_abs, "lift", parent=cert)
+        return _certified(new_lam, new_mu, residual, kernel_abs, parent=cert)
     reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
     raise CertificationFailure(
         f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "

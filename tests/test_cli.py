@@ -260,6 +260,86 @@ def test_lift_writes_the_rebuilt_chain_not_the_stored_numbers(tmp_path, capsys):
     assert bad_out.read_bytes() == good_out.read_bytes()
 
 
+def _find_zero(tmp_path, n, *options):
+    """The record find-zero n writes."""
+    path = tmp_path / f"c{n}{''.join(options)}.json"
+    assert run(["find-zero", str(n), *options, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _refused(tmp_path, capsys, data):
+    """stderr of lift --cert and of grid --around on a record, both of which
+    have to exit 3 and write nothing."""
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    errors = []
+    for argv in (["lift", "--cert", str(path)], ["grid", "--around", str(path), "--res", "3"]):
+        assert run([*argv, "--out", str(out)]) == 3
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    return errors
+
+
+def test_a_spliced_chain_is_refused(tmp_path, capsys):
+    # the n = 7 node put directly over the n = 4 node of its own chain
+    data = _find_zero(tmp_path, 7)
+    data["parent"] = data["parent"]["parent"]["parent"]
+    for err in _refused(tmp_path, capsys, data):
+        assert "node n=7: a lift node has 5 coordinates, not 7" in err
+
+
+def test_a_node_over_another_chains_parent_is_refused(tmp_path, capsys):
+    # the same dimensions, but the n = 6 node of another chain: the n = 7
+    # node does not keep its lambda_2..lambda_6
+    data = _find_zero(tmp_path, 7)
+    data["parent"] = _find_zero(tmp_path, 6, "--rho", "0.993", "--mu1", "0.997")
+    for err in _refused(tmp_path, capsys, data):
+        assert "node n=7: a lift keeps lambda_2..lambda_n and shares its new coordinate" in err
+
+
+@pytest.mark.parametrize(
+    "path, construction, message",
+    [
+        (["parent"], "dim3", "node n=4: construction 'dim3' contradicts the parent link"),
+        (["parent", "parent"], "lift", "node n=3: construction 'lift' contradicts the parent link"),
+    ],
+    ids=["lift-relabelled-dim3", "root-relabelled-lift"],
+)
+def test_a_relabelled_node_is_refused(tmp_path, capsys, path, construction, message):
+    # a node of find-zero 5 labelled with the other construction
+    data = _find_zero(tmp_path, 5)
+    node = data
+    for key in path:
+        node = node[key]
+    node["construction"] = construction
+    node.pop("tolerances")
+    for err in _refused(tmp_path, capsys, data):
+        assert message in err
+
+
+def test_a_stated_n_other_than_the_coordinate_count_is_refused(tmp_path, capsys):
+    data = _find_zero(tmp_path, 5)
+    data["n"] = 4
+    for err in _refused(tmp_path, capsys, data):
+        assert "node n=5: certificate dimension mismatch: n=4 stated" in err
+
+
+def test_a_moved_witness_point_is_not_kept(tmp_path, capsys):
+    # the witness is taken at x = 0; a file stating another point reads as
+    # the same certificate and lifts to the same bytes
+    data = _find_zero(tmp_path, 5)
+    moved = json.loads(json.dumps(data))
+    moved["fn_witness"]["point"] = [0.3, 0.1]
+    moved["parent"]["fn_witness"]["point"] = [0.3, 0.1]
+    assert ZeroCertificate.from_dict(moved) == ZeroCertificate.from_dict(data)
+    good, bad = tmp_path / "c5.json", tmp_path / "moved.json"
+    bad.write_text(json.dumps(moved))
+    assert run(["lift", "--cert", str(good), "--out", str(tmp_path / "good6.json")]) == 0
+    assert run(["lift", "--cert", str(bad), "--out", str(tmp_path / "bad6.json")]) == 0
+    assert (tmp_path / "bad6.json").read_bytes() == (tmp_path / "good6.json").read_bytes()
+
+
 def test_lift_validates_the_loaded_certificate(tmp_path, capsys):
     def outside(data):
         data["mu"][0] = [1.0, 0.0]
@@ -406,6 +486,27 @@ def test_eval_reports_the_error_bound_of_the_float_permanent(tmp_path):
     text = tmp_path / "eval.txt"
     assert run([*argv, "--out", str(text)]) == 0
     assert f"|per C - exact per C| <= {payload['permanent_error']:.6e}" in text.read_text()
+
+
+def test_eval_writes_strict_json_where_k_overflows(tmp_path, capsys):
+    # at the top node of find-zero 12, pi^n prod B is so small that K is
+    # inf; the suite turns numpy's overflow warning into an error
+    data = _find_zero(tmp_path, 12)
+    coords = [f"{re!r},{im!r}" for re, im in (*data["lambda"], *data["mu"])]
+    argv = ["eval", "--lambda", *coords[:12], "--mu", *coords[12:]]
+    out, text = tmp_path / "eval.json", tmp_path / "eval.txt"
+    capsys.readouterr()
+    assert run([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert run([*argv, "--out", str(text)]) == 0
+    assert capsys.readouterr().err == ""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    assert payload["abs"] is None and payload["value"] == [None, None]
+    assert 0 < payload["permanent_rel"] < 1e-8 and math.isfinite(payload["scale"])
+    assert "(|K| = inf)" in text.read_text()
 
 
 def test_eval_dimension_mismatch(capsys):

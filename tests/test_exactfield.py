@@ -186,6 +186,24 @@ def test_verify_base_point_identities_fault_injection():
     assert failures[0].name == "p-subst"
 
 
+def test_verify_base_point_identities_decides_each_sign_once(monkeypatch):
+    # a count, not a time: p-root-in-01 reuses the three signs decided for
+    # p-disc-pos, p-at-0 and p-at-1
+    signs = []
+    alg_sign = exactfield.alg_sign
+
+    def spy(x, *args):
+        signs.append(alg_sign(x, *args))
+        return signs[-1]
+
+    monkeypatch.setattr(exactfield, "alg_sign", spy)
+    for fault in (None, "p-coeff"):
+        signs.clear()
+        rep = verify_base_point_identities(fault=fault)
+        assert signs == [1, 1, -1]
+        assert [c.passed for c in rep.checks if c.name.startswith("p-")][-4:] == [True] * 4
+
+
 def test_verify_base_point_identities_unknown_fault():
     with pytest.raises(ValueError):
         verify_base_point_identities(fault="nonsense")

@@ -219,7 +219,7 @@ def test_fiber_polynomial_is_the_numerator_times_the_row_product(rng):
             rest = draw_disc_tuple(rng, n - 1)
             mu = draw_disc_tuple(rng, n)
             x = draw_disc_tuple(rng, 1)[0]
-            q = kernel.fiber_polynomial(rest, mu)
+            q = kernel.fiber_coefficients(kernel.fiber_minors([rest], [mu])[0][0], mu)
             assert q.shape == (n,)
             expected = kernel_gn((x, *rest), mu).numerator * np.prod(1 - x * np.conj(mu))
             assert np.polyval(q, x) == pytest.approx(expected, rel=1e-12)
@@ -230,7 +230,7 @@ def test_fiber_polynomial_roots_are_zeros_of_the_permanent(rng):
         for _ in range(10):
             rest = draw_disc_tuple(rng, n - 1)
             mu = draw_disc_tuple(rng, n)
-            roots = np.roots(kernel.fiber_polynomial(rest, mu))
+            roots = np.roots(kernel.fiber_coefficients(kernel.fiber_minors([rest], [mu])[0][0], mu))
             assert len(roots) == n - 1
             for r in roots:
                 ev = kernel_gn((r, *rest), mu)
@@ -239,11 +239,11 @@ def test_fiber_polynomial_roots_are_zeros_of_the_permanent(rng):
 
 def test_fiber_polynomial_rejects_bad_input():
     with pytest.raises(ValueError):
-        kernel.fiber_polynomial([0.1, 0.2], [0.3, 0.4])
+        kernel.fiber_minors([[0.1, 0.2]], [[0.3, 0.4]])
     with pytest.raises(ValueError):
-        kernel.fiber_polynomial([], [0.3])
+        kernel.fiber_minors([[]], [[0.3]])
     with pytest.raises(SingularEntry):
-        kernel.fiber_polynomial([0.5], [0.3, 2.0])
+        kernel.fiber_minors([[0.5]], [[0.3, 2.0]])
 
 
 @pytest.mark.parametrize("m", range(5, 9))

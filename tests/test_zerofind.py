@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from symdisc.errors import (
 from symdisc.kernel import PI, abc_coeffs, delta_n, kernel_gn
 from symdisc.symcore import vandermonde_pair
 from symdisc.zerofind import (
-    FnWitness,
     ZeroCertificate,
     base_root_x,
     build_certificate_chain,
@@ -124,12 +123,12 @@ def _float_ratio(lam, mu):
 
 
 def test_dim3_witness(dim3_cert):
-    wit = dim3_cert.fn_witness
-    assert wit.point == 0j
-    assert wit.value_abs > 1e3 * dim3_cert.tolerances["residual_rel"] / 10
+    assert dim3_cert.witness_abs > 1e3 * dim3_cert.tolerances["residual_rel"] / 10
+    # the witness is taken at x = 0, and the file states that point
+    assert dim3_cert.to_dict()["fn_witness"]["point"] == [0.0, 0.0]
     # away from a zero the float ratio is accurate
-    ratio = _float_ratio((wit.point, *dim3_cert.lam[1:]), dim3_cert.mu)
-    assert wit.value_abs == pytest.approx(ratio, rel=1e-12)
+    ratio = _float_ratio((0j, *dim3_cert.lam[1:]), dim3_cert.mu)
+    assert dim3_cert.witness_abs == pytest.approx(ratio, rel=1e-12)
 
 
 def test_dim3_certificate_recertifies(dim3_cert):
@@ -350,13 +349,38 @@ def test_recheck_rebuilds_the_unchanged_chain(chain7):
 
 
 def test_validate_rejects_an_unknown_construction(dim3_cert):
-    with pytest.raises(CertificationFailure, match="unknown construction 'polish'"):
-        replace(dim3_cert, construction="polish").validate()
+    # a node has no construction field: the one a file states is checked
+    # against the chain when it is read, with or without its tolerances
     data = dim3_cert.to_dict()
     data["construction"] = "polish"
+    with pytest.raises(CertificationFailure, match="^node n=3: unknown construction 'polish'$"):
+        ZeroCertificate.from_dict(data)
     del data["tolerances"]
     with pytest.raises(CertificationFailure, match="^node n=3: unknown construction 'polish'$"):
-        recheck(ZeroCertificate.from_dict(data))
+        ZeroCertificate.from_dict(data)
+
+
+def test_a_node_stores_facts_and_validate_checks_its_link(chain6):
+    # n follows from the coordinates and the construction from the parent
+    assert [f.name for f in fields(ZeroCertificate)] == [
+        "lam", "mu", "residual_rel", "kernel_abs", "witness_abs", "parent"
+    ]
+    assert [(node.n, node.construction) for node in chain6.nodes()] == [
+        (6, "lift"), (5, "lift"), (4, "lift"), (3, "dim3")
+    ]
+    parent = chain6.parent
+    with pytest.raises(CertificationFailure, match="^a dim3 node has 3 coordinates, not 6$"):
+        replace(chain6, parent=None).validate()
+    with pytest.raises(CertificationFailure, match="^a lift node has 5 coordinates, not 6$"):
+        replace(chain6, parent=parent.parent).validate()
+    moved = replace(parent, lam=(parent.lam[0], parent.lam[1] * (1 + 1e-15), *parent.lam[2:]))
+    unshared = replace(chain6, mu=(*chain6.mu[:-1], chain6.mu[-1] * (1 - 1e-15)))
+    for bad in (replace(chain6, parent=moved), unshared):
+        with pytest.raises(CertificationFailure, match="^a lift keeps lambda_2..lambda_n and shares its new coordinate$"):
+            bad.validate()
+    # mu_1..mu_n of the parent are not compared: schema-1 files polished them
+    polished = replace(parent, mu=(parent.mu[0] * (1 + 1e-12), *parent.mu[1:]))
+    replace(chain6, parent=polished).validate()
 
 
 def test_tolerance_is_the_constructions_and_read_only(dim3_cert, chain7, monkeypatch):
@@ -386,7 +410,7 @@ def test_recheck_rebuilds_the_v1_chain_with_todays_numbers():
     for old, new in zip(stored.nodes(), rebuilt.nodes()):
         assert (new.lam, new.mu, new.construction) == (old.lam, old.mu, old.construction)
         assert {"residual_rel": new.residual_rel, "kernel_abs": new.kernel_abs} == recertify(old)
-        assert new.fn_witness.value_abs <= 1 < old.fn_witness.value_abs
+        assert new.witness_abs <= 1 < old.witness_abs
 
 
 def test_chain12_builds_without_a_runtime_warning():
@@ -550,10 +574,10 @@ def _hex_chain(cert):
     """Every float of a certificate chain, in hex."""
     return [
         (
-            _hex_pairs((*node.lam, *node.mu, node.fn_witness.point)),
+            _hex_pairs((*node.lam, *node.mu)),
             node.residual_rel.hex(),
             node.kernel_abs.hex(),
-            node.fn_witness.value_abs.hex(),
+            node.witness_abs.hex(),
         )
         for node in cert.nodes()
     ]
@@ -636,7 +660,7 @@ def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypat
 
 def test_lift_zero_is_the_fiber_root_nearest_lam1(chain6):
     parent = chain6.parent
-    q = kernel.fiber_polynomial(chain6.lam[1:], chain6.mu)
+    q = kernel.fiber_coefficients(kernel.fiber_minors([chain6.lam[1:]], [chain6.mu])[0][0], chain6.mu)
     roots = np.roots(q)
     assert chain6.lam[0] == min(roots, key=lambda r: abs(r - parent.lam[0]))
 
@@ -650,9 +674,9 @@ def test_lift_validates_its_input(chain6):
 
 
 def test_lift_requires_witness(dim3_cert):
-    # a nan value_abs fails the gate too
-    for witness in (FnWitness(0j, 0.0), FnWitness(complex(math.nan, 0), math.nan)):
-        bare = replace(dim3_cert, fn_witness=witness)
+    # a nan witness fails the gate too
+    for witness_abs in (0.0, math.nan):
+        bare = replace(dim3_cert, witness_abs=witness_abs)
         with pytest.raises(CertificationFailure, match="slice witness"):
             lift_zero(bare)
 
@@ -737,10 +761,10 @@ def _ratio_and_bound(lam, mu):
 
 def test_float_witness_is_within_its_bound_of_the_exact_ratio(chain10):
     for node in chain10.nodes():
-        lam = (node.fn_witness.point, *node.lam[1:])
+        lam = (0j, *node.lam[1:])
         ratio, bound = _ratio_and_bound(lam, node.mu)
         exact, _ = zerofind._cancellation(lam, node.mu)
-        assert ratio == node.fn_witness.value_abs and node.fn_witness.point == 0j
+        assert ratio == node.witness_abs
         assert abs(ratio - exact) <= bound < 1e-5
         assert ratio - bound > zerofind.WITNESS_FACTOR * node.tolerances["residual_rel"]
 
@@ -750,7 +774,7 @@ def test_witness_threshold_inside_the_bound_rejects_the_point(chain7, monkeypatc
     # would pass; less its bound it does not
     ratio, bound = _ratio_and_bound((0j, *chain7.lam[1:]), chain7.mu)
     tol = chain7.tolerances["residual_rel"]
-    assert fn_nontrivial(chain7.lam, chain7.mu, tol) == FnWitness(0j, ratio)
+    assert fn_nontrivial(chain7.lam, chain7.mu, tol) == ratio
     monkeypatch.setattr(zerofind, "WITNESS_FACTOR", (ratio - bound / 2) / tol)
     with pytest.raises(WitnessNotFound, match="x = 0"):
         fn_nontrivial(chain7.lam, chain7.mu, tol)
@@ -771,10 +795,15 @@ def test_witness_skips_a_nan_numerator(dim3_cert, monkeypatch):
 
 def test_every_witness_of_the_default_band_edge_and_v1_chains_is_at_the_origin(chain10):
     edges = [build_certificate_chain(7, rho, mu1) for rho, mu1 in BAND_EDGES]
-    v1 = ZeroCertificate.from_dict(json.loads(V1_CHAIN.read_text()))
-    for cert in (chain10, *edges, v1):
-        points = [node.fn_witness.point for node in cert.nodes()]
-        assert points == [0j] * (cert.n - 2)
+    v1 = json.loads(V1_CHAIN.read_text())
+    rebuilt = recheck(ZeroCertificate.from_dict(v1))
+    # a node keeps no witness point: every file, written or read, states x = 0
+    for data in (*(cert.to_dict() for cert in (chain10, *edges, rebuilt)), v1):
+        points, top = [], data["n"]
+        while data:
+            points.append(data["fn_witness"]["point"])
+            data = data["parent"]
+        assert points == [[0.0, 0.0]] * (top - 2)
 
 
 # --- serialization ------------------------------------------------------------------
