@@ -3,9 +3,9 @@
 The symmetrization map sends an n-tuple of unit-disc coordinates to the
 n-tuple of its elementary symmetric polynomial values; its image is the
 symmetrized polydisc.  This module provides the map, its inversion by
-the eigenvalues of the companion matrix (np.roots, the root finder the
-lift in zerofind also uses), open-domain membership tests, and the
-paired Vandermonde product.  Points are plain sequences of complex
+the eigenvalues of the companion matrix (companion_roots, the root finder
+the lift in zerofind also uses), open-domain membership tests, and the
+paired Vandermonde product.  Points are plain sequences of finite complex
 numbers; symmetric values and roots come back as tuples.
 
 All operations are pure functions and are safe to call concurrently.
@@ -13,6 +13,8 @@ All operations are pure functions and are safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,10 +28,12 @@ BOUNDARY_GUARD = 1e-12
 
 def _coords(p: Sequence[complex]) -> tuple[complex, ...]:
     """The coordinates of a point as complex numbers; a point without
-    coordinates is a usage error (ValueError)."""
+    coordinates, or with a non-finite one, is a usage error (ValueError)."""
     out = tuple(complex(c) for c in p)
     if not out:
         raise ValueError("a point needs at least one coordinate")
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"coordinates must be finite: {out}")
     return out
 
 
@@ -54,28 +58,73 @@ def elem_sym(p: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def companion_roots(polys) -> list[np.ndarray]:
+    """The roots of each polynomial of polys (complex coefficients,
+    highest degree first), bit for bit as np.roots gives them, with one
+    eigenvalue call per degree.
+
+    Step for step as np.roots: zeros are stripped at both ends, the
+    companion matrix has the first row -p[1:] / p[0] and ones below the
+    diagonal, its eigenvalues are the roots, and one zero follows per
+    stripped trailing zero.  Companion matrices of one size are stacked
+    into one np.linalg.eigvals call, which solves each matrix of a stack
+    as it solves it alone.  An eigenvalue failure is a SolverFailure.
+    """
+    out = [np.array([])] * len(polys)
+    groups = {}
+    for i, p in enumerate(polys):
+        p = np.asarray(p, dtype=complex)
+        if p.ndim != 1:
+            raise ValueError("a polynomial is a rank-1 sequence of coefficients")
+        nonzero = p.nonzero()[0]
+        if len(nonzero):
+            trailing = len(p) - 1 - nonzero[-1]
+            p = p[nonzero[0] : nonzero[-1] + 1]
+            groups.setdefault(len(p), []).append((i, p, trailing))
+    for size, members in groups.items():
+        if size == 1:
+            values = [np.array([])] * len(members)
+        else:
+            stack = np.zeros((len(members), size - 1, size - 1), complex)
+            # the subdiagonal, every size-th entry of a flattened matrix
+            stack.reshape(len(members), -1)[:, size - 1 :: size] = 1
+            coeffs = np.array([p for _, p, _ in members])
+            stack[:, 0, :] = np.negative(coeffs[:, 1:]) / coeffs[:, :1]
+            try:
+                values = np.linalg.eigvals(stack)
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailure(f"companion eigenvalues failed (degree {size - 1}): {exc}") from exc
+        for (i, _, trailing), roots in zip(members, values):
+            out[i] = np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
+    return out
+
+
+def _preimages(points) -> list[tuple[complex, ...]]:
+    """roots_from_sym of each point, from one companion_roots call: every
+    point is read before any is solved."""
+    coords = [_coords(s) for s in points]
+    # at n = 1 the root is s_1 itself: a 1 x 1 eigenvalue solve would turn
+    # -0.0 into +0.0
+    polys = [[complex(1.0), *((-1.0) ** k * v for k, v in enumerate(sk, 1))] for sk in coords if len(sk) > 1]
+    solved = iter(companion_roots(polys))
+    return [
+        sk if len(sk) == 1 else tuple(sorted(map(complex, next(solved).tolist()), key=lambda c: (c.real, c.imag)))
+        for sk in coords
+    ]
+
+
 def roots_from_sym(s: Sequence[complex]) -> tuple[complex, ...]:
     """Invert the symmetrization: the multiset of roots of
     x^n - s_1 x^(n-1) + s_2 x^(n-2) - ...
 
-    The roots are the eigenvalues of the companion matrix (np.roots),
-    which are backward stable for the polynomial, so their symmetric
-    functions reproduce s to rounding even at repeated roots.  Roots are
-    returned sorted by (real, imag) so equal inputs give identical
-    outputs.  Non-finite coordinates are a usage error (ValueError).
+    The roots are the eigenvalues of the companion matrix
+    (companion_roots), which are backward stable for the polynomial, so
+    their symmetric functions reproduce s to rounding even at repeated
+    roots.  Roots are returned sorted by (real, imag) so equal inputs
+    give identical outputs; at n = 1 the root is s_1 itself.  Non-finite
+    coordinates are a usage error (ValueError).
     """
-    sk = _coords(s)
-    if not np.all(np.isfinite(sk)):
-        raise ValueError(f"symmetric coordinates must be finite: {sk}")
-    n = len(sk)
-    if n == 1:
-        return (sk[0],)
-    try:
-        roots = np.roots([complex(1.0), *((-1.0) ** k * v for k, v in enumerate(sk, 1))])
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"companion eigenvalues failed (degree {n}): {exc}") from exc
-    ordered = sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
-    return tuple(ordered)
+    return _preimages([s])[0]
 
 
 def classify_roots(roots: Sequence[complex]) -> str:
@@ -88,7 +137,7 @@ def classify_roots(roots: Sequence[complex]) -> str:
     Non-finite roots are a usage error (ValueError).
     """
     moduli = [abs(r) for r in roots]
-    if not np.all(np.isfinite(moduli)):
+    if not all(map(math.isfinite, moduli)):
         raise ValueError(f"roots must be finite: {tuple(roots)}")
     if all(m < 1.0 - BOUNDARY_GUARD for m in moduli):
         return "inside"

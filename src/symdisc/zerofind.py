@@ -55,6 +55,7 @@ from .kernel import (
     kernel_ratio_slabs,
     permanent_exact,
 )
+from .symcore import companion_roots
 
 # unimodular base triple of the construction, correctly rounded from its
 # exact phases, and the reference root of the induced real quadratic
@@ -84,9 +85,10 @@ _MOMENT_RADIUS, _MOMENT_SAMPLES = 0.3, 64  # the contour of moment_identity_chec
 # rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
 _LIFT_CANDIDATES = 24
 # the lift skips a rung whose fiber polynomial kernel.fiber_zero_free proves
-# root-free within this many search radii of lambda_1.  np.roots would have
-# to move a root by more than a search radius to put it in the search disc
-# of such a rung, so the screen skips only rungs the loop would reject
+# root-free within this many search radii of lambda_1.  The companion solve
+# would have to move a root by more than a search radius to put it in the
+# search disc of such a rung, so the screen skips only rungs the loop would
+# reject
 _SCREEN_MARGIN = 2.0
 
 
@@ -515,7 +517,7 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
         if skip:
             rejected["outside the search disc"] += 1
             continue
-        roots = np.roots(fiber_coefficients(minors, new_mu))
+        (roots,) = companion_roots([fiber_coefficients(minors, new_mu)])
         x = complex(min(roots, key=lambda r: abs(r - lam1), default=math.inf))
         if not abs(x - lam1) <= radius:
             rejected["outside the search disc"] += 1

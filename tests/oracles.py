@@ -14,6 +14,10 @@ The packed exact ring of exactfield is checked against a tuple-keyed
 ring with int-or-Fraction coefficients that reduces every term pair
 (the representation it replaced), and its integer sign decision against
 the same interval refinement over Fractions.
+The single-pair float kernel and its symmetric-coordinate entry point
+are checked bit for bit against the route they replaced: C and |C|
+joined by np.stack, reductions through the ndarray methods, and one
+np.roots call per argument.
 """
 
 import itertools
@@ -23,15 +27,18 @@ from operator import add
 
 import numpy as np
 
+from symdisc.errors import NotInDomain, SingularEntry, SolverFailure
 from symdisc.kernel import (
     PI,
+    KernelEval,
     bracket_coeffs_ABC,
     bracket_expr,
     kernel_g3_mu3zero,
     kernel_gn,
+    numerator_error,
 )
 from symdisc.exactfield import VARS
-from symdisc.symcore import vandermonde_pair
+from symdisc.symcore import classify_roots, vandermonde_pair
 
 
 def brute_elem_sym(points):
@@ -446,3 +453,110 @@ def fraction_alg_sign(q0, q2, q3, q6, start_bits=64):
         if hi < 0:
             return -1
         bits *= 2
+
+
+# --- the single-pair route before one companion solve per evaluation --------
+
+
+def _route_coords(p):
+    out = tuple(complex(c) for c in p)
+    if not out:
+        raise ValueError("a point needs at least one coordinate")
+    return out
+
+
+def _route_gray_steps(n):
+    rows, negate, flipped = [0], [0], [False] * n
+    for step in range(1, 2 ** (n - 1)):
+        j = (step & -step).bit_length()
+        rows.append(j)
+        negate.append(int(not flipped[j]))
+        flipped[j] = not flipped[j]
+    return np.array(rows), np.array(negate)
+
+
+def route_permanent(c, stacked_positions=128):
+    """Glynn's Gray walk over the first two axes of c, stacked (one
+    np.cumsum over the gathered updates) up to stacked_positions column
+    positions and stepwise beyond, with the ndarray reduction methods."""
+    c = np.ascontiguousarray(c)
+    n = c.shape[0]
+    twice = c * 2.0
+    sums = c.sum(axis=0)
+    prods = np.empty((2 ** (n - 1), *c.shape[2:]), c.dtype)
+    rows, negate = _route_gray_steps(n)
+    if c[0].size <= stacked_positions:
+        signed = np.concatenate((twice, np.negative(twice)))
+        for lo in range(0, len(prods), 4096):
+            block = slice(lo, lo + 4096)
+            steps = signed[(rows + n * negate)[block]]
+            if lo:
+                np.add(sums, steps[0], out=steps[0])
+            else:
+                steps[0] = sums
+            np.cumsum(steps, axis=0, out=steps)
+            steps.prod(axis=1, out=prods[block])
+            sums = steps[-1]
+    else:
+        sums.prod(axis=0, out=prods[0, ...])
+        for step in range(1, len(prods)):
+            if negate[step]:
+                sums -= twice[rows[step]]
+            else:
+                sums += twice[rows[step]]
+            sums.prod(axis=0, out=prods[step, ...])
+    return (prods[0::2].sum(axis=0) - prods[1::2].sum(axis=0)) / 2 ** (n - 1)
+
+
+def _route_evaluate(lam, mu):
+    a = np.asarray(_route_coords(lam), dtype=complex)
+    b = np.asarray(_route_coords(mu), dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("tuples must have the same dimension")
+    base = 1.0 - np.multiply.outer(a, np.conj(b))
+    if np.any(base == 0):
+        raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+    c = 1.0 / base
+    size = np.abs(c)
+    num, scale = route_permanent(np.stack([c, size], axis=-1))
+    den = PI ** len(base) * np.prod(base)
+    ev = KernelEval(value=complex(num / den), numerator=complex(num), denominator=complex(den), scale=float(scale.real))
+    return ev, size
+
+
+def route_kernel_gn(lam, mu):
+    """kernel.kernel_gn by the replaced route."""
+    return _route_evaluate(lam, mu)[0]
+
+
+def route_kernel_gn_with_error(lam, mu):
+    """kernel.kernel_gn_with_error by the replaced route."""
+    ev, size = _route_evaluate(lam, mu)
+    return ev, numerator_error(size, ev.scale)
+
+
+def route_roots_from_sym(s):
+    """symcore.roots_from_sym by one np.roots call."""
+    sk = _route_coords(s)
+    if not np.all(np.isfinite(sk)):
+        raise ValueError(f"symmetric coordinates must be finite: {sk}")
+    n = len(sk)
+    if n == 1:
+        return (sk[0],)
+    try:
+        roots = np.roots([complex(1.0), *((-1.0) ** k * v for k, v in enumerate(sk, 1))])
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"companion eigenvalues failed (degree {n}): {exc}") from exc
+    return tuple(sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag)))
+
+
+def route_kernel_gn_stable(s, t):
+    """kernel.kernel_gn_stable by one route_roots_from_sym call per
+    argument, each classified before the next is solved."""
+    preimages = []
+    for name, point in (("first", s), ("second", t)):
+        roots = route_roots_from_sym(point)
+        if classify_roots(roots) != "inside":
+            raise NotInDomain(f"{name} argument is not in the symmetrized polydisc")
+        preimages.append(roots)
+    return route_kernel_gn(*preimages)

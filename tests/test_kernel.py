@@ -37,6 +37,11 @@ from .oracles import (
     loop_disc_samples,
     loop_dim3_samples,
     loop_reduction_chain_check,
+    route_kernel_gn,
+    route_kernel_gn_stable,
+    route_kernel_gn_with_error,
+    route_permanent,
+    route_roots_from_sym,
 )
 
 TORUS = (cmath.exp(1j * math.pi / 6), cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 6))
@@ -147,24 +152,118 @@ def test_delta_singular_entry_at_repeated_coordinates():
 
 
 def test_kernel_stable_solves_each_argument_once(monkeypatch):
+    # one eigenvalue call covers both arguments, one stacked companion
+    # matrix each; a zero coordinate lowers the degree of its companion
+    # matrix, and then each degree takes its own call
     s = elem_sym((0.31 + 0.2j, -0.45, 0.18 - 0.37j))
-    t = elem_sym((0.53 - 0.11j, 0.2, 0.0))
-    expected = kernel_gn(roots_from_sym(s), roots_from_sym(t)).value
-    calls = []
+    t = elem_sym((0.53 - 0.11j, 0.2, -0.06j))
+    t0 = elem_sym((0.53 - 0.11j, 0.2, 0.0))
+    expected = {u: kernel_gn(roots_from_sym(s), roots_from_sym(u)).value for u in (t, t0)}
+    eigvals = np.linalg.eigvals
+    stacks = []
 
-    def counted(point):
-        calls.append(point)
-        return roots_from_sym(point)
+    def counted(a):
+        stacks.append(a.shape)
+        return eigvals(a)
 
-    monkeypatch.setattr(kernel, "roots_from_sym", counted)
-    assert kernel_gn_stable(s, t).value == expected
-    assert len(calls) == 2
-    calls.clear()
-    with pytest.raises(NotInDomain):
-        kernel_gn_stable(s, elem_sym((1.5, 0.2, 0.1)))
-    with pytest.raises(NotInDomain):
-        kernel_gn_stable([5, 6, 0], t)
-    assert len(calls) == 3
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert kernel_gn_stable(s, t).value == expected[t]
+    assert stacks == [(2, 3, 3)]
+    stacks.clear()
+    assert kernel_gn_stable(s, t0).value == expected[t0]
+    assert sorted(stacks) == [(1, 2, 2), (1, 3, 3)]
+    stacks.clear()
+    outside = elem_sym((1.5, 0.2, 0.1))
+    with pytest.raises(NotInDomain, match="second argument"):
+        kernel_gn_stable(s, outside)
+    # the first argument is classified before the second
+    with pytest.raises(NotInDomain, match="first argument"):
+        kernel_gn_stable([5, 6, 0.5], outside)
+    assert stacks == [(2, 3, 3)] * 2
+
+
+SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def _route_draws(seed, count):
+    """Seeded (lam, mu) pairs of n = 1..9 coordinates in the disc of
+    radius 0.95.  Each tuple, independently: a doubled coordinate, a
+    signed-zero coordinate, real coordinates (some with -0.0 imaginary
+    parts), a coordinate outside the unit disc.  Now and then mu has one
+    coordinate more than lam, or lam_1 = mu_1 = 1 makes B_11 vanish."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 10))
+        pair = []
+        for size in (n, n + (rng.random() < 0.02)):
+            pts = [complex(z) for z in 0.95 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))]
+            if size > 1 and rng.random() < 0.3:
+                i, j = rng.choice(size, 2, replace=False)
+                pts[j] = pts[i]
+            if rng.random() < 0.3:
+                pts[rng.integers(size)] = SIGNED_ZEROS[rng.integers(4)]
+            if rng.random() < 0.3:
+                pts = [complex(z.real, math.copysign(0.0, rng.random() - 0.5)) for z in pts]
+            if rng.random() < 0.05:
+                pts[rng.integers(size)] = complex(1.3 * np.exp(2j * np.pi * rng.random()))
+            pair.append(pts)
+        if rng.random() < 0.02:
+            pair[0][0] = pair[1][0] = 1.0 + 0j
+        yield tuple(pair)
+
+
+def _hex_fields(x):
+    """The hex bits of a number, of every field of a KernelEval, or of
+    every item of a tuple."""
+    if isinstance(x, kernel.KernelEval):
+        return tuple(_hex_fields(getattr(x, f)) for f in ("value", "numerator", "denominator", "scale"))
+    if isinstance(x, tuple):
+        return tuple(map(_hex_fields, x))
+    return complex(x).real.hex(), complex(x).imag.hex()
+
+
+def _outcome(call, *args):
+    """The bits of the result, or the exception's type and message."""
+    try:
+        return _hex_fields(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_single_pair_kernels_match_the_replaced_route_bit_for_bit():
+    kinds = dict.fromkeys(("n = 1", "singular", "stable", "first outside", "second outside", "mismatch"), 0)
+    for lam, mu in _route_draws(29, 4000):
+        s, t = elem_sym(lam), elem_sym(mu)
+        got = []
+        for new, old, args in (
+            (kernel_gn, route_kernel_gn, (lam, mu)),
+            (kernel.kernel_gn_with_error, route_kernel_gn_with_error, (lam, mu)),
+            (roots_from_sym, route_roots_from_sym, (s,)),
+            (roots_from_sym, route_roots_from_sym, (t,)),
+            (kernel_gn_stable, route_kernel_gn_stable, (s, t)),
+        ):
+            got.append(_outcome(new, *args))
+            assert got[-1] == _outcome(old, *args), (new.__name__, lam, mu)
+        kinds["n = 1"] += len(lam) == 1
+        kinds["singular"] += got[0][0] is SingularEntry
+        got = got[-1]
+        kinds["stable"] += isinstance(got[0], tuple)
+        kinds["first outside"] += got[0] is NotInDomain and "first" in got[1]
+        kinds["second outside"] += got[0] is NotInDomain and "second" in got[1]
+        kinds["mismatch"] += got[0] is ValueError
+    # every kind of draw occurs, so each comparison above is exercised
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_permanent_walks_match_the_replaced_route_bit_for_bit():
+    # stacks wider than 128 positions take the stepwise walk, narrower
+    # ones the stacked walk, both with the reductions called directly
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for width in (1, 3, 40):
+            c = rng.normal(size=(n, n, width)) + 1j * rng.normal(size=(n, n, width))
+            assert kernel.permanent(c).tobytes() == route_permanent(c).tobytes()
+            assert kernel.permanent(c.real).tobytes() == route_permanent(c.real).tobytes()
 
 
 def test_delta_hermitian_symmetry(rng):

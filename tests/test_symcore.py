@@ -11,6 +11,7 @@ from symdisc.errors import SolverFailure
 from symdisc.symcore import (
     classify_gn,
     classify_roots,
+    companion_roots,
     elem_sym,
     in_gn,
     roots_from_sym,
@@ -78,42 +79,123 @@ def test_roots_from_sym_is_deterministic():
 
 
 def test_roots_from_sym_maps_an_eigenvalue_failure(monkeypatch):
-    def fail(coeffs):
+    def fail(matrices):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(symcore.np, "roots", fail)
+    monkeypatch.setattr(symcore.np.linalg, "eigvals", fail)
     with pytest.raises(SolverFailure):
         roots_from_sym(elem_sym([0.3, -0.2j]))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        elem_sym,
-        roots_from_sym,
-        classify_gn,
-        in_gn,
-        lambda p: vandermonde_pair(p, p),
-        lambda p: kernel.kernel_gn(p, p),
-        lambda p: kernel.kernel_gn_stable(p, p),
-        lambda p: kernel.kernel_gn_with_error(p, p),
-        lambda p: kernel.permanent_exact(p, p),
-    ],
-    ids=[
-        "elem_sym",
-        "roots_from_sym",
-        "classify_gn",
-        "in_gn",
-        "vandermonde_pair",
-        "kernel_gn",
-        "kernel_gn_stable",
-        "kernel_gn_with_error",
-        "permanent_exact",
-    ],
-)
+SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def _polynomial_draws(seed, count):
+    """Seeded complex coefficient lists of degree 0-9 (before leading and
+    trailing zeros): random coefficients, real coefficients, real roots
+    and repeated roots.  Some coefficients are signed zeros, and up to
+    two leading and three trailing zeros are added."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        degree = int(rng.integers(0, 10))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            p = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        elif kind == 1:
+            p = rng.normal(size=degree + 1)
+        elif kind == 2:
+            p = np.poly(rng.uniform(-1, 1, degree)) * rng.normal()
+        else:
+            nodes = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+            p = np.poly(np.repeat(nodes, rng.integers(1, 4, size=degree))[:degree])
+        p = [complex(c) for c in np.atleast_1d(p)]
+        for i in rng.integers(0, len(p), size=rng.integers(0, 3)):
+            p[i] = SIGNED_ZEROS[rng.integers(4)]
+        lead = [SIGNED_ZEROS[k] for k in rng.integers(0, 4, size=rng.integers(0, 3))]
+        trail = [SIGNED_ZEROS[k] for k in rng.integers(0, 4, size=rng.integers(0, 4))]
+        yield lead + p + trail
+
+
+def _same_roots(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_companion_roots_are_np_roots_bit_for_bit():
+    polys = list(_polynomial_draws(29, 1200))
+    polys += [[1j, -3, 2], [0j, 2, 0], [0j, -0j], [0j], [], [3j], [-0j, 2j, -0j]]
+    assert {len(p) for p in polys} >= set(range(1, 15))
+    # one polynomial per call, and stacks of up to 12 that mix degrees
+    rng = np.random.default_rng(30)
+    start = 0
+    calls = [[p] for p in polys]
+    while start < len(polys):
+        size = int(rng.integers(2, 13))
+        calls.append(polys[start : start + size])
+        start += size
+    for call in calls:
+        got = companion_roots(call)
+        assert len(got) == len(call)
+        for p, roots in zip(call, got):
+            assert _same_roots(roots, np.roots(np.asarray(p, dtype=complex))), p
+
+
+def test_companion_roots_makes_one_eigenvalue_call_per_degree(monkeypatch):
+    eigvals = np.linalg.eigvals
+    stacks = []
+
+    def counted(a):
+        stacks.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    polys = [[1, 0.5j, 0.2], [2j, 0.1, 0.3, 0.4], [0j, 1, -0.5, 0.1], [1j, 0.3, 0], [0.5j, 0.2]]
+    roots = companion_roots(polys)
+    # the third is quadratic once its leading zero goes; the fourth is
+    # linear once its trailing zero goes, with a zero root after its own
+    assert sorted(stacks) == [(1, 3, 3), (2, 1, 1), (2, 2, 2)]
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for p, r in zip(polys, roots):
+        assert _same_roots(r, np.roots(p))
+
+
+@pytest.mark.parametrize("z", [complex(a, b) for a in (0.0, -0.0, 0.3, -0.3) for b in (0.0, -0.0, 0.2)])
+def test_roots_from_sym_returns_a_single_coordinate_as_it_is(z):
+    (root,) = roots_from_sym((z,))
+    assert (root.real.hex(), root.imag.hex()) == (z.real.hex(), z.imag.hex())
+
+
+# every entry point that reads a point's coordinates, called at one point
+ENTRY_POINTS = {
+    "elem_sym": elem_sym,
+    "roots_from_sym": roots_from_sym,
+    "classify_gn": classify_gn,
+    "in_gn": in_gn,
+    "vandermonde_pair": lambda p: vandermonde_pair(p, p),
+    "kernel_gn": lambda p: kernel.kernel_gn(p, p),
+    "kernel_gn_stable": lambda p: kernel.kernel_gn_stable(p, p),
+    "kernel_gn_with_error": lambda p: kernel.kernel_gn_with_error(p, p),
+    "permanent_exact": lambda p: kernel.permanent_exact(p, p),
+    "delta_n": lambda p: kernel.delta_n(p, p),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_a_point_without_coordinates_is_a_usage_error(call):
     with pytest.raises(ValueError, match="at least one coordinate"):
         call(())
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(math.nan,), (0.1, math.inf), (0.2, complex(0, -math.inf)), (0.5, complex(math.nan, 0.3), 0.1j)],
+    ids=["nan", "inf", "imag-inf", "nan-among-three"],
+)
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_a_non_finite_coordinate_is_a_usage_error(call, point):
+    # no nan result, no RuntimeWarning (an error under the test settings)
+    # and no OverflowError from the exact sum
+    with pytest.raises(ValueError, match="finite"):
+        call(point)
 
 
 @pytest.mark.parametrize("s", [[math.nan, 0.1], [math.inf, 0], [0.2, complex(0, math.inf)], [math.nan]])
