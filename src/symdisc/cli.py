@@ -98,8 +98,7 @@ def cmd_verify_paper(args) -> int:
         worst < 1e-14,
         detail=f"max relative difference {worst:.3e}",
     )
-    cert = zerofind.construct_zero_dim3()
-    moments = zerofind.moment_identity_check(cert.lam, cert.mu)
+    moments = zerofind.moment_identity_check(*zerofind.zero_point_dim3())
     numeric.add(
         "slice-moment-identity",
         "Taylor data of the first-slot slice matches the moment determinants "

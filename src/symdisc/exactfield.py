@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
@@ -439,7 +439,17 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        """The report as the dict dataclasses.asdict gives, plus its
+        verdict under "passed"; the fields are strings and a bool, so they
+        are read directly instead of deep-copied."""
+        return {
+            "title": self.title,
+            "checks": [
+                {"name": c.name, "statement": c.statement, "passed": c.passed, "detail": c.detail}
+                for c in self.checks
+            ],
+            "passed": self.passed,
+        }
 
 
 # --- the exact quadratic data at the base triple ------------------------------

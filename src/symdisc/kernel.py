@@ -941,20 +941,31 @@ def kernel_ratio_slabs(pairs):
 def _disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
     """count tuples of `width` disc points with pairwise separation.
 
-    Each draw is count rows; rows with two points closer than min_gap
-    are dropped, the rest fill the output in order until it is full.
+    Each round draws count rows, the radial block and then the angular
+    block, so the seeded stream does not depend on how many rows are
+    kept.  Rows with two points closer than min_gap are dropped, the rest
+    fill the output in order until it is full.  Rows become points in
+    order and only as far as needed: first the rows still missing, then
+    as many more as the gap test dropped.  So np.exp runs on
+    width * (count + dropped rows) points in all; the point of a row
+    does not depend on the rows beside it, so the output is the one the
+    whole rounds would give.
     """
     out = np.empty((count, width), dtype=complex)
     j, k = np.triu_indices(width, 1)
     filled = 0
     while filled < count:
-        draw = radius * np.sqrt(rng.random((count, width))) * np.exp(
-            2j * np.pi * rng.random((count, width))
-        )
-        gaps = np.abs(draw[:, j] - draw[:, k]).min(axis=1, initial=np.inf)
-        kept = draw[gaps >= min_gap][: count - filled]
-        out[filled : filled + len(kept)] = kept
-        filled += len(kept)
+        radial = radius * np.sqrt(rng.random((count, width)))
+        angular = rng.random((count, width))
+        start = 0
+        while filled < count and start < count:
+            stop = start + count - filled  # past count, the slices end at count
+            draw = radial[start:stop] * np.exp(2j * np.pi * angular[start:stop])
+            gaps = np.abs(draw[:, j] - draw[:, k]).min(axis=1, initial=np.inf)
+            kept = draw[gaps >= min_gap]
+            out[filled : filled + len(kept)] = kept
+            filled += len(kept)
+            start = stop
     return out
 
 

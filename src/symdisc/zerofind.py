@@ -106,11 +106,12 @@ class ZeroCertificate:
     residual_rel is the cancellation ratio |per C| / per |C| at the pair
     (per C exact at the stored coordinates, rounded once; per |C| in
     floats) and kernel_abs is |per C| / |pi^n prod B| = |K| (inf where it
-    overflows, null in JSON), both re-checkable via recertify();
-    witness_abs is the same ratio with per C in floats at x = 0 of the
-    first slot's slice (fn_nontrivial).  The rest follows from the chain:
-    n is the coordinate count, the construction is dim3 at a root and
-    lift under a parent, and the tolerance is the construction's.
+    overflows or pi^n prod B underflows, null in JSON), both re-checkable
+    via recertify(); witness_abs is the same ratio with per C in floats
+    at x = 0 of the first slot's slice (fn_nontrivial).  The rest follows
+    from the chain: n is the coordinate count, the construction is dim3
+    at a root and lift under a parent, and the tolerance is the
+    construction's.
     """
 
     lam: tuple[complex, ...]
@@ -178,7 +179,7 @@ class ZeroCertificate:
             "lambda": [[c.real, c.imag] for c in self.lam],
             "mu": [[c.real, c.imag] for c in self.mu],
             "residual_rel": self.residual_rel,
-            # |K| overflows to inf near n = 12; JSON has no inf
+            # |K| is inf from n = 12 on the default chain; JSON has no inf
             "kernel_abs": self.kernel_abs if math.isfinite(self.kernel_abs) else None,
             "construction": self.construction,
             "parent": self.parent.to_dict() if self.parent else None,
@@ -247,18 +248,24 @@ def _cancellation(lam, mu) -> tuple[float, float]:
 
     At a zero the float per C is rounding noise, so per C is taken
     exactly; per |C| and pi^n prod B come from the float evaluation.
-    Fails closed: a zero or non-finite per |C| or pi^n prod B raises
-    instead of giving a ratio of 0.
+    Fails closed: a zero or non-finite per |C|, or a non-finite
+    pi^n prod B, raises instead of giving a ratio of 0.  A pi^n prod B
+    that underflows to 0 gives a kernel_abs of inf, as where |K|
+    overflows: at the n = 13 node of the default chain |pi^n prod B| is
+    about 5e-378 and |per C| about 3e34, so |K| is about 6e411, and inf
+    is its correctly rounded value.  The residual does not read
+    pi^n prod B.
     """
-    with np.errstate(over="ignore"):  # K itself overflows near n = 12 and is not read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # K is not read
         ev = kernel_gn(lam, mu)
     den = abs(ev.denominator)
-    if not (0 < ev.scale < math.inf and 0 < den < math.inf):
+    if not (0 < ev.scale < math.inf and den < math.inf):
         raise CertificationFailure(
-            f"per |C| = {ev.scale:.3e} and |pi^n prod B| = {den:.3e} must be finite and nonzero"
+            f"per |C| = {ev.scale:.3e} must be finite and nonzero and "
+            f"|pi^n prod B| = {den:.3e} finite"
         )
     per = abs(permanent_exact(lam, mu))
-    return per / ev.scale, per / den
+    return per / ev.scale, per / den if den else math.inf
 
 
 def recertify(cert: ZeroCertificate) -> dict:
@@ -355,7 +362,7 @@ def fn_nontrivial(lam, mu, tol: float) -> float:
     and 6e-4 at n = 12.  Where it is not decisive (a nan included),
     WitnessNotFound is raised.
     """
-    with np.errstate(over="ignore"):  # as in _cancellation, K is not read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # as in _cancellation
         ev, error = kernel_gn_with_error((0j, *lam[1:]), mu)
     if not 0 < ev.scale < math.inf:
         raise CertificationFailure(f"per |C| = {ev.scale:.3e} must be finite and nonzero")
@@ -379,18 +386,19 @@ def _certified(lam, mu, residual, kernel_abs, parent=None) -> ZeroCertificate:
     return cert
 
 
-def construct_zero_dim3(
+def zero_point_dim3(
     rho: float = DEFAULT_RHO,
     mu1_modulus: float = DEFAULT_MU1,
-) -> ZeroCertificate:
-    """Certified dimension-3 kernel zero near the unimodular base triple,
-    by default the root of every chain build_certificate_chain makes.
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The float pair (lam, mu) of the dimension-3 zero near the
+    unimodular base triple, uncertified; construct_zero_dim3 certifies it.
 
     nu = rho * base triple; the quadratic root nearest the reference
     root and inside the unit disc fixes mu_2/mu_1; mu_1 is placed on the
     positive real axis with the given modulus, mu_3 = 0, and
-    lambda_j = nu_j / conj(mu_1).  The cancellation ratio
-    |per C| / per |C| there is certified against DEFAULT_TOL_DIM3.
+    lambda_j = nu_j / conj(mu_1).  Raises InvalidScaling unless
+    0 < rho < mu1_modulus < 1, and NoRootInUnitDisc if no root of the
+    quadratic lies inside the unit disc.
     """
     if not (0.0 < rho < mu1_modulus < 1.0):
         raise InvalidScaling(
@@ -410,7 +418,21 @@ def construct_zero_dim3(
     mu1 = complex(mu1_modulus)  # phase fixed real positive
     lam = tuple(v / mu1.conjugate() for v in nu)
     mu = (mu1, z.conjugate() * mu1, 0j)
+    return lam, mu
 
+
+def construct_zero_dim3(
+    rho: float = DEFAULT_RHO,
+    mu1_modulus: float = DEFAULT_MU1,
+) -> ZeroCertificate:
+    """Certified dimension-3 kernel zero near the unimodular base triple,
+    by default the root of every chain build_certificate_chain makes.
+
+    The pair is zero_point_dim3(rho, mu1_modulus), whose errors this
+    raises; the cancellation ratio |per C| / per |C| there is certified
+    against DEFAULT_TOL_DIM3, with the slice witness, by _certified.
+    """
+    lam, mu = zero_point_dim3(rho, mu1_modulus)
     return _certified(lam, mu, *_cancellation(lam, mu))
 
 

@@ -232,16 +232,18 @@ def extrapolated_confluent_kernel(lnodes, lmults, mnodes, mmults, t0=2e-3, level
     return complex(v[0])
 
 
-def loop_disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
-    """Seeded disc tuples with pairwise separation, accepted row by row:
-    the loop that the vectorised sampler must reproduce bit for bit."""
+def loop_disc_draw(rng, count, radius=0.9, min_gap=0.02, width=1):
+    """Seeded disc tuples with pairwise separation, accepted row by row
+    from whole rounds of count rows; also returns how many rows were read
+    up to the last one kept, the rows a sampler needs to turn into points."""
     out = np.empty((count, width), dtype=complex)
-    filled = 0
+    filled = read = 0
     while filled < count:
         draw = radius * np.sqrt(rng.random((count, width))) * np.exp(
             2j * np.pi * rng.random((count, width))
         )
         for row in draw:
+            read += 1
             if width > 1:
                 gaps = [
                     abs(row[i] - row[j])
@@ -254,7 +256,12 @@ def loop_disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
             filled += 1
             if filled == count:
                 break
-    return out
+    return out, read
+
+
+def loop_disc_samples(rng, count, radius=0.9, min_gap=0.02, width=1):
+    """The loop that the vectorised sampler must reproduce bit for bit."""
+    return loop_disc_draw(rng, count, radius, min_gap, width)[0]
 
 
 def loop_dim3_samples(samples, seed):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symdisc import zerofind
 from symdisc.cli import main, parse_complex
 from symdisc.errors import CertificationFailure
 from symdisc.kernel import kernel_gn, numerator_error, permanent_exact
@@ -55,6 +56,18 @@ def test_verify_paper_json(tmp_path):
         for report in payload["reports"]
         for check in report["checks"]
     )
+
+
+def test_verify_paper_certifies_nothing(tmp_path, monkeypatch):
+    # the moment check reads only the point of the dimension-3 zero
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-paper certified a zero")
+
+    monkeypatch.setattr(zerofind, "construct_zero_dim3", refuse)
+    monkeypatch.setattr(zerofind, "_certified", refuse)
+    out = tmp_path / "log.txt"
+    assert run(["verify-paper", "--samples", "100", "--out", str(out)]) == 0
+    assert "[PASS] slice-moment-identity" in out.read_text()
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -507,6 +520,27 @@ def test_eval_writes_strict_json_where_k_overflows(tmp_path, capsys):
     assert payload["abs"] is None and payload["value"] == [None, None]
     assert 0 < payload["permanent_rel"] < 1e-8 and math.isfinite(payload["scale"])
     assert "(|K| = inf)" in text.read_text()
+
+
+def test_find_zero_13_certifies_where_pi_n_prod_b_underflows(tmp_path, capsys):
+    # pi^13 prod B rounds to 0, so |K| is inf and written as null, as |K|
+    # is at n = 12; the suite turns numpy's warnings into errors
+    path, lifted = tmp_path / "c13.json", tmp_path / "l14.json"
+    capsys.readouterr()
+    assert run(["find-zero", "13", "--out", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    assert data["n"] == 13 and data["kernel_abs"] is None
+    assert 0 < data["residual_rel"] <= data["tolerances"]["residual_rel"]
+    # read back, every node is rebuilt from its coordinates before the lift
+    assert run(["lift", "--cert", str(path), "--out", str(lifted)]) == 0
+    assert capsys.readouterr().err == ""
+    top = json.loads(lifted.read_text(), parse_constant=refuse)
+    assert top["n"] == 14 and top["parent"] == data
 
 
 def test_eval_dimension_mismatch(capsys):

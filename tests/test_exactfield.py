@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 import operator
 import random
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -263,6 +265,11 @@ def test_report_serialization():
     data = rep.to_dict()
     assert data["passed"] is True
     assert all({"name", "statement", "passed", "detail"} <= set(c) for c in data["checks"])
+    # the dict dataclasses.asdict gives, keys in the same order, built directly
+    for report in (rep, verify_base_point_identities(fault="p-coeff")):
+        want = {**asdict(report), "passed": report.passed}
+        assert report.to_dict() == want
+        assert json.dumps(report.to_dict()) == json.dumps(want)
     text = rep.to_text()
     assert text.count("[PASS]") == len(rep.checks)
 

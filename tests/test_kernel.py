@@ -34,6 +34,7 @@ from .oracles import (
     extrapolated_confluent_kernel,
     fraction_delta,
     loop_closed_form_comparison,
+    loop_disc_draw,
     loop_disc_samples,
     loop_dim3_samples,
     loop_reduction_chain_check,
@@ -626,6 +627,38 @@ def test_disc_samples_match_row_by_row_loop(width, min_gap):
         stacked = kernel._disc_samples(np.random.default_rng(seed), 200, min_gap=min_gap, width=width)
         loop = loop_disc_samples(np.random.default_rng(seed), 200, min_gap=min_gap, width=width)
         assert np.array_equal(stacked, loop)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_disc_samples_match_the_loop_at_verify_paper_size(width):
+    # verify-paper draws 1000 rows; at most of these seeds the gap test drops
+    # a row of the first round, so a second round is drawn
+    redrawn = 0
+    for seed in range(20):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = kernel._disc_samples(rng, 1000, width=width)
+        loop, read = loop_disc_draw(loop_rng, 1000, width=width)
+        assert stacked.tobytes() == loop.tobytes()
+        assert rng.random() == loop_rng.random()  # the same draws follow
+        redrawn += read > 1000
+    assert redrawn >= 5
+
+
+@pytest.mark.parametrize("count, width, min_gap", [(1000, 2, 0.02), (1000, 3, 0.02), (200, 4, 0.6)])
+def test_disc_samples_turn_only_the_rows_read_into_points(monkeypatch, count, width, min_gap):
+    # every kept row and every dropped one before the last kept row, once
+    reads = [loop_disc_draw(np.random.default_rng(seed), count, min_gap=min_gap, width=width)[1] for seed in range(20)]
+    exp, points = np.exp, []
+
+    def counted(x, *args, **kwargs):
+        points.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for seed, read in enumerate(reads):
+        points.clear()
+        kernel._disc_samples(np.random.default_rng(seed), count, min_gap=min_gap, width=width)
+        assert sum(points) == width * read
 
 
 def test_closed_form_comparison_matches_per_sample_loop():

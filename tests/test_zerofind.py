@@ -38,6 +38,7 @@ from symdisc.zerofind import (
     sample_nonvanishing,
     solve_abc_quadratic,
     TORUS_BASE,
+    zero_point_dim3,
 )
 
 from .oracles import bareiss_delta, fraction_delta
@@ -137,16 +138,23 @@ def test_dim3_certificate_recertifies(dim3_cert):
     assert again["kernel_abs"] == pytest.approx(dim3_cert.kernel_abs, rel=1e-9, abs=1e-300)
 
 
+@pytest.mark.parametrize("scaling", [(), *BAND_EDGES])
+def test_zero_point_dim3_is_the_point_construct_zero_dim3_certifies(scaling):
+    cert = construct_zero_dim3(*scaling)
+    assert zero_point_dim3(*scaling) == (cert.lam, cert.mu)
+
+
 def test_dim3_invalid_scaling():
-    with pytest.raises(InvalidScaling):
-        construct_zero_dim3(rho=0.99, mu1_modulus=0.98)
-    with pytest.raises(InvalidScaling):
-        construct_zero_dim3(rho=1.2, mu1_modulus=1.3)
+    for make in (construct_zero_dim3, zero_point_dim3):
+        for rho, mu1 in ((0.99, 0.98), (1.2, 1.3), (0.0, 0.5)):
+            with pytest.raises(InvalidScaling):
+                make(rho=rho, mu1_modulus=mu1)
 
 
 def test_dim3_no_root_when_scaled_too_far_inside():
-    with pytest.raises(NoRootInUnitDisc):
-        construct_zero_dim3(rho=0.5, mu1_modulus=0.6)
+    for make in (construct_zero_dim3, zero_point_dim3):
+        with pytest.raises(NoRootInUnitDisc):
+            make(rho=0.5, mu1_modulus=0.6)
 
 
 def test_abc_origin_has_no_quadratic_root():
@@ -322,14 +330,34 @@ def _broken_with_error(field, value):
     return evaluate
 
 
-@pytest.mark.parametrize("field, value", [("scale", math.inf), ("scale", 0.0), ("denominator", 0j)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", math.inf),
+        ("scale", 0.0),
+        ("denominator", complex(math.inf, 0)),
+        ("denominator", complex(math.nan, 0)),
+    ],
+)
 def test_certification_fails_closed(dim3_cert, monkeypatch, field, value):
-    # a per |C| or pi^n prod B that is zero or not finite gives no residual
+    # a per |C| that is zero or not finite, or a pi^n prod B that is not
+    # finite (it would give a kernel_abs of 0), gives no residual
     monkeypatch.setattr(zerofind, "kernel_gn", _broken(field, value))
     with pytest.raises(CertificationFailure, match="finite and nonzero"):
         construct_zero_dim3()
     with pytest.raises(CertificationFailure, match="finite and nonzero"):
         recertify(dim3_cert)
+
+
+def test_an_underflowed_denominator_gives_an_infinite_kernel_abs(dim3_cert, monkeypatch):
+    # pi^n prod B below the smallest subnormal rounds to 0 (from n = 13 on
+    # the default chain): |K| is then above the largest double, and the
+    # residual does not read it
+    residual = recertify(dim3_cert)["residual_rel"]
+    monkeypatch.setattr(zerofind, "kernel_gn", _broken("denominator", 0j))
+    assert recertify(dim3_cert) == {"residual_rel": residual, "kernel_abs": math.inf}
+    cert = construct_zero_dim3()
+    assert cert.kernel_abs == math.inf and cert.to_dict()["kernel_abs"] is None
 
 
 def test_recheck_names_the_first_failing_node_from_the_root(chain7):
