@@ -273,20 +273,38 @@ def cmd_grid(args) -> int:
     # K(lam, mu) = conj K(mu, lam) and K's symmetry in mu turn into the
     # first coordinate of a fiber with mu_2 left out and lam in mu's role
     if args.axis == "lambda1":
-        values = kernel.fiber_kernel(pts, lam[1:], mu)
+        fiber = (pts, lam[1:], mu)
     else:
-        mu2 = np.conj(pts) * mu[0] if args.axis == "z" else pts
-        values = np.conj(kernel.fiber_kernel(mu2, np.delete(mu, 1), lam))
-
+        fiber = (np.conj(pts) * mu[0] if args.axis == "z" else pts, np.delete(mu, 1), lam)
     # the coordinates take res values each: format them once, and each block
     # of res rows with one format string over its |K| and arg K columns,
     # written as it is made: holding the whole table, as one string or as
     # blocks, raised the command's peak memory by 9 MiB at --res 200
-    fields = np.stack([np.abs(values), np.angle(values)], axis=-1).reshape(res, -1).tolist()
+    fields = _abs_arg(fiber, conj=args.axis != "lambda1").reshape(res, -1).tolist()
     tails = [""] + ["%.17g,%%.17g,%%.17g" % y for y in im_.tolist()]
     blocks = (("\n%.17g," % x).join(tails) % tuple(block) for x, block in zip(re_.tolist(), fields))
     _write_chunks(args.out, itertools.chain(["re,im,abs_k,arg_k"], blocks))
     return EXIT_OK
+
+
+def _abs_arg(fiber, conj: bool) -> np.ndarray:
+    """(|K|, arg K) per point of kernel.fiber_kernel(*fiber), conjugated
+    when conj is set, as a (points, 2) array.  pi^m prod B underflows to 0
+    from n = 13 and K overflows from n = 12: the points where the float K
+    is not finite take |K| and arg K from kernel.fiber_log_kernel, and no
+    warning is written."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = kernel.fiber_kernel(*fiber)
+        if conj:
+            values = np.conj(values)
+        out = np.stack([np.abs(values), np.angle(values)], axis=-1)
+        lost = ~np.isfinite(values)
+        if lost.any():
+            log_abs, arg = kernel.fiber_log_kernel(fiber[0][lost], *fiber[1:])
+            out[lost, 0] = np.exp(log_abs)
+            # arg conj K = -arg K, with pi kept in (-pi, pi]
+            out[lost, 1] = np.where(arg == np.pi, arg, -arg) if conj else arg
+    return out
 
 
 # --- parser ---------------------------------------------------------------------

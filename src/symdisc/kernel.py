@@ -11,8 +11,9 @@ and Cauchy's determinant cancel the Vandermonde product:
 which is smooth at coincident coordinates.  Every float evaluation goes
 through this formula, with the permanent computed by Glynn's formula in
 Gray-code order (permanent): a single pair or fiber walks every step at
-once, as one cumsum over the gathered updates, and the batch slabs walk
-step by step; both make the same additions, so they give the same bits.
+once, as one cumsum over the updates gathered from one table, and the
+batch slabs walk step by step; both make the same additions, so they give
+the same bits.
 At a certified zero the float per C is rounding noise, so the residual
 of a certificate takes per C correctly rounded at the stored float
 coordinates (permanent_exact).  They are dyadic Gaussian rationals, so
@@ -39,7 +40,9 @@ it is a rational function of lambda_1 built from the permanents of the
 first-row minors.  Its numerator, the fiber polynomial, has the first
 coordinates at which the kernel vanishes as its roots; fiber_kernel
 evaluates the kernel along the fiber from the same minors, O(n) per
-point, which is what grid slices use.  fiber_minors takes a stack of
+point, which is what grid slices use, and fiber_log_kernel gives log |K|
+and arg K there from the logs of the factors, where the float quotient
+overflows.  fiber_minors takes a stack of
 fibers, the lift's rungs, through one permanent call, and
 fiber_zero_free proves from the same minors, by a Taylor bound with its
 own rounding accounted for, that a fiber polynomial has no root in a
@@ -97,18 +100,36 @@ class QuadraticData:
 
 
 def _base_matrix(lam, mu) -> np.ndarray:
-    """Matrix B with entries 1 - lambda_j * conj(mu_k); none may vanish."""
-    a = np.asarray(_coords(lam), dtype=complex)
-    b = np.asarray(_coords(mu), dtype=complex)
-    if a.shape != b.shape:
+    """Matrix B with entries 1 - lambda_j * conj(mu_k) of two points,
+    each validated by _coords; none may vanish."""
+    return _base(_coords(lam), _coords(mu))
+
+
+def _base(a: tuple[complex, ...], b: tuple[complex, ...]) -> np.ndarray:
+    """_base_matrix of two tuples of complex coordinates already known
+    finite, with conj(mu) taken in Python (it is exact either way) so that
+    both rows go into one array.  Every entry is tested at once: B.all()
+    without the method's Python wrapper."""
+    if len(a) != len(b):
         raise ValueError("tuples must have the same dimension")
-    base = 1.0 - np.multiply.outer(a, np.conj(b))
-    if np.logical_or.reduce(base == 0, axis=None):
+    a, bbar = np.array((a, [z.conjugate() for z in b]), dtype=complex)
+    base = 1.0 - np.multiply.outer(a, bbar)
+    if not np.logical_and.reduce(base, axis=None):
         raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
     return base
 
 
-# the widest stack, in positions c[0].size, that permanent() walks stacked
+# the widest stack, in positions c[0].size, that permanent() walks stacked.
+# Per call on a 2-vCPU x86 host (numpy 2.4), stacked against stepwise, the
+# two ways cost the same between 255 and 384 positions at n = 5 and 6 and
+# between 384 and 512 at n = 7 and 8: 252-256 positions take 0.59-0.98x the
+# stepwise time stacked and 378-384 take 0.68-1.22x, but 510-512 take
+# 1.15-2.6x, where the gathered steps and their column-first copy outgrow
+# the caches.  Few stacks fall between 128 and that crossover: one fiber's
+# minors, with m^2 - m positions, at m = 12..20, and a batch's last slab of
+# fewer than 384 / n pairs.  The benchmark times neither (its grids are at
+# n = 3 and 7, its samples end on slabs of 672 pairs), and either walk
+# gives the same bits, so the limit stays at 128
 _STACKED_POSITIONS = 128
 # steps per block of the stacked walk: bounds its gathered array to 8 MiB
 # at 128 complex positions, whatever n is
@@ -125,11 +146,12 @@ def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     chosen by the shape of c alone, by its positions c[0].size = n * batch:
 
     * stacked, for at most _STACKED_POSITIONS positions (a single pair, a
-      single fiber's minors, a short last slab): every step's update
-      +-2 c_j, gathered into one array behind the column sums, and one
-      cumsum over it give every running sum at once.  The gathered array
-      holds 2^(n-1) x positions values (16 B each when complex), in blocks
-      of at most _WALK_STEPS steps.
+      single fiber's minors, a short last slab): one table holds the rows
+      2c, -2c and the column sums; one gather of its rows in step order
+      (the column sums first, then each step's update +-2 c_j), one
+      in-place cumsum and one column product give every step at once.
+      The gathered array holds 2^(n-1) x positions values (16 B each when
+      complex), in blocks of at most _WALK_STEPS steps.
     * stepwise, for wider stacks (the batch slabs, the lift's rung stack):
       one in-place update and one column product per step, in Python.
 
@@ -137,34 +159,33 @@ def permanent(c: np.ndarray, empty=np.empty) -> np.ndarray:
     bits: cumsum adds sequentially along its axis, and a subtracting step
     adds np.negative(2 c_j), which is s - 2 c_j bit for bit, zero signs
     included (a product by -2.0 need not be).  Per call on a 2-vCPU x86
-    host, stacked against stepwise: one [C, |C|] pair (2n positions) takes
-    17 against 16 us at n = 3, 21 against 41 us at n = 5, 52 against
-    228 us at n = 7 and 0.28 against 1.82 ms at n = 10; with four steps
-    or fewer, at n <= 3, stepwise is no slower (12 against 16.5 us at
-    n = 2).  128 positions take 1.3-2.3x less stacked at n = 5..8 and 384
-    positions 1.25x less at n = 6, 7, but a cumsum along the first axis is
-    slow over many positions: the lift's 24-rung stack at n = 7 (1008
-    positions) takes 283 against 193 us and a 1024-pair slab at n = 6
-    1810 against 426 us.  The crossover moves with the host and n (a
-    first measurement put it between 156 and 384 positions), so the limit
-    of 128 keeps below it.  `empty(shape, dtype)` provides the work arrays
-    (the batch evaluators pass a _SlabBuffers).  A strided c is copied to a
-    contiguous one first: numpy's reductions may round in another order on
-    a strided array, and the bits of the result should depend on the
-    values of c alone.  The reductions call np.add.reduce,
-    np.multiply.reduce and ndarray.cumsum directly: ndarray.sum and .prod,
-    np.cumsum and np.prod reach the same ufunc reductions, with the same
-    bits, through numpy's Python-level wrappers, which add 0.2-2.4 us per
-    call (numpy 2.4 on a 2-vCPU x86 host) to a single pair's evaluation
-    of 35-60 us at n <= 7.
+    host (numpy 2.4, the least of 7 repeats in two runs), stacked against
+    stepwise: one [C, |C|] pair (2n positions) takes 15 against 15-16 us
+    at n = 3, 16-17 against 37-39 us at n = 5, 23-24 against 124-132 us
+    at n = 7 and 0.10 against 1.00-1.04 ms at n = 10; with two steps, at
+    n = 2, stepwise is faster (12 against 15 us).  A cumsum along the
+    first axis is slow over many positions: a 24-rung stack of n = 7
+    minors (1008 positions) takes 640 against 117-120 us and a 1024-pair
+    slab at n = 6 4.9-5.1 against 0.37-0.39 ms.  See
+    _STACKED_POSITIONS for the crossover.  `empty(shape, dtype)` provides
+    the work arrays (the batch evaluators pass a _SlabBuffers).  A
+    strided c is copied to a contiguous one first: numpy's reductions may
+    round in another order on a strided array, and the bits of the result
+    should depend on the values of c alone.  The reductions call
+    np.add.reduce, np.multiply.reduce and ndarray.cumsum directly:
+    ndarray.sum and .prod, np.cumsum and np.prod reach the same ufunc
+    reductions, with the same bits, through numpy's Python-level
+    wrappers, which add 0.2-2.4 us per call to a single pair's evaluation
+    of 30-50 us at n <= 7.
     """
     c = np.ascontiguousarray(c)
     n = c.shape[0]
-    twice = np.multiply(c, 2.0, out=empty(c.shape, c.dtype))
-    sums = np.add.reduce(c, axis=0, out=empty(c.shape[1:], c.dtype))
     prods = empty((2 ** (n - 1), *c.shape[2:]), c.dtype)
-    walk = _stacked_walk if c[0].size <= _STACKED_POSITIONS else _stepwise_walk
-    walk(twice, sums, prods)
+    if c[0].size <= _STACKED_POSITIONS:
+        _stacked_walk(c, prods, empty)
+    else:
+        twice = np.multiply(c, 2.0, out=empty(c.shape, c.dtype))
+        _stepwise_walk(twice, np.add.reduce(c, axis=0, out=empty(c.shape[1:], c.dtype)), prods)
     return (np.add.reduce(prods[0::2], axis=0) - np.add.reduce(prods[1::2], axis=0)) / 2 ** (n - 1)
 
 
@@ -174,8 +195,9 @@ def _gray_schedule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of Glynn's Gray walk: step t >= 1 flips the sign of row rows[t], which
     takes 2 c_j off the column sums when negate[t] is 1 and adds it back
     when it is 0; updates[t] = rows[t] + n negate[t] is that update's row
-    in the stack (2c, -2c).  Step 0, the column sums themselves, has all
-    three 0."""
+    in the table (2c, -2c, column sums) of the stacked walk.  Step 0 reads
+    the column sums themselves: rows[0] and negate[0] are 0, updates[0]
+    is 2n."""
     rows = np.zeros(2 ** (n - 1), dtype=np.intp)
     negate = np.zeros(2 ** (n - 1), dtype=np.intp)
     flipped = [False] * n
@@ -184,6 +206,7 @@ def _gray_schedule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows[step], negate[step] = j, not flipped[j]
         flipped[j] = not flipped[j]
     updates = rows + n * negate
+    updates[0] = 2 * n
     for a in (rows, negate, updates):
         a.flags.writeable = False
     return rows, negate, updates
@@ -202,20 +225,38 @@ def _stepwise_walk(twice, sums, prods) -> None:
         np.multiply.reduce(sums, axis=0, out=prods[step, ...])
 
 
-def _stacked_walk(twice, sums, prods) -> None:
-    """Fill prods as _stepwise_walk does, from cumsums over the gathered
-    signed updates, _WALK_STEPS steps at a time."""
-    *_, updates = _gray_schedule(len(twice))
-    signed = np.concatenate((twice, np.negative(twice)))
+def _stacked_walk(c, prods, empty) -> None:
+    """Fill prods as _stepwise_walk does, from cumsums over the table
+    (2c, -2c, column sums) gathered in step order, _WALK_STEPS steps at a
+    time; each later block starts from the running sums of the one before.
+
+    The column product runs over a column-first copy of the running sums,
+    so that numpy multiplies whole contiguous rows of steps x positions,
+    n - 1 calls of its inner loop, instead of one short run of positions
+    per step and column, with the same products in the same order: the
+    permanent of a pair at n = 7 takes 24 against 33 us, at n = 10 0.10
+    against 0.20 ms.  A stack of one position keeps the step-first
+    product: numpy reduces a lone column of n values in its reduction
+    loop, whose complex product can round differently from the elementwise
+    loop (it does on AVX-512 hosts), and _stepwise_walk reduces such a
+    stack there too."""
+    n = len(c)
+    *_, updates = _gray_schedule(n)
+    table = empty((2 * n + 1, *c.shape[1:]), c.dtype)
+    np.multiply(c, 2.0, out=table[:n])
+    np.negative(table[:n], out=table[n : 2 * n])
+    np.add.reduce(c, axis=0, out=table[2 * n])
+    one_position = c[0].size == n
     for lo in range(0, len(prods), _WALK_STEPS):
         block = slice(lo, lo + _WALK_STEPS)
-        steps = signed[updates[block]]
+        steps = table.take(updates[block], axis=0)
         if lo:
             np.add(sums, steps[0], out=steps[0])
-        else:
-            steps[0] = sums
         steps.cumsum(axis=0, out=steps)
-        np.multiply.reduce(steps, axis=1, out=prods[block])
+        if one_position:
+            np.multiply.reduce(steps, axis=1, out=prods[block])
+        else:
+            np.multiply.reduce(steps.swapaxes(0, 1).copy(), axis=0, out=prods[block])
         sums = steps[-1]
 
 
@@ -363,6 +404,30 @@ def fiber_kernel(x, rest, mu) -> np.ndarray:
         per += minor / first
         row *= first
     return per / (PI ** len(mubar) * np.prod(base[0]) * row)
+
+
+def fiber_log_kernel(x, rest, mu) -> tuple[np.ndarray, np.ndarray]:
+    """(log |K|, arg K) at the points of fiber_kernel, from the log moduli
+    and the arguments of per C and of each factor of its denominator, pi^m,
+    every B_jk with j >= 2 and every 1 - x conj(mu_k): where the product
+    underflows to 0 (n >= 13 at the default chain's nodes) or the quotient
+    overflows (n >= 12), these stay finite.  per C is fiber_kernel's, bit
+    for bit; arg K is wrapped to (-pi, pi]."""
+    pers, base = fiber_minors([rest], [mu])
+    mubar = np.conj(np.asarray(mu, dtype=complex))
+    x = np.asarray(x, dtype=complex)
+    per = np.zeros_like(x)
+    log_abs = np.full(x.shape, -len(mubar) * math.log(PI) - np.log(np.abs(base[0])).sum())
+    arg = np.full(x.shape, -np.angle(base[0]).sum())
+    for minor, b in zip(pers[0], mubar):
+        first = 1.0 - x * b
+        per += minor / first
+        log_abs -= np.log(np.abs(first))
+        arg -= np.angle(first)
+    log_abs += np.log(np.abs(per))
+    arg += np.angle(per)
+    # into (-pi, pi]: the remainder lies in [0, 2 pi)
+    return log_abs, PI - np.remainder(PI - arg, 2 * PI)
 
 
 def det_pivoted(matrix: np.ndarray) -> complex | np.ndarray:
@@ -737,15 +802,17 @@ def kernel_gn_stable(
     (symcore._preimages, which roots_from_sym also uses): both arguments
     are read, then solved together, with one eigenvalue call for both
     when they have the same degree.  The first argument is classified,
-    then the second, and the same roots go to kernel_gn.  The eigenvalues
-    are backward stable, so at repeated preimage coordinates the value
-    matches kernel_gn at the exact tuples to about 1e-12 relative.
+    then the second, and the same roots go to kernel_gn's evaluation
+    (_base, then _evaluate): roots that classify as inside are finite, so
+    they are not checked again.  The eigenvalues are backward stable, so at repeated
+    preimage coordinates the value matches kernel_gn at the exact tuples
+    to about 1e-12 relative.
     """
     preimages = _preimages((s, t))
     for name, roots in zip(("first", "second"), preimages):
         if classify_roots(roots) != "inside":
             raise NotInDomain(f"{name} argument is not in the symmetrized polydisc")
-    return kernel_gn(*preimages)
+    return _evaluate(_base(*preimages))[0]
 
 
 # --- dimension-3 closed form -------------------------------------------------

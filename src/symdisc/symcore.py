@@ -14,10 +14,13 @@ All operations are pure functions and are safe to call concurrently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import SolverFailure
 
@@ -29,7 +32,7 @@ BOUNDARY_GUARD = 1e-12
 def _coords(p: Sequence[complex]) -> tuple[complex, ...]:
     """The coordinates of a point as complex numbers; a point without
     coordinates, or with a non-finite one, is a usage error (ValueError)."""
-    out = tuple(complex(c) for c in p)
+    out = tuple(map(complex, p))
     if not out:
         raise ValueError("a point needs at least one coordinate")
     if not all(map(cmath.isfinite, out)):
@@ -66,51 +69,99 @@ def companion_roots(polys) -> list[np.ndarray]:
     Step for step as np.roots: zeros are stripped at both ends, the
     companion matrix has the first row -p[1:] / p[0] and ones below the
     diagonal, its eigenvalues are the roots, and one zero follows per
-    stripped trailing zero.  Companion matrices of one size are stacked
-    into one np.linalg.eigvals call, which solves each matrix of a stack
-    as it solves it alone.  An eigenvalue failure is a SolverFailure.
+    stripped trailing zero.  Companion matrices of one degree are stacked
+    on a copy of that degree's ones below the diagonal (_subdiagonal) and
+    solved in one call of the LAPACK eigenvalue routine that
+    np.linalg.eigvals calls, which solves each matrix of a stack as it
+    solves it alone (_eigenvalues).  An eigenvalue failure is a
+    SolverFailure.
     """
-    out = [np.array([])] * len(polys)
-    groups = {}
-    for i, p in enumerate(polys):
+    rows = []
+    for p in polys:
         p = np.asarray(p, dtype=complex)
         if p.ndim != 1:
             raise ValueError("a polynomial is a rank-1 sequence of coefficients")
-        nonzero = p.nonzero()[0]
-        if len(nonzero):
-            trailing = len(p) - 1 - nonzero[-1]
-            p = p[nonzero[0] : nonzero[-1] + 1]
-            groups.setdefault(len(p), []).append((i, p, trailing))
-    for size, members in groups.items():
-        if size == 1:
-            values = [np.array([])] * len(members)
+        rows.append(p.tolist())
+    return _companion_roots(rows)
+
+
+def _companion_roots(rows) -> list[np.ndarray]:
+    """companion_roots of polynomials given as lists of Python complex
+    coefficients: their zeros are found, and -p[1:] negated (exactly, as
+    np.negative does), in Python, so that a degree's stack takes one
+    array of its rows and one division."""
+    out = [None] * len(rows)
+    groups = {}
+    for i, p in enumerate(rows):
+        nonzero = [k for k, v in enumerate(p) if v]
+        if nonzero:
+            lead, last = nonzero[0], nonzero[-1]
+            # p[0] and -p[1:], of which the companion's first row is the quotient
+            row = [p[lead], *(-v for v in p[lead + 1 : last + 1])]
+            groups.setdefault(last - lead, []).append((i, row, len(p) - 1 - last))
         else:
-            stack = np.zeros((len(members), size - 1, size - 1), complex)
-            # the subdiagonal, every size-th entry of a flattened matrix
-            stack.reshape(len(members), -1)[:, size - 1 :: size] = 1
-            coeffs = np.array([p for _, p, _ in members])
-            stack[:, 0, :] = np.negative(coeffs[:, 1:]) / coeffs[:, :1]
-            try:
-                values = np.linalg.eigvals(stack)
-            except np.linalg.LinAlgError as exc:
-                raise SolverFailure(f"companion eigenvalues failed (degree {size - 1}): {exc}") from exc
+            out[i] = np.array([])
+    for degree, members in groups.items():
+        if degree:
+            coeffs = np.array([p for _, p, _ in members], dtype=complex)
+            stack = _subdiagonal(degree).repeat(len(members), axis=0)
+            np.divide(coeffs[:, 1:], coeffs[:, :1], out=stack[:, 0])
+            values = _eigenvalues(stack)
+        else:
+            values = [np.array([])] * len(members)
         for (i, _, trailing), roots in zip(members, values):
             out[i] = np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
     return out
 
 
+@functools.cache
+def _subdiagonal(degree: int) -> np.ndarray:
+    """A read-only (1, degree, degree) complex matrix with ones below the
+    diagonal and zeros elsewhere: a companion matrix without its first row."""
+    ones = np.eye(degree, k=-1, dtype=complex)[None]
+    ones.flags.writeable = False
+    return ones
+
+
+# the gufunc that np.linalg.eigvals calls
+_eigvals = _umath_linalg.eigvals
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a C-contiguous complex stack of companion
+    matrices, bit for bit, from numpy's LAPACK gufunc itself (_eigvals),
+    without the wrapper's conversions, which a complex companion stack
+    does not need.  Its two checks stay: non-finite entries, which can
+    only be in the first rows, and a solve that does not converge, which
+    the gufunc signals by the invalid flag, under the error state
+    np.linalg.eigvals sets.  Either is a SolverFailure naming the degree,
+    with numpy's message."""
+    try:
+        if not np.logical_and.reduce(np.isfinite(stack[:, 0]), axis=None):
+            raise LinAlgError("Array must not contain infs or NaNs")
+        with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return _eigvals(stack, signature="D->D")
+    except LinAlgError as exc:
+        raise SolverFailure(f"companion eigenvalues failed (degree {stack.shape[-1]}): {exc}") from exc
+
+
 def _preimages(points) -> list[tuple[complex, ...]]:
-    """roots_from_sym of each point, from one companion_roots call: every
+    """roots_from_sym of each point, from one _companion_roots call: every
     point is read before any is solved."""
     coords = [_coords(s) for s in points]
     # at n = 1 the root is s_1 itself: a 1 x 1 eigenvalue solve would turn
     # -0.0 into +0.0
     polys = [[complex(1.0), *((-1.0) ** k * v for k, v in enumerate(sk, 1))] for sk in coords if len(sk) > 1]
-    solved = iter(companion_roots(polys))
-    return [
-        sk if len(sk) == 1 else tuple(sorted(map(complex, next(solved).tolist()), key=lambda c: (c.real, c.imag)))
-        for sk in coords
-    ]
+    solved = iter(_companion_roots(polys))
+    return [sk if len(sk) == 1 else tuple(sorted(next(solved).tolist(), key=_REAL_IMAG)) for sk in coords]
+
+
+# the sort key of roots, (real, imag)
+_REAL_IMAG = operator.attrgetter("real", "imag")
 
 
 def roots_from_sym(s: Sequence[complex]) -> tuple[complex, ...]:
@@ -136,12 +187,13 @@ def classify_roots(roots: Sequence[complex]) -> str:
     1 + BOUNDARY_GUARD, and "boundary-indeterminate" in between.
     Non-finite roots are a usage error (ValueError).
     """
-    moduli = [abs(r) for r in roots]
+    moduli = list(map(abs, roots))
     if not all(map(math.isfinite, moduli)):
         raise ValueError(f"roots must be finite: {tuple(roots)}")
-    if all(m < 1.0 - BOUNDARY_GUARD for m in moduli):
+    top = max(moduli, default=0.0)
+    if top < 1.0 - BOUNDARY_GUARD:
         return "inside"
-    if any(m > 1.0 + BOUNDARY_GUARD for m in moduli):
+    if top > 1.0 + BOUNDARY_GUARD:
         return "outside"
     return "boundary-indeterminate"
 

@@ -39,6 +39,22 @@ def test_reproduce_paper_smoke(tmp_path):
         assert report["mode"] == mode and report["samples"] == 2000
 
 
+def test_python_m_symdisc_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def symdisc(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "symdisc", *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+        )
+
+    proc = symdisc("verify-paper")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and re.search(r"^# (\d+)/\1 checks passed$", proc.stdout, re.MULTILINE), proc.stdout
+    # the exit code is main's
+    proc = symdisc("eval", "--lambda", "0,0", "--mu", "0,0", "0.5,0")
+    assert proc.returncode == 2 and "got 1 and 2" in proc.stderr
+
+
 def _load_script():
     spec = importlib.util.spec_from_file_location("reproduce_paper", ROOT / "scripts" / "reproduce_paper.py")
     script = importlib.util.module_from_spec(spec)

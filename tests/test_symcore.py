@@ -78,13 +78,38 @@ def test_roots_from_sym_is_deterministic():
     assert roots_from_sym(s) == roots_from_sym(s)
 
 
-def test_roots_from_sym_maps_an_eigenvalue_failure(monkeypatch):
-    def fail(matrices):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _unconverged(matrices, signature):
+    """A LAPACK eigenvalue gufunc that fails as numpy's does: NaN roots,
+    reported through the invalid flag (0 / 0 raises it)."""
+    return np.zeros(matrices.shape[:-1]) / np.zeros(matrices.shape[:-1])
 
-    monkeypatch.setattr(symcore.np.linalg, "eigvals", fail)
-    with pytest.raises(SolverFailure):
+
+def test_roots_from_sym_maps_an_eigenvalue_failure(monkeypatch):
+    monkeypatch.setattr(symcore, "_eigvals", _unconverged)
+    with pytest.raises(SolverFailure, match=r"\(degree 2\): Eigenvalues did not converge"):
         roots_from_sym(elem_sym([0.3, -0.2j]))
+    # whatever error state the caller set, and with no warning
+    with np.errstate(all="raise"), pytest.raises(SolverFailure, match="degree 3"):
+        companion_roots([[1, 0.5, 0.2, 0.1]])
+    with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="degree 3"):
+        companion_roots([[1, 0.5, 0.2, 0.1]])
+
+
+def test_a_non_finite_companion_entry_is_a_solver_failure():
+    # -1 / 1e-310 overflows, as in np.roots, so the companion matrix holds
+    # an infinite entry, which np.linalg.eigvals refuses; the division
+    # warns of it, and of a non-finite coefficient, as np.roots does
+    polys = [[1e-310, 1.0, 0.5], [1.0, 2.0, np.inf, 0.0], [2.0, np.nan]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, degree in zip(polys, (2, 2, 1)):
+            with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                np.roots(p)
+            with pytest.raises(SolverFailure, match=rf"\(degree {degree}\): Array must not contain infs or NaNs"):
+                companion_roots([p])
+        # a finite polynomial of the same degree in the same call fails with it
+        with pytest.raises(SolverFailure, match="degree 2"):
+            companion_roots([[1.0, 0.25j, 0.5], polys[0]])
+    assert roots_from_sym((0.5, 1e300))  # finite, however large
 
 
 SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
@@ -140,20 +165,20 @@ def test_companion_roots_are_np_roots_bit_for_bit():
 
 
 def test_companion_roots_makes_one_eigenvalue_call_per_degree(monkeypatch):
-    eigvals = np.linalg.eigvals
+    eigvals = symcore._eigvals
     stacks = []
 
-    def counted(a):
+    def counted(a, **kwargs):
         stacks.append(a.shape)
-        return eigvals(a)
+        return eigvals(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(symcore, "_eigvals", counted)
     polys = [[1, 0.5j, 0.2], [2j, 0.1, 0.3, 0.4], [0j, 1, -0.5, 0.1], [1j, 0.3, 0], [0.5j, 0.2]]
     roots = companion_roots(polys)
     # the third is quadratic once its leading zero goes; the fourth is
     # linear once its trailing zero goes, with a zero root after its own
     assert sorted(stacks) == [(1, 3, 3), (2, 1, 1), (2, 2, 2)]
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(symcore, "_eigvals", eigvals)
     for p, r in zip(polys, roots):
         assert _same_roots(r, np.roots(p))
 
