@@ -33,6 +33,10 @@ Signs of nonzero real constants are decided on the integer numerators by
 interval arithmetic with escalating precision (exact-zero short circuit
 first), so every verification below is precision-independent.
 
+The dimension-3 coefficient polynomials are generic ring expressions,
+proved here on ExactPoly values and evaluated in floats by kernel.  The
+module imports only the standard library, so the proofs run without numpy.
+
 The two verification entry points re-derive, with zero tolerance:
 
 * verify_base_point_identities -- the symmetric values of the unimodular base
@@ -53,8 +57,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
-
-from .kernel import bracket_expr, bracket_raw_displays, elem_sym3, quadratic_sym_coeffs
 
 _Rat = Union[int, Fraction]
 
@@ -450,6 +452,53 @@ class VerificationReport:
             ],
             "passed": self.passed,
         }
+
+
+# --- generic ring expressions, shared with the float path ------------------
+
+
+def elem_sym3(nu1, nu2, nu3):
+    """The three elementary symmetric values of a triple, generically."""
+    return (
+        nu1 + nu2 + nu3,
+        nu1 * nu2 + nu1 * nu3 + nu2 * nu3,
+        nu1 * nu2 * nu3,
+    )
+
+
+def quadratic_sym_coeffs(p1, p2, p3):
+    """Coefficients (a, b, c) of the dimension-3 quadratic, expressed in
+    the elementary symmetric values of nu.  Works over any commutative
+    ring whose elements support + - * with small integers, so the same
+    expressions serve float evaluation and exact-field identities."""
+    a = p2 * (2 - p1) + p3 * (2 * p1 - 3)
+    b = (p1 - 2) * (p2 - 2 * p1 + 3) + 3 * (p3 - p1 + 2)
+    c = p2 - 2 * p1 + 3
+    return a, b, c
+
+
+def bracket_expr(nu1, nu2, nu3, z):
+    """The bracketed cubic-in-z expression from reducing the dimension-3
+    determinant to two columns.  Generic in its arguments (numbers,
+    exact field elements, or polynomial generators)."""
+    t1 = (nu1 + nu3 - 2) * (z * nu2 + z * nu3 - 2) * (1 - z * nu1) ** 2 * (1 - nu2) ** 2
+    t2 = (nu2 + nu3 - 2) * (z * nu1 + z * nu3 - 2) * (1 - nu1) ** 2 * (1 - z * nu2) ** 2
+    return t1 - t2
+
+
+def bracket_raw_displays(nu1, nu2, nu3):
+    """The direct z^3, z^0 and z^1 coefficient extractions of the bracket:
+    returns (A, minus_two_C, B_plus_two_C), generically."""
+    a_coef = (nu1 + nu3 - 2) * (nu2 + nu3) * nu1**2 * (1 - nu2) ** 2 - (
+        nu2 + nu3 - 2
+    ) * (nu1 + nu3) * nu2**2 * (1 - nu1) ** 2
+    minus_two_c = 2 * (nu2 + nu3 - 2) * (1 - nu1) ** 2 - 2 * (nu1 + nu3 - 2) * (
+        1 - nu2
+    ) ** 2
+    b_plus_two_c = (nu1 + nu3 - 2) * (nu2 + nu3 + 4 * nu1) * (1 - nu2) ** 2 - (
+        nu2 + nu3 - 2
+    ) * (nu1 + nu3 + 4 * nu2) * (1 - nu1) ** 2
+    return a_coef, minus_two_c, b_plus_two_c
 
 
 # --- the exact quadratic data at the base triple ------------------------------

@@ -36,6 +36,7 @@ from symdisc.kernel import (
     kernel_g3_mu3zero,
     kernel_gn,
     numerator_error,
+    permanent_exact,
 )
 from symdisc.exactfield import VARS
 from symdisc.symcore import classify_roots, vandermonde_pair
@@ -192,6 +193,23 @@ def exact_kernel(lam, mu):
     exact elimination (bareiss_delta) over pi^n times the paired
     Vandermonde product."""
     return bareiss_delta(lam, mu) / (PI ** len(lam) * vandermonde_pair(lam, mu))
+
+
+def log_kernel_mp(lam, mu):
+    """(log |K|, arg K) at a pair of float tuples, with per C correctly
+    rounded (permanent_exact) and every factor of pi^n prod B taken in
+    60-digit mpmath; arg K wrapped to (-pi, pi]."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        per = mp.mpc(permanent_exact(lam, mu))
+        log_abs, arg = mp.log(abs(per)) - len(lam) * mp.log(mp.pi), mp.arg(per)
+        for a in lam:
+            for b in mu:
+                factor = 1 - mp.mpc(a) * mp.conj(mp.mpc(b))
+                log_abs -= mp.log(abs(factor))
+                arg -= mp.arg(factor)
+        return float(log_abs), float(arg - 2 * mp.pi * mp.ceil((arg - mp.pi) / (2 * mp.pi)))
 
 
 def perturbed_cluster_tuple(nodes, mults, t, phases):

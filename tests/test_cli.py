@@ -13,7 +13,7 @@ from symdisc.errors import CertificationFailure
 from symdisc.kernel import kernel_gn, numerator_error, permanent_exact
 from symdisc.zerofind import ZeroCertificate, recertify
 
-from .oracles import extrapolated_confluent_kernel
+from .oracles import extrapolated_confluent_kernel, log_kernel_mp
 
 
 def run(args):
@@ -725,34 +725,22 @@ def test_grid_rows_are_the_kernel_at_their_points(axis, which, tmp_path):
         assert abs(abs_k * cmath.exp(1j * arg_k) - k) <= 1e-9 * top
 
 
-def _log_kernel_mp(lam, mu):
-    """(log |K|, arg K) at a pair of float tuples, with per C correctly
-    rounded (permanent_exact) and every factor of pi^n prod B taken in
-    60-digit mpmath; arg K wrapped to (-pi, pi]."""
-    import mpmath as mp
-
-    with mp.workdps(60):
-        per = mp.mpc(permanent_exact(lam, mu))
-        log_abs, arg = mp.log(abs(per)) - len(lam) * mp.log(mp.pi), mp.arg(per)
-        for a in lam:
-            for b in mu:
-                factor = 1 - mp.mpc(a) * mp.conj(mp.mpc(b))
-                log_abs -= mp.log(abs(factor))
-                arg -= mp.arg(factor)
-        return float(log_abs), float(arg - 2 * mp.pi * mp.ceil((arg - mp.pi) / (2 * mp.pi)))
-
-
 @pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])
-def test_grid_around_an_n13_node_takes_k_from_the_logs(axis, tmp_path, capsys):
+def test_grid_around_an_n13_node_takes_k_from_the_logs(axis, tmp_path, capsys, monkeypatch):
     # pi^13 prod B underflows to 0, so every float K is inf + inf j: the rows
     # take |K| (inf: it overflows) and arg K from the logs of the factors,
     # with no warning, which the suite would turn into an error
     path = tmp_path / "c13.json"
     assert run(["find-zero", "13", "--out", str(path)]) == 0
     out = tmp_path / "slice.csv"
+    walks = []
+    minors = kernel.fiber_minors
+    monkeypatch.setattr(kernel, "fiber_minors", lambda *args: walks.append(args) or minors(*args))
     capsys.readouterr()
     assert run(["grid", "--around", str(path), "--axis", axis, "--res", "5", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
+    # the minors of the fiber are walked once, for the finite and the lost rows
+    assert len(walks) == 1
     rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 25 and all(abs_k == math.inf and -math.pi < arg_k <= math.pi for _, _, abs_k, arg_k in rows)
     assert len({arg_k for *_, arg_k in rows}) == 25
@@ -766,12 +754,14 @@ def test_grid_around_an_n13_node_takes_k_from_the_logs(axis, tmp_path, capsys):
             lam[0] = point
         else:
             mu[1] = point.conjugate() * mu[0] if axis == "z" else point
-        log_abs, arg = _log_kernel_mp(lam, mu)
+        log_abs, arg = log_kernel_mp(lam, mu)
         assert log_abs > math.log(np.finfo(float).max)
         assert abs(cmath.exp(1j * arg_k) - cmath.exp(1j * arg)) <= 1e-6
         if axis == "lambda1":
             fiber = (lam[1:], mu)
         else:
             fiber = (np.delete(mu, 1), lam)
-        got, _ = kernel.fiber_log_kernel([lam[0] if axis == "lambda1" else mu[1]], *fiber)
-        assert got[0] == pytest.approx(log_abs, rel=1e-9)
+        [[abs_k, fiber_arg]] = kernel.fiber_abs_arg([lam[0] if axis == "lambda1" else mu[1]], *fiber)
+        # the fiber of mu2 and z carries conj K
+        assert abs_k == math.inf
+        assert abs(cmath.exp(1j * fiber_arg) - cmath.exp(1j * (arg if axis == "lambda1" else -arg))) <= 1e-6

@@ -1,11 +1,15 @@
+import ast
 import cmath
 import json
 import math
 import operator
 import random
+import subprocess
+import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,17 +35,15 @@ from symdisc.exactfield import (
     ExactPoly,
     I,
     alg_sign,
-    exact_base_quadratic,
-    verify_bracket_identities,
-    verify_base_point_identities,
-)
-from symdisc.kernel import (
-    abc_coeffs,
     bracket_expr,
     bracket_raw_displays,
     elem_sym3,
+    exact_base_quadratic,
     quadratic_sym_coeffs,
+    verify_bracket_identities,
+    verify_base_point_identities,
 )
+from symdisc.kernel import abc_coeffs
 
 from .oracles import TuplePoly, fraction_alg_sign
 
@@ -284,6 +286,36 @@ def test_integral_coordinates_are_ints():
     assert (x * I).coords() == (0, 0, 0, 0, 2, 4, Fraction(1, 2), 0)
     y = Fraction(2) + SQRT2 * 4 + SQRT3 * Fraction(1, 2)
     assert x == 2 + SQRT2 * 4 + SQRT3 * Fraction(1, 2) and hash(x) == hash(y)
+
+
+def test_exactfield_imports_only_the_standard_library():
+    tree = ast.parse(Path(exactfield.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import would bring in the rest of the package
+            assert node.level == 0, f"relative import from {node.module!r}"
+            modules.add(node.module)
+    assert {name.split(".")[0] for name in modules} <= sys.stdlib_module_names
+
+
+def test_exactfield_proves_its_identities_without_numpy():
+    # loaded by path, outside the package, with every numpy import failing
+    script = """
+import importlib.util, sys
+sys.modules["numpy"] = None
+spec = importlib.util.spec_from_file_location("exactfield", sys.argv[1])
+module = sys.modules["exactfield"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+reports = (module.verify_base_point_identities(), module.verify_bracket_identities())
+sys.exit(0 if all(r.passed and r.checks for r in reports) else 1)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, exactfield.__file__], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_base_quadratic_is_computed_once():

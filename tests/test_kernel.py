@@ -33,6 +33,7 @@ from .oracles import (
     exact_kernel,
     extrapolated_confluent_kernel,
     fraction_delta,
+    log_kernel_mp,
     loop_closed_form_comparison,
     loop_disc_draw,
     loop_disc_samples,
@@ -483,24 +484,24 @@ def test_fiber_kernel_matches_one_pair_kernel(rng, n):
             elif repeat == "mu":
                 mu[-1] = mu[0]
             xs = np.array(draw_disc_tuple(rng, 4))
-            values = kernel.fiber_kernel(xs, rest, mu)
-            assert values.shape == xs.shape
-            for x, value in zip(xs, values):
+            values = kernel.fiber_abs_arg(xs, rest, mu)
+            assert values.shape == (*xs.shape, 2)
+            for x, (abs_k, arg_k) in zip(xs, values):
                 ev = kernel_gn((x, *rest), mu)
                 # to rounding of per |C|, the bound on Glynn's sum
-                assert abs(value - ev.value) <= 1e-13 * ev.scale / abs(ev.denominator)
+                assert abs(abs_k * cmath.exp(1j * arg_k) - ev.value) <= 1e-13 * ev.scale / abs(ev.denominator)
 
 
 def test_fiber_kernel_keeps_the_shape_of_x(rng):
     rest, mu = draw_disc_tuple(rng, 2), draw_disc_tuple(rng, 3)
     xs = np.array(draw_disc_tuple(rng, 6)).reshape(2, 3)
-    values = kernel.fiber_kernel(xs, rest, mu)
-    assert values.shape == (2, 3)
-    assert values[1, 2] == kernel.fiber_kernel([xs[1, 2]], rest, mu)[0]
+    values = kernel.fiber_abs_arg(xs, rest, mu)
+    assert values.shape == (2, 3, 2)
+    assert np.array_equal(values[1, 2], kernel.fiber_abs_arg([xs[1, 2]], rest, mu)[0])
     with pytest.raises(ValueError):
-        kernel.fiber_kernel(xs, rest, mu[:2])
+        kernel.fiber_abs_arg(xs, rest, mu[:2])
     with pytest.raises(SingularEntry):
-        kernel.fiber_kernel(xs, [0.5], [0.3, 2.0])
+        kernel.fiber_abs_arg(xs, [0.5], [0.3, 2.0])
 
 
 def test_fiber_kernel_at_the_pinned_zero_is_no_worse_than_kernel_gn():
@@ -510,8 +511,30 @@ def test_fiber_kernel_at_the_pinned_zero_is_no_worse_than_kernel_gn():
     cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
     ev = kernel_gn(cert.lam, cert.mu)
     exact = kernel.permanent_exact(cert.lam, cert.mu) / ev.denominator
-    [value] = kernel.fiber_kernel([cert.lam[0]], cert.lam[1:], cert.mu)
-    assert abs(value - exact) <= abs(ev.value - exact)
+    [[abs_k, arg_k]] = kernel.fiber_abs_arg([cert.lam[0]], cert.lam[1:], cert.mu)
+    assert abs(abs_k * cmath.exp(1j * arg_k) - exact) <= abs(ev.value - exact)
+
+
+def test_fiber_abs_arg_on_finite_and_overflowing_points_of_one_array():
+    # moduli 1 - 2^-9 .. 1 - 2^-19 at phases within 0.005 of 0: along this
+    # n = 11 fiber log |K| crosses log(max float), so one array of x holds
+    # points whose float K is finite and points where it overflows
+    m = 11
+    rng = np.random.default_rng(0)
+    t = 1 - 2.0 ** -np.arange(9, 9 + m)
+    mu = t * np.exp(1j * rng.uniform(-0.005, 0.005, m))
+    rest = t[1:] * np.exp(1j * rng.uniform(-0.005, 0.005, m - 1))
+    xs = np.concatenate([[0, 0.5, -0.5j], 0.99 * np.exp(2j * PI * np.arange(12) / 12)]).reshape(3, 5)
+    values = kernel.fiber_abs_arg(xs, rest, mu)
+    lost = values[..., 0] == math.inf
+    assert lost.any() and not lost.all()
+    for x, (abs_k, arg_k) in zip(xs.ravel(), values.reshape(-1, 2)):
+        log_abs, arg = log_kernel_mp((x, *rest), mu)
+        if abs_k == math.inf:
+            assert log_abs > math.log(np.finfo(float).max)
+        else:
+            assert abs_k == pytest.approx(math.exp(log_abs), rel=1e-9)
+        assert -PI < arg_k <= PI and abs(cmath.exp(1j * arg_k) - cmath.exp(1j * arg)) <= 1e-9
 
 
 def test_kernel_repeated_coordinate_matches_oracle():
