@@ -232,11 +232,32 @@ def cmd_sample(args) -> int:
 # --- grid -----------------------------------------------------------------------
 
 
+# the default half-width of a grid's square, where the domain leaves room
+_GRID_WIDTH = 0.05
+
+
+def _grid_limit(center: complex, radius: float) -> float:
+    """The half-width w at which the square [Re c - w, Re c + w] x
+    [Im c - w, Im c + w] around c = center first touches the circle
+    |p| = radius: its farthest corner (|Re c| + w) + i(|Im c| + w) lies on
+    the circle there."""
+    a, b = abs(center.real), abs(center.imag)
+    return (math.sqrt(2 * radius * radius - (a - b) ** 2) - (a + b)) / 2
+
+
 def cmd_grid(args) -> int:
+    """|K| and arg K over a res x res square around a certificate, moving
+    one coordinate: lambda_1, mu_2, or z = conj(mu_2) / conj(mu_1), which
+    moves mu_2 = conj(z) mu_1.  K is defined only while that coordinate
+    stays in the unit disc (|conj(z) mu_1| < 1 on the z axis), so the
+    square must stay strictly inside: the default --width is _GRID_WIDTH
+    or, where the domain is narrower, 1 - 2^-20 of the limit _grid_limit
+    gives, and an explicit --width at or past the limit exits 2 with a
+    message that gives it."""
     if args.res < 1:
         print(f"grid: --res must be at least 1, got {args.res}", file=sys.stderr)
         return EXIT_USAGE
-    if not (math.isfinite(args.width) and args.width > 0):
+    if args.width is not None and not (math.isfinite(args.width) and args.width > 0):
         print(f"grid: --width must be finite and positive, got {args.width}", file=sys.stderr)
         return EXIT_USAGE
     # validate() only: the grid certifies nothing, and a recheck would add
@@ -249,18 +270,29 @@ def cmd_grid(args) -> int:
     lam = np.asarray(cert.lam, dtype=complex)
     mu = np.asarray(cert.mu, dtype=complex)
     res = args.res
-    width = args.width
 
+    radius = 1.0
     if args.axis == "z":
         if mu[0] == 0:
             print("grid: --axis z needs mu_1 != 0 (z = conj(mu_2) / conj(mu_1)), "
                   "but the certificate has mu_1 = 0", file=sys.stderr)
             return EXIT_USAGE
         center = mu[1].conjugate() / mu[0].conjugate()
+        radius = 1 / abs(mu[0])
     elif args.axis == "lambda1":
         center = lam[0]
     else:
         center = mu[1]
+    limit = _grid_limit(complex(center), radius)
+    if args.width is None:
+        width = min(_GRID_WIDTH, limit * (1 - 2.0**-20))
+    elif args.width < limit:
+        width = args.width
+    else:
+        moving = "conj(z) mu_1" if args.axis == "z" else args.axis
+        print(f"grid: --width {args.width} takes {moving} out of the unit disc around this "
+              f"certificate; the square stays inside below --width {limit:.6g}", file=sys.stderr)
+        return EXIT_USAGE
 
     half = res // 2
     step = width / max(half, 1)
@@ -357,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--around", required=True, help="certificate JSON file")
     p.add_argument("--axis", choices=("z", "lambda1", "mu2"), default="z")
     p.add_argument("--res", type=int, default=200)
-    p.add_argument("--width", type=float, default=0.05)
+    p.add_argument("--width", type=float, default=None,
+                   help="half-width of the square (default 0.05, or less where the domain is narrower)")
     p.set_defaults(func=cmd_grid)
 
     return parser

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -497,55 +498,54 @@ def _vandermonde_int(points) -> tuple[int, int]:
     return v
 
 
-def _glynn_sum(rows) -> tuple[int, int]:
-    """2^(n-1) per E for a square matrix of Gaussian integers given as
-    rows of (re, im) pairs: the exact form of permanent()'s walk, on the
-    same _gray_schedule."""
-    n = len(rows)
-    sr = [sum(row[k][0] for row in rows) for k in range(n)]
-    si = [sum(row[k][1] for row in rows) for k in range(n)]
-    twice = [([2 * x for x, _ in row], [2 * y for _, y in row]) for row in rows]
-    flips, negate, _ = _gray_schedule(n)
+def _glynn_sum(rows_r, rows_i) -> tuple[int, int]:
+    """2^(n-1) per E for a square matrix of Gaussian integers given as the
+    real and the imaginary parts of its rows: the exact form of
+    permanent()'s walk, on the same _gray_schedule.
+
+    The walk reads its updates from the table (2c, -2c, column sums) as
+    _stacked_walk does, each a list of real and one of imaginary parts
+    with operator.add or operator.sub to apply to the running sums, which
+    start at 0.  The column product runs with Gauss's three
+    multiplications per factor from the first column's pair, with no
+    slicing, and the alternating sum runs as t = P - t, which after the
+    last of the 2^(n-1) steps (an odd one for n >= 2) holds minus the sum,
+    with no parity test.  Every value is an int, so this order gives the
+    sum bit for bit."""
+    n = len(rows_r)
+    table = [(operator.add, [x << 1 for x in r], [y << 1 for y in i]) for r, i in zip(rows_r, rows_i)]
+    table += [(operator.sub, dr, di) for _, dr, di in table]
+    table.append((operator.add, list(map(sum, zip(*rows_r))), list(map(sum, zip(*rows_i)))))
+    sr = si = [0] * n
     tr = ti = 0
-    for step, j, sub in zip(range(1 << (n - 1)), flips.tolist(), negate.tolist()):
-        if step:
-            dr, di = twice[j]
-            if sub:
-                sr = [s - d for s, d in zip(sr, dr)]
-                si = [s - d for s, d in zip(si, di)]
-            else:
-                sr = [s + d for s, d in zip(sr, dr)]
-                si = [s + d for s, d in zip(si, di)]
-        pr, pi = sr[0], si[0]
-        for xr, xi in zip(sr[1:], si[1:]):
+    for op, dr, di in map(table.__getitem__, _gray_schedule(n)[2].tolist()):
+        sr = list(map(op, sr, dr))
+        si = list(map(op, si, di))
+        cols = zip(sr, si)
+        pr, pi = next(cols)
+        for xr, xi in cols:
             k = xr * (pr + pi)
             pr, pi = k - pi * (xr + xi), k + pr * (xi - xr)
-        if step & 1:
-            tr -= pr
-            ti -= pi
-        else:
-            tr += pr
-            ti += pi
-    return tr, ti
+        tr = pr - tr
+        ti = pi - ti
+    return (tr, ti) if n == 1 else (-tr, -ti)
 
 
 def _cleared_rows(lam, mu):
-    """(a, b, rows) for a pair of float tuples: the dyadic coordinates and
-    the Gaussian integers W_jk, row by row."""
+    """(a, b, rows) for a pair of float tuples: the dyadic coordinates and,
+    row by row, the real and the imaginary parts of the Gaussian integers
+    W_jk, as two lists.  A vanishing W_jk raises SingularEntry."""
     a = [_dyadic(c) for c in _coords(lam)]
     b = [_dyadic(c) for c in _coords(mu)]
     if len(b) != len(a):
         raise ValueError("tuples must have the same dimension")
     rows = []
     for (gr, gi), e in a:
-        ws = []
-        for (hr, hi), f in b:
-            wr = (1 << (e + f)) - gr * hr - gi * hi
-            wi = gr * hi - gi * hr
-            if not (wr or wi):
-                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
-            ws.append((wr, wi))
-        rows.append(ws)
+        wr = [(1 << (e + f)) - gr * hr - gi * hi for (hr, hi), f in b]
+        wi = [gr * hi - gi * hr for (hr, hi), _ in b]
+        if not all(map(operator.or_, wr, wi)):
+            raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+        rows.append((wr, wi))
     return a, b, rows
 
 
@@ -555,9 +555,10 @@ def _cleared_permanent(lam, mu):
     every W_jk, all exact."""
     a, b, w_rows = _cleared_rows(lam, mu)
     n = len(a)
-    rows = []
+    rows_r, rows_i = [], []
     prod_w = (1, 0)
     for ws in w_rows:
+        ws = list(zip(*ws))
         # E_jk = prod_{l != k} W_jl from prefix and suffix products
         prefix = [(1, 0)]
         for w in ws[:-1]:
@@ -567,16 +568,12 @@ def _cleared_permanent(lam, mu):
         for k in range(n - 1, -1, -1):
             row[k] = _gmul(prefix[k], suffix)
             suffix = _gmul(suffix, ws[k])
-        rows.append(row)
+        rows_r.append([x for x, _ in row])
+        rows_i.append([y for _, y in row])
         prod_w = _gmul(prod_w, suffix)  # suffix is now P_j
-    per_r, per_i = _glynn_sum(rows)
+    per_r, per_i = _glynn_sum(rows_r, rows_i)
     # Glynn's sum is 2^(n-1) per E, so these shifts are exact
     return a, b, (per_r >> (n - 1), per_i >> (n - 1)), prod_w
-
-
-def _floor_scaled(x: int, s: int, d: int) -> int:
-    """floor(x 2^s / d) for d > 0."""
-    return (x << s) // d if s >= 0 else x // (d << -s)
 
 
 def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
@@ -587,10 +584,19 @@ def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
     Row j of C is scaled by 2^p_j, p_j chosen so that the row's largest
     |C_jk| times 2^p_j lies in (2^(bits-1), 2^bits], and truncated: from
     C_jk = 2^(e_j + f_k) conj(W_jk) / |W_jk|^2, each part of
-    X_jk = floor(2^p_j C_jk) is one integer division.  So
+    X_jk = floor(2^p_j C_jk) is one integer division, by |W_jk|^2 shifted
+    left instead where p_j + e_j + f_k < 0.  So
     2^p_j C = X + D with both parts of every D_jk in [0, 1), and
     per(2^p C) = 2^shift per C, shift = sum_j p_j, since the permanent is
     linear in each row.  Glynn's sum over X is exact, 2^(n-1) per X.
+
+    Each row takes |W_jk|^2 from its cleared row, p_j from their bit
+    lengths, both parts of every X_jk in one loop with no call per entry,
+    and R_j below and the all-real test from the finished lists.
+    |C_jk| = 2^(e_j + f_k) / |W_jk| lies in
+    (2^(t - 1), 2^t] with t = e_j + f_k - (L - 1) // 2, L the bit length
+    of |W_jk|^2, and since f - (L - 1) // 2 = ceil((2 f - L + 1) / 2),
+    the row's largest t is e_j + (max_k (2 f_k - L_k) + 2) // 2.
 
     The error: per is multilinear in the rows, so per(X + D) - per X is
     the sum, over the nonempty sets S of rows, of the permanents taking
@@ -605,23 +611,29 @@ def _fixed_enclosure(lam, mu, bits: int = _FIXED_BITS):
     """
     a, b, w_rows = _cleared_rows(lam, mu)
     n = len(a)
-    rows, shift, sums, padded = [], 0, 1, 1
-    for (_, e), ws in zip(a, w_rows):
-        norms = [wr * wr + wi * wi for wr, wi in ws]
-        # |C_jk| = 2^(e + f_k) / |W_jk| lies in (2^(t - 1), 2^t] with
-        # t = e + f_k - (bit length of |W_jk|^2 - 1) // 2
-        p = bits - max(e + f - (w2.bit_length() - 1) // 2 for (_, f), w2 in zip(b, norms))
-        row = [
-            (_floor_scaled(wr, p + e + f, w2), _floor_scaled(-wi, p + e + f, w2))
-            for (wr, wi), w2, (_, f) in zip(ws, norms, b)
-        ]
-        r = sum(abs(xr) + abs(xi) for xr, xi in row)
+    fs = [f for _, f in b]
+    twice_f = [2 * f for f in fs]
+    rows_r, rows_i, shift, sums, padded, real = [], [], 0, 1, 1, True
+    for (_, e), (wr, wi) in zip(a, w_rows):
+        norms = [x * x + y * y for x, y in zip(wr, wi)]
+        # q = p_j + e_j, so that X_jk takes 2^(q + f_k)
+        q = bits - ((max(map(operator.sub, twice_f, map(int.bit_length, norms))) + 2) >> 1)
+        xr, xi = [], []
+        for x, y, d, f in zip(wr, wi, norms, fs):
+            s = q + f
+            if s < 0:
+                d <<= -s
+                s = 0
+            xr.append((x << s) // d)
+            xi.append((-y << s) // d)
+        r = sum(map(abs, xr)) + sum(map(abs, xi))
         sums *= r
         padded *= r + 2 * n
-        rows.append(row)
-        shift += p
-    per_r, per_i = _glynn_sum(rows)
-    real = not any(wi for ws in w_rows for _, wi in ws)
+        rows_r.append(xr)
+        rows_i.append(xi)
+        shift += q - e
+        real = real and not any(wi)
+    per_r, per_i = _glynn_sum(rows_r, rows_i)
     radius = padded - sums
     return (per_r >> (n - 1), per_i >> (n - 1)), (radius, 0 if real else radius), shift
 

@@ -84,6 +84,11 @@ _MOMENT_RADIUS, _MOMENT_SAMPLES = 0.3, 64  # the contour of moment_identity_chec
 
 # rungs s = 2^-1 .. 2^-24 of the appended coordinate t = sqrt(1 - s)
 _LIFT_CANDIDATES = 24
+# rungs per stacked fiber evaluation, a divisor of _LIFT_CANDIDATES: a
+# lift at the defaults accepts rung n + 4, so the lifts to n <= 8 read only
+# the first 12, and the second 12 are evaluated only when the first accept
+# nothing
+_LIFT_STACK = 12
 # the lift skips a rung whose fiber polynomial kernel.fiber_zero_free proves
 # root-free within this many search radii of lambda_1.  The companion solve
 # would have to move a root by more than a search radius to put it in the
@@ -505,11 +510,14 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
     zero is the root of the fiber polynomial q((lam_2..lam_n, t); (mu, t))
     nearest lam_1; the first rung whose root lies in the search disc,
     keeps every coordinate distinct and certifies against
-    DEFAULT_TOL_LIFT is accepted.  The minor permanents of all the rungs'
-    fibers come from one stacked kernel.fiber_minors call.  From them
-    kernel.fiber_zero_free proves, for all the rungs at once, which
-    polynomials have no root within _SCREEN_MARGIN search radii of lam_1:
-    such a rung counts as outside the search disc without a solve.  The
+    DEFAULT_TOL_LIFT is accepted.  The minor permanents of the rungs'
+    fibers come from one stacked kernel.fiber_minors call per _LIFT_STACK
+    rungs, the next stack only when the loop has rejected every rung of
+    the one before; each fiber's minors do not depend on the rest of its
+    stack, so the split changes no certificate.  From them
+    kernel.fiber_zero_free proves, for all the rungs of a stack at once,
+    which polynomials have no root within _SCREEN_MARGIN search radii of
+    lam_1: such a rung counts as outside the search disc without a solve.  The
     distance from lam_1 to the nearest root about halves from one rung to
     the next, so the screen clears all but the last few rungs below the
     accepted one.  Any other rung's polynomial is assembled and solved
@@ -531,35 +539,38 @@ def lift_zero(cert: ZeroCertificate) -> ZeroCertificate:
         ("outside the search disc", "repeated coordinates", "residual above tolerance"), 0
     )
     best = math.inf
-    rungs = [complex(math.sqrt(1.0 - 2.0**-k)) for k in range(1, _LIFT_CANDIDATES + 1)]
-    mus = [(*mu, t) for t in rungs]
-    pers, _ = fiber_minors([(*lam[1:], t) for t in rungs], mus)
-    cleared = fiber_zero_free(pers, mus, lam1, _SCREEN_MARGIN * radius)
-    for t, new_mu, minors, skip in zip(rungs, mus, pers, cleared):
-        if skip:
-            rejected["outside the search disc"] += 1
-            continue
-        (roots,) = companion_roots([fiber_coefficients(minors, new_mu)])
-        x = complex(min(roots, key=lambda r: abs(r - lam1), default=math.inf))
-        if not abs(x - lam1) <= radius:
-            rejected["outside the search disc"] += 1
-            continue
-        new_lam = (x, *lam[1:], t)
-        # a rung can repeat an earlier appended coordinate, and a
-        # certificate's coordinates must be pairwise distinct
-        if len(set(new_lam)) != n + 1 or len(set(new_mu)) != n + 1:
-            rejected["repeated coordinates"] += 1
-            continue
-        residual, kernel_abs = _cancellation(new_lam, new_mu)
-        if not residual <= tol:
-            rejected["residual above tolerance"] += 1
-            best = min(best, residual)
-            continue
-        return _certified(new_lam, new_mu, residual, kernel_abs, parent=cert)
+    cleared = 0
+    for first in range(1, _LIFT_CANDIDATES + 1, _LIFT_STACK):
+        rungs = [complex(math.sqrt(1.0 - 2.0**-k)) for k in range(first, first + _LIFT_STACK)]
+        mus = [(*mu, t) for t in rungs]
+        pers, _ = fiber_minors([(*lam[1:], t) for t in rungs], mus)
+        skips = fiber_zero_free(pers, mus, lam1, _SCREEN_MARGIN * radius)
+        cleared += int(skips.sum())
+        for t, new_mu, minors, skip in zip(rungs, mus, pers, skips):
+            if skip:
+                rejected["outside the search disc"] += 1
+                continue
+            (roots,) = companion_roots([fiber_coefficients(minors, new_mu)])
+            x = complex(min(roots, key=lambda r: abs(r - lam1), default=math.inf))
+            if not abs(x - lam1) <= radius:
+                rejected["outside the search disc"] += 1
+                continue
+            new_lam = (x, *lam[1:], t)
+            # a rung can repeat an earlier appended coordinate, and a
+            # certificate's coordinates must be pairwise distinct
+            if len(set(new_lam)) != n + 1 or len(set(new_mu)) != n + 1:
+                rejected["repeated coordinates"] += 1
+                continue
+            residual, kernel_abs = _cancellation(new_lam, new_mu)
+            if not residual <= tol:
+                rejected["residual above tolerance"] += 1
+                best = min(best, residual)
+                continue
+            return _certified(new_lam, new_mu, residual, kernel_abs, parent=cert)
     reasons = ", ".join(f"{count} {why}" for why, count in rejected.items() if count)
     raise CertificationFailure(
         f"no lift to n = {n + 1} certified in {_LIFT_CANDIDATES} rungs ({reasons}; "
-        f"{int(cleared.sum())} cleared by the zero-exclusion bound without a solve; "
+        f"{cleared} cleared by the zero-exclusion bound without a solve; "
         f"smallest residual {best:.3e} against tolerance {tol:.1e})"
     )
 

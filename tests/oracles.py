@@ -17,7 +17,10 @@ the same interval refinement over Fractions.
 The single-pair float kernel and its symmetric-coordinate entry point
 are checked bit for bit against the route they replaced: C and |C|
 joined by np.stack, reductions through the ndarray methods, and one
-np.roots call per argument.
+np.roots call per argument.  The exact layer of permanent_exact is
+checked integer for integer against the route it replaced: rows built
+entry by entry through _floor_scaled, and a Gray walk with a parity test
+and a sliced column product per step.
 """
 
 import itertools
@@ -31,6 +34,9 @@ from symdisc.errors import NotInDomain, SingularEntry, SolverFailure
 from symdisc.kernel import (
     PI,
     KernelEval,
+    _dyadic,
+    _gmul,
+    _gray_schedule,
     bracket_coeffs_ABC,
     bracket_expr,
     kernel_g3_mu3zero,
@@ -585,3 +591,105 @@ def route_kernel_gn_stable(s, t):
             raise NotInDomain(f"{name} argument is not in the symmetrized polydisc")
         preimages.append(roots)
     return route_kernel_gn(*preimages)
+
+
+# --- the exact layer before its rows were built in one pass -------------------
+
+
+def route_glynn_sum(rows):
+    """2^(n-1) per E for rows of (re, im) pairs: the stepwise Gray walk with
+    a parity test per step and a sliced column product."""
+    n = len(rows)
+    sr = [sum(row[k][0] for row in rows) for k in range(n)]
+    si = [sum(row[k][1] for row in rows) for k in range(n)]
+    twice = [([2 * x for x, _ in row], [2 * y for _, y in row]) for row in rows]
+    flips, negate, _ = _gray_schedule(n)
+    tr = ti = 0
+    for step, j, sub in zip(range(1 << (n - 1)), flips.tolist(), negate.tolist()):
+        if step:
+            dr, di = twice[j]
+            if sub:
+                sr = [s - d for s, d in zip(sr, dr)]
+                si = [s - d for s, d in zip(si, di)]
+            else:
+                sr = [s + d for s, d in zip(sr, dr)]
+                si = [s + d for s, d in zip(si, di)]
+        pr, pi = sr[0], si[0]
+        for xr, xi in zip(sr[1:], si[1:]):
+            k = xr * (pr + pi)
+            pr, pi = k - pi * (xr + xi), k + pr * (xi - xr)
+        if step & 1:
+            tr -= pr
+            ti -= pi
+        else:
+            tr += pr
+            ti += pi
+    return tr, ti
+
+
+def route_cleared_rows(lam, mu):
+    """(a, b, rows) with rows of (re, im) pairs of W_jk, entry by entry."""
+    a = [_dyadic(c) for c in _route_coords(lam)]
+    b = [_dyadic(c) for c in _route_coords(mu)]
+    if len(b) != len(a):
+        raise ValueError("tuples must have the same dimension")
+    rows = []
+    for (gr, gi), e in a:
+        ws = []
+        for (hr, hi), f in b:
+            wr = (1 << (e + f)) - gr * hr - gi * hi
+            wi = gr * hi - gi * hr
+            if not (wr or wi):
+                raise SingularEntry("some 1 - lambda_j*conj(mu_k) vanishes")
+            ws.append((wr, wi))
+        rows.append(ws)
+    return a, b, rows
+
+
+def route_cleared_permanent(lam, mu):
+    """(a, b, per E, prod W) from prefix and suffix products of each row."""
+    a, b, w_rows = route_cleared_rows(lam, mu)
+    n = len(a)
+    rows = []
+    prod_w = (1, 0)
+    for ws in w_rows:
+        prefix = [(1, 0)]
+        for w in ws[:-1]:
+            prefix.append(_gmul(prefix[-1], w))
+        row = [None] * n
+        suffix = (1, 0)
+        for k in range(n - 1, -1, -1):
+            row[k] = _gmul(prefix[k], suffix)
+            suffix = _gmul(suffix, ws[k])
+        rows.append(row)
+        prod_w = _gmul(prod_w, suffix)
+    per_r, per_i = route_glynn_sum(rows)
+    return a, b, (per_r >> (n - 1), per_i >> (n - 1)), prod_w
+
+
+def _route_floor_scaled(x, s, d):
+    return (x << s) // d if s >= 0 else x // (d << -s)
+
+
+def route_fixed_enclosure(lam, mu, bits=144):
+    """The fixed-point enclosure with one _floor_scaled call per part of
+    each entry and the all-real test as a separate pass."""
+    a, b, w_rows = route_cleared_rows(lam, mu)
+    n = len(a)
+    rows, shift, sums, padded = [], 0, 1, 1
+    for (_, e), ws in zip(a, w_rows):
+        norms = [wr * wr + wi * wi for wr, wi in ws]
+        p = bits - max(e + f - (w2.bit_length() - 1) // 2 for (_, f), w2 in zip(b, norms))
+        row = [
+            (_route_floor_scaled(wr, p + e + f, w2), _route_floor_scaled(-wi, p + e + f, w2))
+            for (wr, wi), w2, (_, f) in zip(ws, norms, b)
+        ]
+        r = sum(abs(xr) + abs(xi) for xr, xi in row)
+        sums *= r
+        padded *= r + 2 * n
+        rows.append(row)
+        shift += p
+    per_r, per_i = route_glynn_sum(rows)
+    real = not any(wi for ws in w_rows for _, wi in ws)
+    radius = padded - sums
+    return (per_r >> (n - 1), per_i >> (n - 1)), (radius, 0 if real else radius), shift

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -636,7 +637,7 @@ def test_grid_subcommand(tmp_path):
     c3 = tmp_path / "c3.json"
     grid = tmp_path / "slice.csv"
     assert run(["find-zero", "3", "--out", str(c3)]) == 0
-    assert run(["grid", "--around", str(c3), "--res", "21", "--width", "0.02", "--out", str(grid)]) == 0
+    assert run(["grid", "--around", str(c3), "--res", "21", "--width", "0.005", "--out", str(grid)]) == 0
     lines = grid.read_text().strip().splitlines()
     assert lines[0] == "re,im,abs_k,arg_k"
     assert len(lines) == 1 + 21 * 21
@@ -698,7 +699,9 @@ def _grid_around(tmp_path, which):
 @pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])
 def test_grid_rows_are_the_kernel_at_their_points(axis, which, tmp_path):
     path = _grid_around(tmp_path, which)
-    res, width = 9, 0.01
+    # 0.001 keeps every square inside the domain (the narrowest limit,
+    # lambda1 around the n = 7 node, is 0.00165)
+    res, width = 9, 0.001
     out = tmp_path / "slice.csv"
     assert run(["grid", "--around", str(path), "--axis", axis, "--res", str(res),
                 "--width", str(width), "--out", str(out)]) == 0
@@ -723,6 +726,59 @@ def test_grid_rows_are_the_kernel_at_their_points(axis, which, tmp_path):
             mu[1] = point.conjugate() * mu[0] if axis == "z" else point
         k = kernel_gn(lam, mu).value
         assert abs(abs_k * cmath.exp(1j * arg_k) - k) <= 1e-9 * top
+
+
+def _moving_coordinates(path, axis, csv):
+    """The coordinate each row of a grid CSV moves, and the half-width of
+    the square its rows span."""
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    points = rows[:, 0] + 1j * rows[:, 1]
+    moving = np.conj(points) * cert.mu[0] if axis == "z" else points
+    return moving, (rows[:, 0].max() - rows[:, 0].min()) / 2
+
+
+@pytest.mark.parametrize("which", ["c3", "c7"])
+@pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])
+def test_grid_default_width_keeps_the_square_in_the_domain(axis, which, tmp_path):
+    # at width 0.05 a third or more of these rows lay outside the unit disc
+    path = _grid_around(tmp_path, which)
+    out = tmp_path / "slice.csv"
+    assert run(["grid", "--around", str(path), "--axis", axis, "--res", "21", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "re,im,abs_k,arg_k" and len(lines) == 1 + 21 * 21
+    moving, half_width = _moving_coordinates(path, axis, out)
+    assert np.abs(moving).max() < 1
+    assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+    # the largest width up to 0.05 with the square inside: its corner lies
+    # within 2^-19 of the width from the circle
+    cert = ZeroCertificate.from_dict(json.loads(path.read_text()))
+    lam, mu = cert.lam, cert.mu
+    center = {"z": mu[1].conjugate() / mu[0].conjugate(), "lambda1": lam[0], "mu2": mu[1]}[axis]
+    scale = abs(mu[0]) if axis == "z" else 1.0
+    assert half_width < 0.05
+    for w, inside in ((half_width, True), (half_width * (1 + 2.0**-19), False)):
+        corner = complex(abs(center.real) + w, abs(center.imag) + w)
+        assert (abs(corner) * scale < 1) == inside
+
+
+@pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])
+def test_grid_refuses_a_width_that_leaves_the_domain(axis, tmp_path, capsys):
+    path = _grid_around(tmp_path, "c3")
+    out = tmp_path / "slice.csv"
+    capsys.readouterr()
+    assert run(["grid", "--around", str(path), "--axis", axis, "--width", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "out of the unit disc" in err and not out.exists()
+    limit = float(re.search(r"below --width (\S+)$", err.strip()).group(1))
+    assert 0 < limit < 0.05
+    # just past the limit is refused; just inside it is written
+    assert run(["grid", "--around", str(path), "--axis", axis, "--width", repr(limit * 1.001),
+                "--res", "5", "--out", str(out)]) == 2
+    assert run(["grid", "--around", str(path), "--axis", axis, "--width", repr(limit * 0.999),
+                "--res", "5", "--out", str(out)]) == 0
+    moving, _ = _moving_coordinates(path, axis, out)
+    assert np.abs(moving).max() < 1
 
 
 @pytest.mark.parametrize("axis", ["z", "lambda1", "mu2"])

@@ -43,6 +43,8 @@ from .oracles import (
     route_kernel_gn_stable,
     route_kernel_gn_with_error,
     route_permanent,
+    route_cleared_permanent,
+    route_fixed_enclosure,
     route_roots_from_sym,
 )
 
@@ -1014,3 +1016,83 @@ def test_fixed_point_enclosure_holds_the_exact_permanent(bits):
         assert value is None or _hex(value) == _hex(kernel._exact_rounded(lam, mu))
     # the permanent at the n = 3 zero is 1e-16 of per |C|: 8 bits do not decide it
     assert kernel._rounded(*kernel._fixed_enclosure(zero.lam, zero.mu, 8)) is None
+
+
+# --- the exact layer against the route it replaced -----------------------------
+
+
+def _exact_layer_pairs(rng, n):
+    """Seeded pairs of n-tuples: those of _route_pairs (random, near the
+    torus, real, a repeated and a zero lambda, mu_3 = 0), mu_1 = 0, one
+    with magnitudes 1e300 and 1e-300 next to ordinary ones, and one whose
+    first row spans 2^54 in |C_1k|."""
+    pairs = _route_pairs(rng, n)
+    lam, mu = draw_disc_tuple(rng, n), list(draw_disc_tuple(rng, n))
+    mu[0] = 0j
+    pairs.append((lam, tuple(mu)))
+    lam, mu = list(draw_disc_tuple(rng, n)), list(draw_disc_tuple(rng, n))
+    lam[0], mu[-1] = 1e300 * lam[0], 1e-300 * mu[-1]
+    pairs.append((tuple(lam), tuple(mu)))
+    # |C_11| = 1 at e_1 + f_1 = 0 next to |C_1n| = 1 / |1 - 3 fl(1/3)|,
+    # about 2^54: the row spans more than 2^16
+    lam, mu = list(draw_disc_tuple(rng, n)), list(draw_disc_tuple(rng, n))
+    lam[0], mu[0], mu[-1] = 3 + 0j, 0j, complex(1 / 3)
+    pairs.append((tuple(lam), tuple(mu)))
+    return pairs
+
+
+def _negative_shift(lam, mu, bits):
+    """Whether some entry of the enclosure's rows takes p_j + e_j + f_k < 0,
+    which needs the row's largest |C_jl| above 2^(bits + e_j + f_k): on
+    the pairs here 16 bits show it, and _FIXED_BITS does not."""
+    a, b, rows = kernel._cleared_rows(lam, mu)
+    for (_, e), (wr, wi) in zip(a, rows):
+        norms = [x * x + y * y for x, y in zip(wr, wi)]
+        p = bits - max(e + f - (w2.bit_length() - 1) // 2 for (_, f), w2 in zip(b, norms))
+        if any(p + e + f < 0 for _, f in b):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exact_layer_gives_the_integers_of_the_route_it_replaced(n):
+    rng = np.random.default_rng(300 + n)
+    pairs = _exact_layer_pairs(rng, n)
+    # a row of one entry scales it to 2^bits: its shift is never negative
+    assert not any(_negative_shift(lam, mu, kernel._FIXED_BITS) for lam, mu in pairs)
+    assert any(_negative_shift(lam, mu, 16) for lam, mu in pairs) == (n > 1)
+    for lam, mu in pairs:
+        assert kernel._fixed_enclosure(lam, mu) == route_fixed_enclosure(lam, mu)
+        assert kernel._fixed_enclosure(lam, mu, 16) == route_fixed_enclosure(lam, mu, 16)
+        if n <= 7:
+            assert kernel._cleared_permanent(lam, mu) == route_cleared_permanent(lam, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_exact_layer_raises_as_the_route_it_replaced(n):
+    rng = np.random.default_rng(400 + n)
+    lam, mu = list(draw_disc_tuple(rng, n)), list(draw_disc_tuple(rng, n))
+    # 1 - lambda_j conj(mu_k) = 0 at lambda_j = 1 / conj(mu_k), exactly at 0.5 and 2
+    lam[-1], mu[0] = 2 + 0j, 0.5 + 0j
+    for enclosure in (kernel._fixed_enclosure, route_fixed_enclosure,
+                      kernel._cleared_permanent, route_cleared_permanent):
+        with pytest.raises(SingularEntry, match="vanishes"):
+            enclosure(tuple(lam), tuple(mu))
+        with pytest.raises(ValueError, match="same dimension"):
+            enclosure(tuple(lam), tuple(mu) + (0j,))
+
+
+def test_exact_layer_on_every_chain_node_gives_the_routes_integers():
+    # the default chain to n = 12, and the schema-1 chain to n = 7, three
+    # of whose nodes take the exact sum
+    from symdisc.zerofind import build_certificate_chain
+
+    pinned = ZeroCertificate.from_dict(json.loads((Path(__file__).parent / "data" / "chain7_v1.json").read_text()))
+    fallbacks = 0
+    for node in (*build_certificate_chain(12).nodes(), *pinned.nodes()):
+        enclosure = kernel._fixed_enclosure(node.lam, node.mu)
+        assert enclosure == route_fixed_enclosure(node.lam, node.mu)
+        if kernel._rounded(*enclosure) is None:
+            fallbacks += 1
+            assert kernel._cleared_permanent(node.lam, node.mu) == route_cleared_permanent(node.lam, node.mu)
+    assert fallbacks == 3

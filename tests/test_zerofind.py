@@ -565,12 +565,12 @@ def test_lift_gives_up_after_its_rungs(dim3_cert, monkeypatch):
     with pytest.raises(CertificationFailure, match="24 rungs") as failure:
         lift_zero(dim3_cert)
     assert zerofind._LIFT_CANDIDATES == 24
-    # one stacked evaluation of the ladder s = 2^-1, 2^-2, ... with
-    # t = sqrt(1 - s), real and positive; every rung is either cleared by
-    # the screen or assembled and solved, in ladder order
-    assert stacks == [LADDER]
-    [(_, mus, _, out)] = screens
-    skipped = [mu[-1] for mu, skip in zip(mus, out) if skip]
+    # two stacked evaluations of the ladder s = 2^-1, 2^-2, ... with
+    # t = sqrt(1 - s), real and positive, 12 rungs each; every rung is
+    # either cleared by the screen or assembled and solved, in ladder order
+    assert stacks == [LADDER[:12], LADDER[12:]]
+    assert [mus for _, mus, _, _ in screens] == [[(*dim3_cert.mu, t) for t in half] for half in stacks]
+    skipped = [mu[-1] for _, mus, _, out in screens for mu, skip in zip(mus, out) if skip]
     assert skipped and assembled
     assert sorted(skipped + assembled, key=LADDER.index) == LADDER
     assert assembled == [t for t in LADDER if t not in skipped]
@@ -588,7 +588,7 @@ def test_lift_without_the_screen_assembles_every_rung(dim3_cert, monkeypatch):
     monkeypatch.setattr(zerofind, "DEFAULT_TOL_LIFT", 1e-300)
     with pytest.raises(CertificationFailure, match="0 cleared by the zero-exclusion bound"):
         lift_zero(dim3_cert)
-    assert stacks == [LADDER]
+    assert stacks == [LADDER[:12], LADDER[12:]]
     assert assembled == LADDER
 
 
@@ -631,11 +631,19 @@ def test_cleared_rungs_have_no_root_within_twice_the_search_radius(chain10, monk
     for node in chain10.nodes():
         if node.n < 10:
             spy_lift(node)
-    assert len(lifts) == len(screens) == 6 * 4 + 7
-    for parent, (pers, mus, center, out) in zip(lifts, screens):
-        assert center == parent.lam[0] and len(out) == 24
+    # a screen per stack of 12 rungs; the lifts to n = 9 and 10 accept
+    # rungs 13 and 14, from a second stack
+    assert len(lifts) == 6 * 4 + 7 and len(screens) == len(lifts) + 2
+    parents, remaining = [], iter(lifts)
+    for pers, mus, center, out in screens:
+        first = mus[0][-1] == LADDER[0]
+        parent = next(remaining) if first else parent
+        parents.append(parent)
+        assert center == parent.lam[0] and len(out) == 12
         # the lift to n = 4 accepts its 8th rung and solves 2
-        assert out.sum() >= 6
+        assert not first or out.sum() >= 6
+    assert sorted(p.n for p, (_, mus, _, _) in zip(parents, screens) if mus[0][-1] != LADDER[0]) == [8, 9]
+    for parent, (pers, mus, center, out) in zip(parents, screens):
         reach = 2 * _search_radius(parent)
         for minors, mu in zip(pers[out], np.asarray(mus)[out]):
             roots = np.roots(kernel.fiber_coefficients(minors, mu))
@@ -663,6 +671,14 @@ def test_find_zero_7_solves_at_most_16_fiber_polynomials(tmp_path, monkeypatch):
         before = len(assembled)
         cert = lift_zero(cert)
         assert cert.n == n and len(assembled) - before <= 8
+
+
+def test_find_zero_7_stacks_12_rungs_per_lift(tmp_path, monkeypatch):
+    # every lift of the default chain to n = 7 accepts one of its first 12
+    # rungs, so the stack of rungs 13-24 is never evaluated
+    stacks, _ = _appended_rungs(monkeypatch)
+    assert main(["find-zero", "7", "--out", str(tmp_path / "c7.json")]) == 0
+    assert stacks == [LADDER[:12]] * 4
 
 
 def test_lift_skips_a_rung_that_repeats_an_appended_coordinate(chain7, monkeypatch):
@@ -726,8 +742,9 @@ def test_chain7_counts_one_fiber_stack_per_lift_and_five_exact_permanents(monkey
     monkeypatch.setattr(kernel, "permanent", spy_permanent)
     monkeypatch.setattr(zerofind, "permanent_exact", spy_exact)
     build_certificate_chain(7)
-    # the lift to m coordinates stacks the m minors of its 24 rungs
-    assert [s for s in shapes if s[2:] != (2,)] == [(m - 1, m - 1, 24 * m) for m in range(4, 8)]
+    # the lift to m coordinates stacks the m minors of its first 12 rungs,
+    # and accepts one of them
+    assert [s for s in shapes if s[2:] != (2,)] == [(m - 1, m - 1, 12 * m) for m in range(4, 8)]
     # kernel_gn's one call on (C, |C|): a residual and a witness sample per node
     assert sorted(s[0] for s in shapes if s[2:] == (2,)) == [3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
     # the residuals only
